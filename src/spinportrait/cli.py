@@ -40,7 +40,7 @@ from .schemes import (
     reconstruct_pinv,
 )
 from .spin import Direction, Spin, validate_density_matrix
-from .su2 import DirectionSet, q_matrix, reconstruct, shell_determinants
+from .su2 import GRAM_DET_FLOOR, DirectionSet, q_matrix, reconstruct, shell_determinants
 
 
 def _parse_weights(arg: str | None, n: int) -> np.ndarray:
@@ -95,7 +95,7 @@ def cmd_invert(args) -> int:
     else:
         ds = DirectionSet(spin, prob.frames)
         dets = shell_determinants(ds)
-        bad = [L + 1 for L, det in enumerate(dets) if abs(det) < 1e-12]
+        bad = [L + 1 for L, det in enumerate(dets) if abs(det) < GRAM_DET_FLOOR]
         if bad:
             raise FeasibilityError(
                 f"shell Gram determinant vanishes for L={bad}; "

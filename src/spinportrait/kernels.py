@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .portrait import ProbVector
-from .spin import Direction, Spin
+from .spin import Direction, Spin, frame_matrices
 from .su2 import DirectionSet, quantizer, quantizer_stack
 from .tomography import dequantizer, quantizer_continuous, sphere_quadrature
 
@@ -44,14 +44,18 @@ def dequantizer_stack(ds: DirectionSet) -> np.ndarray:
 
     Memoized per direction set; the cached array is read-only.
     """
-    spin = ds.spin
-    n_u = ds.n_dirs
-    out = np.empty((n_u * spin.dim, spin.dim, spin.dim), dtype=complex)
-    for k, n in enumerate(ds.dirs):
-        for idx, two_m in enumerate(spin.two_m_values()):
-            out[k * spin.dim + idx] = dequantizer(spin, two_m, n) / n_u
+    d = ds.spin.dim
+    kets = np.swapaxes(frame_matrices(ds.spin, ds.dirs), 1, 2)
+    out = kets[:, :, :, None] * kets[:, :, None, :].conj() / ds.n_dirs
+    out = out.reshape(-1, d, d)
     out.flags.writeable = False
     return out
+
+
+def _trace_pairs(stack: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Tr(stack[I] @ op) for every I, as one matrix-vector product."""
+    n, d, _ = stack.shape
+    return stack.reshape(n, d * d) @ op.T.reshape(d * d)
 
 
 def symbol(spin: Spin, op: np.ndarray, ds: DirectionSet) -> np.ndarray:
@@ -63,8 +67,7 @@ def symbol(spin: Spin, op: np.ndarray, ds: DirectionSet) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if op.shape != (spin.dim, spin.dim):
         raise DomainError(f"operator shape {op.shape} != dim {spin.dim}")
-    stack = dequantizer_stack(ds)
-    return np.einsum("Iab,ba->I", stack, op, optimize=True)
+    return _trace_pairs(dequantizer_stack(ds), op)
 
 
 def symbol_to_operator(p, ds: DirectionSet) -> np.ndarray:
@@ -207,14 +210,8 @@ def w_to_p(
             [tomogram_fn(two_mp, n_prime) for two_mp in spin.two_m_values()]
         )
         # sum_m' w(m', n') D(m', n'), then one trace per (m, k) entry
-        acc = np.einsum(
-            "i,Li,Lab->ab",
-            w_col,
-            weighted_table,
-            s_operator_stack(spin, n_prime),
-            optimize=True,
-        )
-        out += weight * np.real(np.einsum("Iab,ba->I", u_stack, acc, optimize=True))
+        acc = np.tensordot(weighted_table @ w_col, s_operator_stack(spin, n_prime), axes=1)
+        out += weight * np.real(_trace_pairs(u_stack, acc))
     return out
 
 

@@ -3,10 +3,22 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
+from .errors import DomainError
+
 SQRT2 = math.sqrt(2.0)
+
+
+@lru_cache(maxsize=16)
+def _upper(dim: int):
+    """Row and column indices of the strict upper triangle (read-only)."""
+    rows, cols = np.triu_indices(dim, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def hermitian_to_vec(a: np.ndarray) -> np.ndarray:
@@ -19,11 +31,26 @@ def hermitian_to_vec(a: np.ndarray) -> np.ndarray:
     product.
     """
     a = np.asarray(a, dtype=complex)
-    d = a.shape[0]
-    iu = np.triu_indices(d, k=1)
+    iu = _upper(a.shape[0])
     return np.concatenate(
         [np.real(np.diagonal(a)), SQRT2 * np.real(a[iu]), SQRT2 * np.imag(a[iu])]
     )
+
+
+def projector_coords(kets) -> np.ndarray:
+    """Coordinates of the projectors |v><v| for a stack of kets.
+
+    ``kets`` has shape (..., d); the result has shape (..., d*d) with row
+    ``hermitian_to_vec(outer(v, v.conj()))`` for every ket v.  This is the one
+    builder of forward-map rows: every frame kind supplies its measured kets
+    and the rows (or the probabilities Tr(rho |v><v|) = row . coords(rho))
+    follow from here.
+    """
+    kets = np.asarray(kets, dtype=complex)
+    rows, cols = _upper(kets.shape[-1])
+    upper = kets[..., rows] * kets[..., cols].conj()
+    diag = kets.real * kets.real + kets.imag * kets.imag
+    return np.concatenate([diag, SQRT2 * upper.real, SQRT2 * upper.imag], axis=-1)
 
 
 def vec_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
@@ -33,7 +60,7 @@ def vec_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
         raise ValueError(f"coordinate vector length {v.size} != {dim * dim}")
     out = np.zeros((dim, dim), dtype=complex)
     out[np.diag_indices(dim)] = v[:dim]
-    iu = np.triu_indices(dim, k=1)
+    iu = _upper(dim)
     n_off = iu[0].size
     upper = (v[dim : dim + n_off] + 1j * v[dim + n_off :]) / SQRT2
     out[iu] = upper
@@ -41,9 +68,40 @@ def vec_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def validate_weights(weights, n: int) -> np.ndarray:
+    """Prior weights as a float array: n nonnegative entries summing to one."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise DomainError(f"expected {n} weights, got shape {w.shape}")
+    if w.min(initial=0.0) < 0.0:
+        raise DomainError(f"negative prior weight {w.min()}")
+    if abs(w.sum() - 1.0) > 1e-12:
+        raise DomainError(f"prior weights sum to {w.sum()}, not 1")
+    return w
+
+
 def numerical_rank(a: np.ndarray, rtol: float = 1e-8) -> int:
     """Rank by singular-value threshold rtol * sigma_max."""
-    s = np.linalg.svd(np.asarray(a), compute_uv=False)
+    return _rank(np.linalg.svd(np.asarray(a), compute_uv=False), rtol)
+
+
+def svd_inverse(a: np.ndarray, rtol: float):
+    """Numerical rank of ``a`` and, for full column rank, its pseudo-inverse.
+
+    Returns ``(rank, inverse)`` from one SVD, with the rank counted as in
+    :func:`numerical_rank`; ``inverse`` (read-only) is None when the columns
+    are dependent at ``rtol``.
+    """
+    u, s, vt = np.linalg.svd(np.asarray(a), full_matrices=False)
+    rank = _rank(s, rtol)
+    if rank < vt.shape[1]:
+        return rank, None
+    inverse = (vt.conj().T / s) @ u.conj().T
+    inverse.flags.writeable = False
+    return rank, inverse
+
+
+def _rank(s: np.ndarray, rtol: float) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rtol * s[0]))

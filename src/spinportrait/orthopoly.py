@@ -18,10 +18,12 @@ Tr(S_L(n) S_L'(n')) = delta_LL' * P_L(n . n') with P_L the Legendre polynomial.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .errors import DomainError
-from .spin import Frame, Spin, frame_matrix
+from .spin import Frame, Spin, frame_matrices, frame_matrix
 
 
 def coeff_table(spin: Spin) -> np.ndarray:
@@ -65,10 +67,14 @@ def s_operator(spin: Spin, L: int, frame: Frame) -> np.ndarray:
 
 def s_operator_stack(spin: Spin, frame: Frame) -> np.ndarray:
     """All S_L(frame) for L = 0..2j as one (2j+1, d, d) array."""
-    table = coeff_table(spin)
-    v = frame_matrix(spin, frame)
-    vh = v.conj().T
-    return np.einsum("ab,Lb,bc->Lac", v, table, vh, optimize=True)
+    return s_operator_stacks(spin, [frame])[0]
+
+
+def s_operator_stacks(spin: Spin, frames: Sequence[Frame]) -> np.ndarray:
+    """S_L(frame_k) for every frame and L = 0..2j, shape (N, 2j+1, d, d)."""
+    v = frame_matrices(spin, frames)[:, None]
+    table = coeff_table(spin)[None, :, None, :]
+    return (v * table) @ np.swapaxes(v, -1, -2).conj()
 
 
 def legendre(L: int, x):

@@ -20,8 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegeneratePriorError, DomainError, InvariantError
+from .linalg import validate_weights
 from .spin import Frame, Spin
-from .tomography import tomogram_column
+from .tomography import tomogram_columns
 
 VALUE_TOL = 1e-12
 SUM_TOL = 1e-11
@@ -103,17 +104,6 @@ class ProbVector:
         return self.values.reshape(self.n_rotations, self.spin.dim).sum(axis=1)
 
 
-def validate_weights(weights, n: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise DomainError(f"expected {n} weights, got shape {w.shape}")
-    if w.min(initial=0.0) < 0.0:
-        raise DomainError(f"negative prior weight {w.min()}")
-    if abs(w.sum() - 1.0) > 1e-12:
-        raise DomainError(f"prior weights sum to {w.sum()}, not 1")
-    return w
-
-
 def portrait(w_column: Sequence[float], partition: Partition) -> np.ndarray:
     """Block sums of one probability column over a partition.
 
@@ -148,8 +138,7 @@ def prob_vector(
     """Forward map of a state: blocks p_k * w(m, frame_k)."""
     if weights is None:
         weights = np.full(len(frames), 1.0 / len(frames))
-    columns = [tomogram_column(spin, rho, frame) for frame in frames]
-    return stack(columns, weights)
+    return stack(tomogram_columns(spin, rho, frames), weights)
 
 
 def normalize_to_eq(p: ProbVector) -> ProbVector:

@@ -25,17 +25,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, FeasibilityError
-from .linalg import hermitian_to_vec, numerical_rank, vec_to_hermitian
-from .orthopoly import assoc_legendre, s_operator_stack
-from .portrait import ProbVector, validate_weights
-from .spin import Direction, Spin, unitarity_defect
+from .linalg import (
+    projector_coords,
+    svd_inverse,
+    validate_weights,
+    vec_to_hermitian,
+)
+from .orthopoly import assoc_legendre, s_operator_stacks
+from .portrait import ProbVector
+from .spin import Direction, Spin, frame_matrices, unitarity_defect
 from .su2 import GRAM_DET_FLOOR, DirectionSet, shell_determinants
-from .tomography import dequantizer, tomogram
+from .tomography import forward_matrix, tomogram_columns
+
+SOLVER_CACHE_SIZE = 16  # per frame set, the same bound as the memoized stacks
 
 
 @dataclass(frozen=True)
@@ -47,8 +55,12 @@ class UnitaryFrameSet:
 
     def __init__(self, spin: Spin, frames: Sequence[np.ndarray]):
         object.__setattr__(self, "spin", spin)
-        frames = tuple(np.asarray(u, dtype=complex) for u in frames)
+        frames = tuple(np.array(u, dtype=complex) for u in frames)
+        for u in frames:
+            u.flags.writeable = False
         object.__setattr__(self, "frames", frames)
+        # inverse maps per prior-weight vector, filled by reconstruct_pinv
+        object.__setattr__(self, "_solvers", {})
         expected = spin.two_j + 2
         if len(frames) != expected:
             raise DomainError(
@@ -83,15 +95,7 @@ def r_matrix(spin: Spin, frames: Sequence[np.ndarray], weights=None) -> np.ndarr
     """
     if isinstance(frames, UnitaryFrameSet):
         frames = frames.frames
-    frames = tuple(frames)
-    if weights is None:
-        weights = np.full(len(frames), 1.0 / len(frames))
-    w = validate_weights(weights, len(frames))
-    rows = []
-    for p_k, u in zip(w, frames):
-        for two_m in spin.two_m_values():
-            rows.append(p_k * hermitian_to_vec(dequantizer(spin, two_m, u)))
-    return np.array(rows)
+    return forward_matrix(spin, frames, weights)
 
 
 def sun_gram(ufs: UnitaryFrameSet) -> np.ndarray:
@@ -101,15 +105,10 @@ def sun_gram(ufs: UnitaryFrameSet) -> np.ndarray:
     blocks are the identity because each frame's operators are orthonormal.
     """
     spin = ufs.spin
-    two_j = spin.two_j
-    stacks = [s_operator_stack(spin, u)[1:] for u in ufs.frames]
-    n = len(ufs.frames)
-    g = np.empty((n * two_j, n * two_j))
-    for a in range(n):
-        for b in range(n):
-            block = np.einsum("Lij,Mji->LM", stacks[a], stacks[b], optimize=True)
-            g[a * two_j : (a + 1) * two_j, b * two_j : (b + 1) * two_j] = block.real
-    return g
+    d = spin.dim
+    ops = s_operator_stacks(spin, ufs.frames)[:, 1:].reshape(-1, d, d)
+    # Tr(A B) = sum_ij A_ij B_ji, one product over all (frame, L) pairs
+    return (ops.reshape(-1, d * d) @ np.swapaxes(ops, 1, 2).reshape(-1, d * d).T).real
 
 
 def gamma_prime(ufs: UnitaryFrameSet) -> float:
@@ -132,20 +131,29 @@ def mu_bound(gamma: float) -> float:
 def reconstruct_pinv(p: ProbVector, ufs: UnitaryFrameSet, weights=None) -> np.ndarray:
     """Least-squares inverse of the unitary-frame forward map.
 
-    Solves the overdetermined system through a rank-revealing factorization
-    rather than the normal equations, which would square the conditioning.
+    Solves the overdetermined system through the SVD pseudo-inverse rather
+    than the normal equations, which would square the conditioning.  The rank
+    verdict (rtol 1e-8) and the pseudo-inverse are computed once per weight
+    vector and kept on the frame set.
     """
     spin = ufs.spin
-    if p.spin != spin or p.n_rotations != len(ufs.frames):
+    n = len(ufs.frames)
+    if p.spin != spin or p.n_rotations != n:
         raise DomainError("probability vector does not match the frame set")
-    r = r_matrix(spin, ufs.frames, weights)
-    full = spin.dim * spin.dim
-    if numerical_rank(r) < full:
+    w = validate_weights(np.full(n, 1.0 / n) if weights is None else weights, n)
+    key = w.tobytes()
+    solver = ufs._solvers.get(key)
+    if solver is None:
+        solver = svd_inverse(forward_matrix(spin, ufs.frames, w), rtol=1e-8)
+        if len(ufs._solvers) >= SOLVER_CACHE_SIZE:
+            del ufs._solvers[next(iter(ufs._solvers))]
+        ufs._solvers[key] = solver
+    rank, inverse = solver
+    if inverse is None:
         raise FeasibilityError(
-            f"frame forward map has rank {numerical_rank(r)} < {full}"
+            f"frame forward map has rank {rank} < {spin.dim * spin.dim}"
         )
-    coords, *_ = np.linalg.lstsq(r, p.values, rcond=None)
-    return vec_to_hermitian(coords, spin.dim)
+    return vec_to_hermitian(inverse @ p.values, spin.dim)
 
 
 @dataclass(frozen=True)
@@ -198,14 +206,18 @@ def aw_m_matrix(spin: Spin, dirs: Sequence[Direction]) -> np.ndarray:
     full = spin.dim * spin.dim
     if len(dirs) != full:
         raise DomainError(f"need {full} directions, got {len(dirs)}")
-    return np.array(
-        [hermitian_to_vec(dequantizer(spin, spin.two_j, n)) for n in dirs]
-    )
+    return projector_coords(frame_matrices(spin, dirs)[:, :, 0])
 
 
 def aw_forward(spin: Spin, rho: np.ndarray, dirs: Sequence[Direction]) -> np.ndarray:
     """Probabilities of the highest projection m = j along each direction."""
-    return np.array([tomogram(spin, rho, spin.two_j, n) for n in dirs])
+    return tomogram_columns(spin, rho, dirs, highest_only=True)[:, 0]
+
+
+@lru_cache(maxsize=16)
+def _aw_solver(spin: Spin, dirs: tuple):
+    """Rank verdict (rtol 1e-10) and inverse of the grid matrix, from one SVD."""
+    return svd_inverse(aw_m_matrix(spin, dirs), rtol=1e-10)
 
 
 def aw_reconstruct(
@@ -218,14 +230,14 @@ def aw_reconstruct(
 
     With ``normalized=True`` the input is taken as the unit-sum variant of the
     probability vector and the overall scale is restored by dividing out the
-    trace of the solution.
+    trace of the solution.  The grid's rank verdict and inverse are memoized
+    per (spin, directions).
     """
     w = np.asarray(w, dtype=float)
-    m = aw_m_matrix(spin, dirs)
-    if numerical_rank(m, rtol=1e-10) < m.shape[0]:
+    _, inverse = _aw_solver(spin, tuple(dirs))
+    if inverse is None:
         raise FeasibilityError("direction matrix is numerically singular")
-    coords = np.linalg.solve(m, w)
-    rho = vec_to_hermitian(coords, spin.dim)
+    rho = vec_to_hermitian(inverse @ w, spin.dim)
     if normalized:
         trace = float(np.trace(rho).real)
         if abs(trace) < 1e-14:

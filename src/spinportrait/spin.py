@@ -4,13 +4,23 @@ Spin magnitudes are stored as doubled integers (``two_j = 2j``) so that
 half-integer bookkeeping stays exact; projections likewise travel as doubled
 values ``two_m``.  The matrix basis is ordered by descending projection,
 |j, j> first, and every module in the package shares that ordering.
+
+Rotations use the Wigner factorization
+
+    R(theta, phi) = exp(-i phi Jz) exp(-i theta Jy) exp(i phi Jz),
+
+which equals exp(-i theta n_perp . J) with n_perp = (-sin phi, cos phi, 0) for
+every angle, theta = pi included.  Jz is diagonal, so one eigendecomposition
+of Jy per spin (memoized) turns a whole list of directions into a stack of
+rotations with one batched matrix product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from functools import lru_cache
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -116,19 +126,40 @@ def angular_momentum(spin: Spin):
     return jx, jy, jz
 
 
+@lru_cache(maxsize=16)
+def _jy_eigen(two_j: int):
+    """Eigenvalues and eigenvectors of Jy for one spin (read-only arrays)."""
+    _, jy, _ = angular_momentum(Spin(two_j))
+    vals, vecs = np.linalg.eigh(jy)
+    vals.flags.writeable = False
+    vecs.flags.writeable = False
+    return vals, vecs
+
+
+def rotations(spin: Spin, thetas, phis) -> np.ndarray:
+    """Stack of rotations R(theta_k, phi_k), shape (N, d, d).
+
+    Wigner factorization: the polar rotation exp(-i theta Jy) comes from the
+    memoized spectral decomposition of Jy, and the azimuthal factors
+    exp(-+i phi Jz) are diagonal phases applied to its rows and columns.
+    """
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    phis = np.asarray(phis, dtype=float).reshape(-1)
+    vals, vecs = _jy_eigen(spin.two_j)
+    polar = (vecs * np.exp(-1j * thetas[:, None, None] * vals)) @ vecs.conj().T
+    azimuth = np.exp(-1j * phis[:, None] * spin.m_values())
+    return azimuth[:, :, None] * polar * azimuth.conj()[:, None, :]
+
+
 def rotation(spin: Spin, n: Direction) -> np.ndarray:
     """Rotation mapping the z-axis onto n.
 
     R(n) = exp(-i (n_perp . J) theta) with n_perp = (-sin phi, cos phi, 0),
-    evaluated through the spectral decomposition of the Hermitian generator.
+    built by :func:`rotations` through the Wigner factorization.
     R(n) Jz R(n)^dag = J . n, so R|j j> is the highest-weight state along n.
     For theta = pi the result depends on phi (any such rotation maps z to -z).
     """
-    jx, jy, _ = angular_momentum(spin)
-    gen = -math.sin(n.phi) * jx + math.cos(n.phi) * jy
-    vals, vecs = np.linalg.eigh(gen)
-    phases = np.exp(-1j * n.theta * vals)
-    return (vecs * phases) @ vecs.conj().T
+    return rotations(spin, n.theta, n.phi)[0]
 
 
 def frame_matrix(spin: Spin, frame: Frame) -> np.ndarray:
@@ -137,14 +168,32 @@ def frame_matrix(spin: Spin, frame: Frame) -> np.ndarray:
     A ``Direction`` yields the SU(2) rotation; a square array is validated as
     a unitary of the right dimension and used as-is.
     """
-    if isinstance(frame, Direction):
-        return rotation(spin, frame)
-    u = np.asarray(frame, dtype=complex)
-    if u.shape != (spin.dim, spin.dim):
-        raise DomainError(f"frame shape {u.shape} does not match dim {spin.dim}")
-    if unitarity_defect(u) > 1e-12:
-        raise InvariantError("frame matrix is not unitary to 1e-12")
-    return u
+    return frame_matrices(spin, [frame])[0]
+
+
+def frame_matrices(spin: Spin, frames: Sequence[Frame]) -> np.ndarray:
+    """Unitaries of a frame sequence, shape (N, d, d).
+
+    Directions are rotated all at once; arrays are validated as in
+    :func:`frame_matrix`.
+    """
+    frames = tuple(frames)
+    out = np.empty((len(frames), spin.dim, spin.dim), dtype=complex)
+    rot = [k for k, f in enumerate(frames) if isinstance(f, Direction)]
+    if rot:
+        out[rot] = rotations(
+            spin, [frames[k].theta for k in rot], [frames[k].phi for k in rot]
+        )
+    for k, frame in enumerate(frames):
+        if isinstance(frame, Direction):
+            continue
+        u = np.asarray(frame, dtype=complex)
+        if u.shape != (spin.dim, spin.dim):
+            raise DomainError(f"frame shape {u.shape} does not match dim {spin.dim}")
+        if unitarity_defect(u) > 1e-12:
+            raise InvariantError("frame matrix is not unitary to 1e-12")
+        out[k] = u
+    return out
 
 
 def basis_ket(spin: Spin, two_m: int) -> np.ndarray:

@@ -25,11 +25,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, FeasibilityError
-from .linalg import hermitian_to_vec
-from .orthopoly import assoc_legendre, coeff_table, legendre, s_operator_stack
-from .portrait import ProbVector, validate_weights
+from .orthopoly import (
+    assoc_legendre,
+    coeff_table,
+    legendre,
+    s_operator_stack,
+    s_operator_stacks,
+)
+from .portrait import ProbVector
 from .spin import Direction, Spin
-from .tomography import dequantizer
+from .tomography import forward_matrix
 
 GRAM_DET_FLOOR = 1e-12
 
@@ -135,18 +140,10 @@ def q_matrix(spin: Spin, dirs: Sequence[Direction], weights=None) -> np.ndarray:
     the probability vector exactly.  Any number of directions is accepted,
     which the rank experiments rely on.
     """
-    dirs = tuple(dirs)
-    if weights is None:
-        weights = np.full(len(dirs), 1.0 / len(dirs))
-    w = validate_weights(weights, len(dirs))
-    rows = []
-    for p_k, n in zip(w, dirs):
-        for two_m in spin.two_m_values():
-            rows.append(p_k * hermitian_to_vec(dequantizer(spin, two_m, n)))
-    return np.array(rows)
+    return forward_matrix(spin, dirs, weights)
 
 
-def _shell_inverse(ds: DirectionSet, L: int) -> np.ndarray:
+def _checked_gram(ds: DirectionSet, L: int) -> np.ndarray:
     m = gram(ds.spin, L, ds)
     det = np.linalg.det(m)
     if abs(det) < GRAM_DET_FLOOR:
@@ -154,6 +151,11 @@ def _shell_inverse(ds: DirectionSet, L: int) -> np.ndarray:
             f"shell L={L} Gram determinant {det:.3e} below {GRAM_DET_FLOOR:.0e}; "
             "the direction set cannot be inverted"
         )
+    return m
+
+
+def _shell_inverse(ds: DirectionSet, L: int) -> np.ndarray:
+    m = _checked_gram(ds, L)
     return np.linalg.solve(m, np.eye(m.shape[0]))
 
 
@@ -209,28 +211,28 @@ def quantizer_stack(ds: DirectionSet) -> np.ndarray:
     """All quantizers in probability-vector layout, shape (N_u * d, d, d).
 
     Assembled shell by shell from the Gram inverses; entry index(k, m) matches
-    the ProbVector layout so reconstruction is a single contraction.  The
-    result is memoized per direction set (read-only array, safe to share).
+    the ProbVector layout so reconstruction is a single contraction.  Every
+    shell determinant is tested before any operator is built, so a refused
+    set costs only its Gram matrices.  The result is memoized per direction
+    set (read-only array, safe to share).
     """
     spin = ds.spin
     d = spin.dim
     n_u = ds.n_dirs
+    grams = [_checked_gram(ds, L) for L in range(1, spin.two_j + 1)]
     table = coeff_table(spin)
-    shell_ops = [s_operator_stack(spin, n) for n in ds.dirs]
-    out = np.zeros((n_u * d, d, d), dtype=complex)
+    shell_ops = s_operator_stacks(spin, ds.dirs)
+    out = np.zeros((n_u, d, d, d), dtype=complex)
     for L in range(0, spin.two_j + 1):
+        n_shell = 2 * L + 1
         if L == 0:
             minv = np.array([[1.0]])
         else:
-            minv = _shell_inverse(ds, L)
-        duals = np.einsum(
-            "kK,Kab->kab",
-            minv,
-            np.array([shell_ops[kk][L] for kk in range(2 * L + 1)]),
-        )
-        for k in range(2 * L + 1):
-            for idx in range(d):
-                out[k * d + idx] += (n_u * table[L, idx]) * duals[k]
+            minv = np.linalg.solve(grams[L - 1], np.eye(n_shell))
+        ops = shell_ops[:n_shell, L].reshape(n_shell, d * d)
+        duals = (minv @ ops).reshape(n_shell, 1, d, d)
+        out[:n_shell] += (n_u * table[L])[:, None, None] * duals
+    out = out.reshape(n_u * d, d, d)
     out.flags.writeable = False
     return out
 
@@ -259,11 +261,10 @@ def apply_quantizer(values: np.ndarray, ds: DirectionSet) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     stack = quantizer_stack(ds)
-    if values.shape != (stack.shape[0],):
-        raise DomainError(
-            f"expected {stack.shape[0]} coefficients, got shape {values.shape}"
-        )
-    return np.einsum("I,Iab->ab", values, stack)
+    n, d, _ = stack.shape
+    if values.shape != (n,):
+        raise DomainError(f"expected {n} coefficients, got shape {values.shape}")
+    return (values @ stack.reshape(n, d * d)).reshape(d, d)
 
 
 def dual_vectors(ds: DirectionSet) -> np.ndarray:

@@ -15,13 +15,15 @@ counts for safety.
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .linalg import hermitian_to_vec, projector_coords, validate_weights
 from .orthopoly import coeff_table, s_operator_stack
-from .spin import Direction, Frame, Spin, frame_matrix
+from .spin import Direction, Frame, Spin, frame_matrices, frame_matrix
 
 TomogramFn = Callable[[int, Direction], float]
 
@@ -36,9 +38,7 @@ def dequantizer(spin: Spin, two_m: int, frame: Frame) -> np.ndarray:
 
 def tomogram(spin: Spin, rho: np.ndarray, two_m: int, frame: Frame) -> float:
     """Probability of projection two_m in the given frame, Tr(rho U(m, frame))."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (spin.dim, spin.dim):
-        raise DomainError(f"state shape {rho.shape} does not match dim {spin.dim}")
+    rho = _state(spin, rho)
     idx = spin.m_index(two_m)
     v = frame_matrix(spin, frame)
     col = v[:, idx]
@@ -47,11 +47,67 @@ def tomogram(spin: Spin, rho: np.ndarray, two_m: int, frame: Frame) -> float:
 
 def tomogram_column(spin: Spin, rho: np.ndarray, frame: Frame) -> np.ndarray:
     """All 2j+1 probabilities of one frame, ordered by descending m."""
+    return _probabilities(frame_matrix(spin, frame), _state(spin, rho))
+
+
+def tomogram_columns(
+    spin: Spin, rho: np.ndarray, frames: Sequence[Frame], highest_only: bool = False
+) -> np.ndarray:
+    """Probabilities of every frame, shape (N, 2j+1), or (N, 1) with only m = j."""
+    return _probabilities(measured_kets(spin, frames, highest_only), _state(spin, rho))
+
+
+def measured_kets(
+    spin: Spin, frames: Sequence[Frame], highest_only: bool = False
+) -> np.ndarray:
+    """Measured kets V_k |j m> as columns, shape (N, d, 2j+1) or (N, d, 1).
+
+    Sequences made only of directions are memoized by value (read-only
+    result), since a state-by-state caller measures the same set repeatedly.
+    """
+    frames = tuple(frames)
+    if all(isinstance(f, Direction) for f in frames):
+        return _direction_kets(spin, frames, highest_only)
+    kets = frame_matrices(spin, frames)
+    return kets[:, :, :1] if highest_only else kets
+
+
+@lru_cache(maxsize=16)
+def _direction_kets(spin: Spin, dirs: tuple, highest_only: bool) -> np.ndarray:
+    kets = frame_matrices(spin, dirs)
+    if highest_only:
+        kets = np.ascontiguousarray(kets[:, :, :1])
+    kets.flags.writeable = False
+    return kets
+
+
+def forward_matrix(spin: Spin, frames: Sequence[Frame], weights=None) -> np.ndarray:
+    """Forward-map matrix: row (k, m) holds p_k times the coordinates of U(m, frame_k).
+
+    Hermitian operators are flattened with the isometric real coordinate map,
+    so the matrix is real and applying it to the coordinates of rho reproduces
+    the probability vector exactly.  Any number of frames is accepted (uniform
+    priors by default), which the rank experiments rely on.
+    """
+    frames = tuple(frames)
+    if weights is None:
+        weights = np.full(len(frames), 1.0 / len(frames))
+    w = validate_weights(weights, len(frames))
+    kets = frame_matrices(spin, frames)
+    rows = projector_coords(np.swapaxes(kets, 1, 2))
+    return (w[:, None, None] * rows).reshape(-1, spin.dim * spin.dim)
+
+
+def _state(spin: Spin, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (spin.dim, spin.dim):
         raise DomainError(f"state shape {rho.shape} does not match dim {spin.dim}")
-    v = frame_matrix(spin, frame)
-    return np.real(np.einsum("ai,ab,bi->i", v.conj(), rho, v, optimize=True))
+    return rho
+
+
+def _probabilities(kets: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Tr(rho |v><v|) for the kets stored as columns of ``kets`` (last axis)."""
+    return projector_coords(np.swapaxes(kets, -1, -2)) @ hermitian_to_vec(rho)
 
 
 def quantizer_continuous(spin: Spin, two_m: int, n: Direction) -> np.ndarray:
@@ -112,7 +168,5 @@ def reconstruct_from_sphere(
         w_col = np.array(
             [tomogram_fn(two_m, direction) for two_m in spin.two_m_values()]
         )
-        rho += weight * np.einsum(
-            "i,Li,Lab->ab", w_col, weighted_table, stack, optimize=True
-        )
+        rho += weight * np.tensordot(weighted_table @ w_col, stack, axes=1)
     return rho
