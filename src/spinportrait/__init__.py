@@ -103,7 +103,6 @@ from .region import (
     SliceSpec,
     classify_points,
     is_quantum,
-    is_quantum_sylvester,
     qubit_ball_statistic,
     qubit_ball_test,
     qubit_region_inequalities,

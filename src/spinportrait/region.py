@@ -18,17 +18,22 @@ equivalent to positive semidefiniteness for 2x2 Hermitian matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .portrait import ProbVector
 from .spin import Spin
-from .su2 import DirectionSet, apply_quantizer, dual_vectors
+from .su2 import DirectionSet, apply_quantizer, dual_vectors, quantizer_stack
 
 DEFAULT_TOL = 1e-10
+TRACE_TOL_FLOOR = 1e-9  # the unit-trace check never gets tighter than this
+
+
+def trace_ok(trace, tol: float):
+    """Unit-trace check shared by every verdict, scalar or batched."""
+    return np.abs(trace - 1.0) <= max(tol, TRACE_TOL_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -60,36 +65,11 @@ def is_quantum(p, ds: DirectionSet, tol: float = DEFAULT_TOL) -> RegionVerdict:
     """
     rho = candidate_operator(p, ds)
     min_eig = float(np.linalg.eigvalsh(rho).min())
-    trace_ok = abs(float(np.trace(rho).real) - 1.0) <= max(tol, 1e-9)
     return RegionVerdict(
-        is_quantum=bool(trace_ok and min_eig >= -tol),
+        is_quantum=bool(trace_ok(np.trace(rho).real, tol) and min_eig >= -tol),
         min_eigenvalue=min_eig,
         margin=min_eig + tol,
     )
-
-
-def principal_minors_nonneg(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Sylvester test for positive semidefiniteness: every principal minor >= 0.
-
-    Exponential in the dimension, so only suitable for small matrices; kept as
-    an independent cross-check of the eigenvalue test.
-    """
-    a = np.asarray(a)
-    d = a.shape[0]
-    for size in range(1, d + 1):
-        for rows in combinations(range(d), size):
-            idx = np.ix_(rows, rows)
-            if np.linalg.det(a[idx]).real < -tol:
-                return False
-    return True
-
-
-def is_quantum_sylvester(p, ds: DirectionSet, tol: float = DEFAULT_TOL) -> bool:
-    """Alternative verdict through principal minors; agrees with the
-    eigenvalue test outside the tolerance band around the boundary."""
-    rho = candidate_operator(p, ds)
-    trace_ok = abs(float(np.trace(rho).real) - 1.0) <= max(tol, 1e-9)
-    return bool(trace_ok and principal_minors_nonneg(rho, tol))
 
 
 def _require_qubit_triad(ds: DirectionSet):
@@ -203,26 +183,22 @@ def _slice_layout(spin: Spin, ds: DirectionSet, spec: SliceSpec):
     return free_idx
 
 
-def _slice_point(spin: Spin, ds: DirectionSet, spec: SliceSpec, coords) -> np.ndarray:
-    values = np.empty(ds.n_dirs * spin.dim)
-    it = iter(coords)
+def _slice_points(ds: DirectionSet, spec: SliceSpec, free_idx, grid) -> np.ndarray:
+    """Every simplex point of a slice at once, one row per grid point."""
+    n_u = ds.n_dirs
+    d = ds.spin.dim
+    points = np.zeros((grid.shape[0], n_u * d))
     for i, entry in enumerate(spec.entries):
         if entry.kind == "const":
-            values[i] = entry.value
-        elif entry.kind == "free":
-            values[i] = next(it)
-        else:
-            values[i] = 0.0
-    target = 1.0 / ds.n_dirs
-    for block in range(ds.n_dirs):
-        lo = block * spin.dim
-        for i in range(lo, lo + spin.dim):
-            if spec.entries[i].kind == "balance":
-                others = sum(
-                    values[j] for j in range(lo, lo + spin.dim) if j != i
-                )
-                values[i] = target - others
-    return values
+            points[:, i] = entry.value
+    points[:, free_idx] = grid
+    blocks = points.reshape(-1, n_u, d)
+    for i, entry in enumerate(spec.entries):
+        if entry.kind == "balance":
+            # the balance column is still zero, so the block sum is the others' sum
+            block, slot = divmod(i, d)
+            blocks[:, block, slot] = 1.0 / n_u - blocks[:, block].sum(axis=1)
+    return points
 
 
 def sample_region(
@@ -247,7 +223,7 @@ def sample_region(
     ]
     grids = np.meshgrid(*axes, indexing="ij")
     flat = np.stack([g.ravel() for g in grids], axis=1)
-    points = np.array([_slice_point(spin, ds, spec, coords) for coords in flat])
+    points = _slice_points(ds, spec, free_idx, flat)
     flags, min_eigs = classify_points(points, ds, tol)
     return np.column_stack([flat, flags.astype(float), min_eigs])
 
@@ -257,19 +233,25 @@ def classify_points(points: np.ndarray, ds: DirectionSet, tol: float = DEFAULT_T
 
     Returns (is_quantum bool array, min eigenvalue array); points leaving the
     simplex or breaking the candidate trace are never quantum, matching the
-    scalar :func:`is_quantum` on every row.
+    scalar :func:`is_quantum` on every row.  The points are real, so the
+    Hermitian part of sum_I p_I Q_I is sum_I p_I (Q_I + Q_I^dagger) / 2: all
+    candidates come from one real matrix product against the symmetrized
+    quantizers, viewed as (re, im) pairs.
     """
-    from .su2 import quantizer_stack
-
     points = np.asarray(points, dtype=float)
     stack = quantizer_stack(ds)
-    candidates = np.einsum("nI,Iab->nab", points, stack, optimize=True)
-    candidates = (candidates + np.conj(np.swapaxes(candidates, 1, 2))) / 2.0
+    n, d, _ = stack.shape
+    if points.ndim != 2 or points.shape[1] != n:
+        raise DomainError(
+            f"expected rows of n_dirs*dim = {n} coordinates, got shape {points.shape}"
+        )
+    herm = (stack + np.conj(np.swapaxes(stack, 1, 2))) / 2.0
+    pairs = herm.reshape(n, d * d).view(float)
+    candidates = (points @ pairs).view(complex).reshape(-1, d, d)
     min_eigs = np.linalg.eigvalsh(candidates)[:, 0]
-    traces = np.einsum("naa->n", candidates).real
+    traces = points @ np.trace(herm, axis1=1, axis2=2).real
     on_simplex = points.min(axis=1) >= -tol
-    trace_ok = np.abs(traces - 1.0) <= max(tol, 1e-9)
-    flags = on_simplex & trace_ok & (min_eigs >= -tol)
+    flags = on_simplex & trace_ok(traces, tol) & (min_eigs >= -tol)
     return flags, min_eigs
 
 

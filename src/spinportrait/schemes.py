@@ -46,9 +46,13 @@ from .tomography import forward_matrix, tomogram_columns
 SOLVER_CACHE_SIZE = 16  # per frame set, the same bound as the memoized stacks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryFrameSet:
-    """2j+2 unitary frames of dimension 2j+1, the minimal injective count."""
+    """2j+2 unitary frames of dimension 2j+1, the minimal injective count.
+
+    Compared and hashed by identity: the frames are arrays, and each set holds
+    its own cache of inverse maps.
+    """
 
     spin: Spin
     frames: tuple

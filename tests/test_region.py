@@ -1,9 +1,11 @@
 import io
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from conftest import random_direction_set
 from spinportrait import (
     ConfigError,
     Direction,
@@ -13,8 +15,8 @@ from spinportrait import (
     SliceEntry,
     SliceSpec,
     Spin,
+    classify_points,
     is_quantum,
-    is_quantum_sylvester,
     prob_vector,
     qubit_ball_statistic,
     qubit_ball_test,
@@ -23,8 +25,38 @@ from spinportrait import (
     sample_region,
     write_region_csv,
 )
+from spinportrait.region import (
+    DEFAULT_TOL,
+    _slice_points,
+    candidate_operator,
+    trace_ok,
+)
+from spinportrait.su2 import quantizer_stack
 
 BALL_RADIUS_SQ = 1.0 / 144.0
+
+
+def principal_minors_nonneg(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """Sylvester test for positive semidefiniteness: every principal minor >= 0.
+
+    Exponential in the dimension, so only suitable for small matrices; an
+    independent cross-check of the eigenvalue test.
+    """
+    a = np.asarray(a)
+    d = a.shape[0]
+    for size in range(1, d + 1):
+        for rows in combinations(range(d), size):
+            idx = np.ix_(rows, rows)
+            if np.linalg.det(a[idx]).real < -tol:
+                return False
+    return True
+
+
+def is_quantum_sylvester(p, ds: DirectionSet, tol: float = DEFAULT_TOL) -> bool:
+    """Verdict through principal minors; agrees with the eigenvalue test
+    outside the tolerance band around the boundary."""
+    rho = candidate_operator(p, ds)
+    return bool(trace_ok(np.trace(rho).real, tol) and principal_minors_nonneg(rho, tol))
 
 
 def cube_point(p1, p2, p3) -> np.ndarray:
@@ -311,3 +343,150 @@ class TestMidpointConvexity:
             i, k = rng.integers(0, 20, size=2)
             mid = (quantum_points[i] + quantum_points[k]) / 2.0
             assert is_quantum(mid, orthogonal_triad).min_eigenvalue >= -1e-10
+
+
+def _loop_slice_point(spin: Spin, ds: DirectionSet, spec: SliceSpec, coords):
+    """Per-point slice assembly, one Python pass over the entries per point."""
+    values = np.empty(ds.n_dirs * spin.dim)
+    it = iter(coords)
+    for i, entry in enumerate(spec.entries):
+        if entry.kind == "const":
+            values[i] = entry.value
+        elif entry.kind == "free":
+            values[i] = next(it)
+        else:
+            values[i] = 0.0
+    target = 1.0 / ds.n_dirs
+    for block in range(ds.n_dirs):
+        lo = block * spin.dim
+        for i in range(lo, lo + spin.dim):
+            if spec.entries[i].kind == "balance":
+                others = sum(values[j] for j in range(lo, lo + spin.dim) if j != i)
+                values[i] = target - others
+    return values
+
+
+def _pattern_spec(blocks, n_u, d) -> SliceSpec:
+    """One string per block: f = free on [0, 2c], c = const c, b = balance,
+    with c the maximally mixed entry 1 / (n_u d)."""
+    c = 1.0 / (n_u * d)
+    make = {
+        "f": lambda: SliceEntry.free(0.0, 2.0 * c),
+        "c": lambda: SliceEntry.const(c),
+        "b": SliceEntry.balance,
+    }
+    return SliceSpec([make[kind]() for block in blocks for kind in block])
+
+
+def _region_set(request, two_j: int) -> DirectionSet:
+    """The orthonormal triad, the qutrit set, or a feasible random set."""
+    if two_j == 1:
+        return request.getfixturevalue("orthogonal_triad")
+    if two_j == 2:
+        return request.getfixturevalue("qutrit_set")
+    return random_direction_set(Spin(two_j), np.random.default_rng(0))
+
+
+# (two_j, one pattern per block, resolution): 1, 2 and 3 free coordinates;
+# balance in the first, middle and last slot of a block; blocks without one
+SLICE_CASES = [
+    (1, ["fb", "cc", "bc"], 9),
+    (1, ["bf", "fb", "cc"], 7),
+    (1, ["fb", "bf", "fb"], 5),
+    (2, ["fbc", "ccc", "bcc", "ccc", "ccb"], 9),
+    (2, ["cbf", "fcb", "ccc", "bcc", "cbc"], 7),
+    (2, ["fbc", "fbc", "fbc", "ccc", "ccc"], 5),
+    (2, ["cfc", "ccc", "ccc", "ccc", "ccf"], 7),
+    (4, ["fcbcc"] + ["ccccc"] * 4 + ["bcccc"] * 2 + ["ccccb"] * 2, 9),
+    (4, ["bfccc", "ccbcf"] + ["ccccc"] * 7, 7),
+    (4, ["fcbcc", "cfccb", "bcccf"] + ["ccccc"] * 3 + ["cbccc"] * 3, 5),
+]
+
+
+class TestSliceAssembly:
+    @pytest.mark.parametrize("two_j, blocks, resolution", SLICE_CASES)
+    def test_matches_per_point_loop(self, request, two_j, blocks, resolution):
+        spin = Spin(two_j)
+        ds = _region_set(request, two_j)
+        spec = _pattern_spec(blocks, ds.n_dirs, spin.dim)
+        free_idx = [i for i, e in enumerate(spec.entries) if e.kind == "free"]
+        rows = sample_region(spin, ds, spec, resolution)
+
+        axes = [
+            np.linspace(spec.entries[i].lo, spec.entries[i].hi, resolution)
+            for i in free_idx
+        ]
+        grid = np.stack(
+            [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1
+        )
+        loop = np.array([_loop_slice_point(spin, ds, spec, c) for c in grid])
+        verdicts = [is_quantum(point, ds) for point in loop]
+        ref_min = np.array([v.min_eigenvalue for v in verdicts])
+        ref_flags = np.array([v.is_quantum for v in verdicts])
+        ref_flags &= loop.min(axis=1) >= -DEFAULT_TOL
+
+        n_free = len(free_idx)
+        assert rows.shape == (resolution**n_free, n_free + 2)
+        np.testing.assert_array_equal(rows[:, :n_free], grid)
+        np.testing.assert_allclose(
+            _slice_points(ds, spec, free_idx, grid), loop, rtol=0.0, atol=1e-15
+        )
+        assert np.abs(rows[:, n_free + 1] - ref_min).max() <= 1e-12
+        decided = np.abs(ref_min + DEFAULT_TOL) > 1e-12
+        np.testing.assert_array_equal(
+            rows[decided, n_free].astype(bool), ref_flags[decided]
+        )
+
+
+def _random_rows(ds: DirectionSet, rng, n: int) -> dict:
+    """Layout-ordered rows by kind: inside and outside the region on the
+    simplex, off the simplex, and with a broken candidate trace."""
+    n_u, d = ds.n_dirs, ds.spin.dim
+    center = np.full((1, n_u * d), 1.0 / (n_u * d))
+    simplex = rng.dirichlet(np.ones(d), size=(n, n_u)).reshape(n, n_u * d) / n_u
+    near = center + rng.uniform(0.0, 1.0, size=(n, 1)) * (simplex - center)
+    # moves the quantizers do not see: the candidate stays the maximally
+    # mixed state while one entry drops to -1e-3
+    stack = quantizer_stack(ds).reshape(n_u * d, d * d)
+    u, sv, _ = np.linalg.svd(np.hstack([stack.real, stack.imag]))
+    kernel = u[:, int((sv > 1e-10 * sv[0]).sum()) :]
+    moves = rng.normal(size=(n, kernel.shape[1])) @ kernel.T
+    peak = np.take_along_axis(moves, np.abs(moves).argmax(axis=1)[:, None], axis=1)
+    return {
+        "simplex": np.vstack([center, near]),
+        "off_simplex": center - (center[0, 0] + 1e-3) * moves / peak,
+        "broken_trace": near * 1.01,
+        "trace_within_floor": center * (1.0 + 5e-10),
+        "trace_beyond_floor": center * (1.0 + 2e-9),
+    }
+
+
+class TestClassifyPoints:
+    @pytest.mark.parametrize("two_j", [1, 2, 4])
+    def test_rows_match_scalar_verdict(self, request, two_j):
+        ds = _region_set(request, two_j)
+        rng = np.random.default_rng(40 + two_j)
+        kinds = _random_rows(ds, rng, 60)
+        seen = {}
+        for kind, points in kinds.items():
+            flags, min_eigs = classify_points(points, ds)
+            for point, flag, min_eig in zip(points, flags, min_eigs):
+                verdict = is_quantum(point, ds)
+                assert abs(min_eig - verdict.min_eigenvalue) <= 1e-12
+                on_simplex = point.min() >= -DEFAULT_TOL
+                assert flag == (verdict.is_quantum and on_simplex)
+            seen[kind] = flags
+        assert seen["simplex"].any() and not seen["simplex"].all()
+        assert not seen["off_simplex"].any()
+        assert not seen["broken_trace"].any()
+        assert seen["trace_within_floor"].all()
+        assert not seen["trace_beyond_floor"].any()
+        # the simplex rule alone rejects these: their candidates are states
+        assert all(is_quantum(p, ds).is_quantum for p in kinds["off_simplex"])
+
+    @pytest.mark.parametrize(
+        "points", [np.full(6, 1.0 / 6.0), np.full((4, 5), 0.2), np.zeros((2, 6, 1))]
+    )
+    def test_wrong_shape_rejected(self, orthogonal_triad, points):
+        with pytest.raises(DomainError, match=r"n_dirs\*dim = 6"):
+            classify_points(points, orthogonal_triad)

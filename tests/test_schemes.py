@@ -168,6 +168,15 @@ class TestFrameSetValidation:
         with pytest.raises(DomainError):
             UnitaryFrameSet(Spin(1), [np.eye(2, dtype=complex) * 2] * 3)
 
+    def test_equality_and_hash_by_identity(self):
+        # equal frames in two objects: comparing their arrays would be ambiguous
+        a = random_frame_set(Spin(1), np.random.default_rng(0))
+        b = random_frame_set(Spin(1), np.random.default_rng(0))
+        assert a == a
+        assert a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
 
 class TestAWGrid:
     def test_example_spin_half_grid(self):
