@@ -92,7 +92,6 @@ from .kernels import (
     p_to_w,
     star_apply,
     star_kernel,
-    star_kernel_expanded,
     symbol,
     symbol_to_operator,
     w_to_p,

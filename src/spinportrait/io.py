@@ -101,30 +101,42 @@ def load_directions(path: str):
     return [Direction(float(rec["theta"]), float(rec["phi"])) for rec in raw]
 
 
+def _frame_records(frames) -> list:
+    """Row-major {"re", "im"} records of unitary frames."""
+    return [
+        {
+            "re": [float(x) for x in np.asarray(u).real.ravel()],
+            "im": [float(x) for x in np.asarray(u).imag.ravel()],
+        }
+        for u in frames
+    ]
+
+
+def _read_frames(records, dim: int, validate: bool, what: str) -> list:
+    """Unitary frames from row-major {"re", "im"} records.
+
+    A frame that is not unitary to 1e-12 raises InvariantError, or only warns
+    when ``validate`` is false.
+    """
+    frames = [_matrix_from_parts(rec["re"], rec["im"], dim, what) for rec in records]
+    bad = [i for i, u in enumerate(frames) if unitarity_defect(u) > 1e-12]
+    if bad:
+        message = f"{what} {bad[0]} is not unitary to 1e-12"
+        if validate:
+            raise InvariantError(message)
+        warnings.warn(message)
+    return frames
+
+
 def save_unitary_frames(path: str, frames):
-    _dump_json(
-        path,
-        [
-            {
-                "re": [float(x) for x in np.asarray(u).real.ravel()],
-                "im": [float(x) for x in np.asarray(u).imag.ravel()],
-            }
-            for u in frames
-        ],
-    )
+    _dump_json(path, _frame_records(frames))
 
 
 def load_unitary_frames(path: str, dim: int, validate: bool = True):
     raw = _load_json(path)
     if not isinstance(raw, list):
         raise DomainError("frames file must be a JSON list")
-    frames = [_matrix_from_parts(rec["re"], rec["im"], dim, "frame") for rec in raw]
-    for u in frames:
-        if unitarity_defect(u) > 1e-12:
-            if validate:
-                raise InvariantError("frame matrix is not unitary to 1e-12")
-            warnings.warn("frame matrix is not unitary to 1e-12")
-    return frames
+    return _read_frames(raw, dim, validate, "frame")
 
 
 @dataclass
@@ -140,13 +152,7 @@ def save_prob(path: str, prob: ProbFile):
     if prob.scheme not in SCHEMES:
         raise DomainError(f"scheme must be one of {SCHEMES}, got {prob.scheme!r}")
     if prob.scheme == "sun":
-        frames = [
-            {
-                "re": [float(x) for x in np.asarray(u).real.ravel()],
-                "im": [float(x) for x in np.asarray(u).imag.ravel()],
-            }
-            for u in prob.frames
-        ]
+        frames = _frame_records(prob.frames)
     else:
         frames = [{"theta": float(d.theta), "phi": float(d.phi)} for d in prob.frames]
     _dump_json(
@@ -168,10 +174,7 @@ def load_prob(path: str, validate: bool = True) -> ProbFile:
     if scheme not in SCHEMES:
         raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if scheme == "sun":
-        frames = [
-            _matrix_from_parts(rec["re"], rec["im"], spin.dim, "frame")
-            for rec in raw["frames"]
-        ]
+        frames = _read_frames(raw["frames"], spin.dim, validate, "probability file frame")
     else:
         frames = [
             Direction(float(rec["theta"]), float(rec["phi"])) for rec in raw["frames"]
@@ -179,10 +182,6 @@ def load_prob(path: str, validate: bool = True) -> ProbFile:
     weights = np.asarray(raw["weights"], dtype=float)
     values = np.asarray(raw["values"], dtype=float)
     try:
-        if scheme == "sun":
-            for u in frames:
-                if unitarity_defect(u) > 1e-12:
-                    raise InvariantError("probability file frame is not unitary")
         validate_weights(weights, len(frames))
         expected = len(frames) if scheme == "aw" else len(frames) * spin.dim
         if values.size != expected:

@@ -65,6 +65,13 @@ def top_vs_rest_partition(spin: Spin) -> Partition:
     return Partition([(spin.two_j,), rest])
 
 
+def _layout_index(spin: Spin, n_rotations: int, k: int, two_m: int) -> int:
+    """Position of (k, m) in the rotation-major layout, rejecting any k outside it."""
+    if not (0 <= k < n_rotations):
+        raise DomainError(f"rotation index {k} outside 0..{n_rotations - 1}")
+    return k * spin.dim + spin.m_index(two_m)
+
+
 @dataclass(frozen=True, eq=False)
 class ProbVector:
     """Joint probability vector over (rotation, projection) pairs."""
@@ -88,17 +95,14 @@ class ProbVector:
         object.__setattr__(self, "values", values)
 
     def index(self, k: int, two_m: int) -> int:
-        if not (0 <= k < self.n_rotations):
-            raise DomainError(f"rotation index {k} outside 0..{self.n_rotations - 1}")
-        return k * self.spin.dim + self.spin.m_index(two_m)
+        return _layout_index(self.spin, self.n_rotations, k, two_m)
 
     def value(self, k: int, two_m: int) -> float:
         return float(self.values[self.index(k, two_m)])
 
     def block(self, k: int) -> np.ndarray:
-        if not (0 <= k < self.n_rotations):
-            raise DomainError(f"rotation index {k} outside 0..{self.n_rotations - 1}")
-        return self.values[k * self.spin.dim : (k + 1) * self.spin.dim]
+        start = self.index(k, self.spin.two_j)
+        return self.values[start : start + self.spin.dim]
 
     def block_sums(self) -> np.ndarray:
         return self.values.reshape(self.n_rotations, self.spin.dim).sum(axis=1)

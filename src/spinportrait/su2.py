@@ -32,7 +32,7 @@ from .orthopoly import (
     s_operator_stack,
     s_operator_stacks,
 )
-from .portrait import ProbVector
+from .portrait import ProbVector, _layout_index
 from .spin import Direction, Spin
 from .tomography import forward_matrix
 
@@ -154,9 +154,10 @@ def _checked_gram(ds: DirectionSet, L: int) -> np.ndarray:
     return m
 
 
-def _shell_inverse(ds: DirectionSet, L: int) -> np.ndarray:
-    m = _checked_gram(ds, L)
-    return np.linalg.solve(m, np.eye(m.shape[0]))
+def _shell_duals(gram_l: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Dual basis sum_k' [M(L)^-1]_kk' S_L(n_k') of the shell operators ops[k']."""
+    n, d, _ = ops.shape
+    return np.linalg.solve(gram_l, ops.reshape(n, d * d)).reshape(n, d, d)
 
 
 def l_dequantizer(spin: Spin, L: int, k: int, two_m: int, ds: DirectionSet) -> np.ndarray:
@@ -179,16 +180,10 @@ def l_quantizer(spin: Spin, L: int, k: int, two_m: int, ds: DirectionSet) -> np.
     """
     if not (0 <= k <= 2 * L):
         raise DomainError(f"direction {k} outside shell L={L}")
-    if L == 0:
-        minv_row = np.array([1.0])
-    else:
-        minv_row = _shell_inverse(ds, L)[k]
+    gram_l = _checked_gram(ds, L) if L else np.ones((1, 1))
     f_lm = coeff_table(spin)[L, spin.m_index(two_m)]
-    shell_ops = np.array(
-        [s_operator_stack(spin, n)[L] for n in ds.shell(L)]
-    )
-    dual = np.einsum("k,kab->ab", minv_row, shell_ops)
-    return (2 * spin.two_j + 1) * f_lm * dual
+    duals = _shell_duals(gram_l, s_operator_stacks(spin, ds.shell(L))[:, L])
+    return (2 * spin.two_j + 1) * f_lm * duals[k]
 
 
 def quantizer(spin: Spin, k: int, two_m: int, ds: DirectionSet) -> np.ndarray:
@@ -196,14 +191,9 @@ def quantizer(spin: Spin, k: int, two_m: int, ds: DirectionSet) -> np.ndarray:
 
     Direction k belongs to the shells with 2L+1 > k, so the first direction
     contributes to every shell and later directions only to the higher ones.
+    A read-only entry of :func:`quantizer_stack`.
     """
-    if not (0 <= k < ds.n_dirs):
-        raise DomainError(f"direction index {k} outside 0..{ds.n_dirs - 1}")
-    d = spin.dim
-    out = np.zeros((d, d), dtype=complex)
-    for L in range((k + 1) // 2, spin.two_j + 1):
-        out += l_quantizer(spin, L, k, two_m, ds)
-    return out
+    return quantizer_stack(ds)[_layout_index(ds.spin, ds.n_dirs, k, two_m)]
 
 
 @lru_cache(maxsize=16)
@@ -219,19 +209,14 @@ def quantizer_stack(ds: DirectionSet) -> np.ndarray:
     spin = ds.spin
     d = spin.dim
     n_u = ds.n_dirs
-    grams = [_checked_gram(ds, L) for L in range(1, spin.two_j + 1)]
+    grams = [np.ones((1, 1))] + [_checked_gram(ds, L) for L in range(1, spin.two_j + 1)]
     table = coeff_table(spin)
     shell_ops = s_operator_stacks(spin, ds.dirs)
     out = np.zeros((n_u, d, d, d), dtype=complex)
-    for L in range(0, spin.two_j + 1):
+    for L, gram_l in enumerate(grams):
         n_shell = 2 * L + 1
-        if L == 0:
-            minv = np.array([[1.0]])
-        else:
-            minv = np.linalg.solve(grams[L - 1], np.eye(n_shell))
-        ops = shell_ops[:n_shell, L].reshape(n_shell, d * d)
-        duals = (minv @ ops).reshape(n_shell, 1, d, d)
-        out[:n_shell] += (n_u * table[L])[:, None, None] * duals
+        duals = _shell_duals(gram_l, shell_ops[:n_shell, L])
+        out[:n_shell] += (n_u * table[L])[:, None, None] * duals[:, None]
     out = out.reshape(n_u * d, d, d)
     out.flags.writeable = False
     return out
@@ -257,9 +242,10 @@ def apply_quantizer(values: np.ndarray, ds: DirectionSet) -> np.ndarray:
     """Contract arbitrary layout-ordered coefficients with the quantizers.
 
     This is the raw linear inverse map; it does not require the coefficients
-    to be a valid probability vector.
+    to be a valid probability vector, and complex coefficients (symbols of
+    non-Hermitian operators) keep their imaginary parts.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=complex)
     stack = quantizer_stack(ds)
     n, d, _ = stack.shape
     if values.shape != (n,):
@@ -275,6 +261,4 @@ def dual_vectors(ds: DirectionSet) -> np.ndarray:
     """
     if ds.spin.two_j < 1:
         raise DomainError("dual vectors need at least the L=1 shell")
-    minv = _shell_inverse(ds, 1)
-    vectors = ds.unit_vectors()[:3]
-    return minv @ vectors
+    return np.linalg.solve(_checked_gram(ds, 1), ds.unit_vectors()[:3])

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from spinportrait import Direction, DirectionSet, OptimizerConfig, Spin, optimize
+from spinportrait import (
+    Direction,
+    DirectionSet,
+    OptimizerConfig,
+    Spin,
+    coeff_table,
+    gram,
+    optimize,
+    s_operator,
+)
 
 settings.register_profile(
     "suite",
@@ -79,3 +88,19 @@ def random_direction_set(spin: Spin, rng: np.random.Generator) -> DirectionSet:
     return DirectionSet(
         spin, [random_direction(rng) for _ in range(2 * spin.two_j + 1)]
     )
+
+
+def loop_quantizer(spin: Spin, k: int, two_m: int, ds: DirectionSet) -> np.ndarray:
+    """Quantizer of direction k summed shell by shell from explicit Gram inverses.
+
+    D(m, k) = (4j+1) sum over L >= ceil(k/2) of f_L(m) sum_k' [M(L)^-1]_kk'
+    S_L(n_k'), one single-frame S_L at a time: the reference for the cached
+    quantizer stack and everything read from it.
+    """
+    table = coeff_table(spin)
+    out = np.zeros((spin.dim, spin.dim), dtype=complex)
+    for L in range((k + 1) // 2, spin.two_j + 1):
+        minv = np.linalg.inv(gram(spin, L, ds)) if L else np.ones((1, 1))
+        dual = sum(minv[k, kp] * s_operator(spin, L, n) for kp, n in enumerate(ds.shell(L)))
+        out += ds.n_dirs * table[L, spin.m_index(two_m)] * dual
+    return out

@@ -29,7 +29,6 @@ from spinportrait import (
     hermitian_to_vec,
     prob_vector,
     q_matrix,
-    quantizer,
     r_matrix,
     random_density_matrix,
     random_frame_set,
@@ -41,7 +40,7 @@ from spinportrait import (
 from spinportrait import kernels, linalg, schemes, spin as spin_module, su2, tomography
 from spinportrait.spin import frame_matrices, rotations
 
-from conftest import random_direction_set
+from conftest import loop_quantizer, random_direction_set
 
 
 def scaled_series_expm(a: np.ndarray, terms: int = 30) -> np.ndarray:
@@ -149,7 +148,7 @@ class TestForwardBuilder:
             except FeasibilityError:
                 ds = random_direction_set(spin, rng)
         loop = np.array(
-            [quantizer(spin, k, two_m, ds) for k in range(ds.n_dirs) for two_m in spin.two_m_values()]
+            [loop_quantizer(spin, k, two_m, ds) for k in range(ds.n_dirs) for two_m in spin.two_m_values()]
         )
         assert np.abs(stack - loop).max() < 1e-9 * max(1.0, np.abs(loop).max())
         deq = np.array(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spinportrait import Direction, Spin, random_density_matrix
+from spinportrait import Direction, InvariantError, Spin, random_density_matrix
 from spinportrait import io as fileio
 from spinportrait.cli import main
 from spinportrait.schemes import aw_directions, default_aw_grid, haar_unitary
@@ -75,6 +75,31 @@ class TestFileRoundTrips:
         loaded = fileio.load_unitary_frames(str(path), 3)
         for a, b in zip(frames, loaded):
             assert np.array_equal(a, b)
+
+    def test_non_unitary_frames_rejected_or_warned(self, tmp_path):
+        rng = np.random.default_rng(2)
+        frames = [haar_unitary(2, rng) for _ in range(3)]
+        frames[1] = 1.01 * frames[1]
+        path = tmp_path / "frames.json"
+        fileio.save_unitary_frames(str(path), frames)
+        with pytest.raises(InvariantError, match="frame 1 is not unitary"):
+            fileio.load_unitary_frames(str(path), 2)
+        with pytest.warns(UserWarning, match="frame 1 is not unitary"):
+            loaded = fileio.load_unitary_frames(str(path), 2, validate=False)
+        assert all(np.array_equal(a, b) for a, b in zip(frames, loaded))
+
+    def test_non_unitary_prob_file_frames_rejected_or_warned(self, tmp_path):
+        rng = np.random.default_rng(3)
+        frames = [haar_unitary(2, rng) for _ in range(3)]
+        frames[2] = 1.01 * frames[2]
+        prob = fileio.ProbFile(Spin(1), "sun", frames, np.full(3, 1 / 3), np.full(6, 1 / 6))
+        path = str(tmp_path / "prob.json")
+        fileio.save_prob(path, prob)
+        with pytest.raises(InvariantError, match="frame 2 is not unitary"):
+            fileio.load_prob(path)
+        with pytest.warns(UserWarning, match="frame 2 is not unitary"):
+            loaded = fileio.load_prob(path, validate=False)
+        assert all(np.array_equal(a, b) for a, b in zip(frames, loaded.frames))
 
     def test_invalid_state_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -206,7 +231,7 @@ class TestExitCodes:
         out = str(tmp_path / "out.json")
         assert main(["forward", "--state", str(path), "--frames", dirs, "--out", out]) == 3
 
-    def test_infeasible_frames_are_4(self, tmp_path):
+    def test_infeasible_frames_are_4(self, tmp_path, capsys):
         coplanar = [
             {"theta": math.pi / 2, "phi": 0.0},
             {"theta": math.pi / 2, "phi": 1.0},
@@ -224,6 +249,7 @@ class TestExitCodes:
         prob_path = str(tmp_path / "prob.json")
         fileio.save_prob(prob_path, prob)
         assert main(["invert", "--prob", prob_path, "--out", str(tmp_path / "o.json")]) == 4
+        assert "shell L=1 Gram determinant" in capsys.readouterr().err
 
     def test_degenerate_slice_is_2(self, tmp_path, orthogonal_triad):
         dirs = write_triad(tmp_path)
@@ -327,3 +353,19 @@ class TestKernelEval:
             assert main(args) == 0
         payload = json.loads(buf.getvalue())
         assert payload["re"] == pytest.approx(1 / 6 + 2 * 0.25, abs=1e-13)
+
+    @pytest.mark.parametrize("k", ["-1", "3"])
+    @pytest.mark.parametrize(
+        "kind,flag", [("star", "--k1"), ("star", "--k3"), ("w-to-p", "--k"), ("p-to-w", "--k")]
+    )
+    def test_direction_index_outside_the_set_is_2(self, tmp_path, capsys, kind, flag, k):
+        dirs_path = write_triad(tmp_path)
+        args = [
+            "kernel-eval", "--two-j", "1", "--frames", dirs_path, "--kind", kind,
+            "--two-m1", "1", "--two-m2", "1", "--two-m3", "1", "--two-m", "1",
+            "--two-m-prime", "1", flag, k,
+        ]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rotation index" in captured.err

@@ -5,22 +5,143 @@ import pytest
 
 from spinportrait import (
     Direction,
+    DirectionSet,
+    DomainError,
+    FeasibilityError,
     Spin,
+    coeff_table,
+    dequantizer,
     dual_vectors,
+    gram,
     kernel_p_to_w,
     kernel_w_to_p,
     p_to_w,
     prob_vector,
+    quantizer,
+    quantizer_continuous,
     random_density_matrix,
+    sphere_quadrature,
     star_apply,
     star_kernel,
-    star_kernel_expanded,
     symbol,
     symbol_to_operator,
     tomogram,
     w_to_p,
 )
-from conftest import random_direction_set
+from spinportrait.orthopoly import s_operator_stack
+from conftest import loop_quantizer, random_direction_set
+
+
+# Reference implementations: each kernel evaluated entry by entry from its
+# shell expansion or trace form, with quantizers from the per-shell loop.
+
+
+def star_kernel_expanded(spin, ds, two_m3, k3, two_m2, k2, two_m1, k1) -> complex:
+    """Star-product kernel through the shell expansion of both quantizers.
+
+    (4j+1) sum over shells L1 >= ceil(k1/2), L2 >= ceil(k2/2), L3, of
+    f_L1(m1) f_L2(m2) f_L3(m3) M(L1)^-1_{k1 k1'} M(L2)^-1_{k2 k2'}
+    Tr[S_L1(n_k1') S_L2(n_k2') S_L3(n_k3)].  Cross-checks the trace form.
+    """
+    table = coeff_table(spin)
+    stacks = [s_operator_stack(spin, n) for n in ds.dirs]
+
+    def minv_row(L, k):
+        return np.linalg.inv(gram(spin, L, ds))[k] if L else np.array([1.0])
+
+    i1, i2, i3 = (spin.m_index(m) for m in (two_m1, two_m2, two_m3))
+    total = 0.0 + 0.0j
+    for l1 in range((k1 + 1) // 2, spin.two_j + 1):
+        minv1 = minv_row(l1, k1)
+        for l2 in range((k2 + 1) // 2, spin.two_j + 1):
+            minv2 = minv_row(l2, k2)
+            for l3 in range(0, spin.two_j + 1):
+                f123 = table[l1, i1] * table[l2, i2] * table[l3, i3]
+                if f123 == 0.0:
+                    continue
+                acc = 0.0 + 0.0j
+                for k1p in range(2 * l1 + 1):
+                    for k2p in range(2 * l2 + 1):
+                        acc += (
+                            minv1[k1p]
+                            * minv2[k2p]
+                            * np.trace(stacks[k1p][l1] @ stacks[k2p][l2] @ stacks[k3][l3])
+                        )
+                total += f123 * acc
+    return complex((2 * spin.two_j + 1) * total)
+
+
+def layout(spin, ds):
+    return [(k, two_m) for k in range(ds.n_dirs) for two_m in spin.two_m_values()]
+
+
+def loop_quantizers(spin, ds):
+    return np.array([loop_quantizer(spin, k, m, ds) for k, m in layout(spin, ds)])
+
+
+def loop_dequantizers(spin, ds):
+    return np.array([dequantizer(spin, m, ds.dirs[k]) / ds.n_dirs for k, m in layout(spin, ds)])
+
+
+def star_kernel_by_trace(spin, ds, two_m3, k3, two_m2, k2, two_m1, k1) -> complex:
+    d1 = loop_quantizer(spin, k1, two_m1, ds)
+    d2 = loop_quantizer(spin, k2, two_m2, ds)
+    u3 = dequantizer(spin, two_m3, ds.dirs[k3]) / ds.n_dirs
+    return complex(np.trace(d1 @ d2 @ u3))
+
+
+def star_apply_by_kernel(spin, p1, p2, ds) -> np.ndarray:
+    """Output entry (m3, k3) as p1 K(m3, k3, ., .) p2, one kernel slice at a time."""
+    d_stack = loop_quantizers(spin, ds)
+    return np.array(
+        [
+            p1 @ np.einsum("aij,bjk,ki->ab", d_stack, d_stack, u3) @ p2
+            for u3 in loop_dequantizers(spin, ds)
+        ]
+    )
+
+
+def kernel_p_to_w_by_trace(spin, ds, two_m, n, two_m_prime, k_prime) -> float:
+    d_disc = loop_quantizer(spin, k_prime, two_m_prime, ds)
+    return float(np.real(np.trace(d_disc @ dequantizer(spin, two_m, n))))
+
+
+def p_to_w_by_kernel(spin, ds, p, two_m, n) -> float:
+    return sum(
+        kernel_p_to_w_by_trace(spin, ds, two_m, n, m_p, k_p) * p[i]
+        for i, (k_p, m_p) in enumerate(layout(spin, ds))
+    )
+
+
+def w_to_p_by_nodes(spin, ds, tomogram_fn) -> np.ndarray:
+    """Quadrature of the w->P kernel node by node: one continuous quantizer sum per node."""
+    nodes, weights = sphere_quadrature(spin)
+    u_stack = loop_dequantizers(spin, ds)
+    out = np.zeros(u_stack.shape[0])
+    for n_prime, weight in zip(nodes, weights):
+        acc = sum(
+            tomogram_fn(m_p, n_prime) * quantizer_continuous(spin, m_p, n_prime)
+            for m_p in spin.two_m_values()
+        )
+        out += weight * np.real(np.einsum("Iab,ba->I", u_stack, acc))
+    return out
+
+
+def assert_relative(value, reference, rtol=1e-12):
+    value, reference = np.asarray(value), np.asarray(reference)
+    assert np.abs(value - reference).max() <= rtol * max(1.0, np.abs(reference).max())
+
+
+def coplanar_triad():
+    return DirectionSet(
+        Spin(1),
+        [Direction(math.pi / 2, 0.0), Direction(math.pi / 2, 1.0), Direction(math.pi / 2, 2.0)],
+    )
+
+
+def random_operators(spin, rng, count):
+    shape = (count, spin.dim, spin.dim)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def feasible_set(two_j: int, seed: int):
@@ -114,7 +235,7 @@ class TestStarApply:
         assert np.abs(out - expected).max() < 1e-12
         assert np.abs(out - eye_symbol / 2.0).max() < 1e-12
 
-    @pytest.mark.parametrize("two_j,seed", [(1, 0), (2, 1)])
+    @pytest.mark.parametrize("two_j,seed", [(1, 0), (2, 1), (4, 2), (8, 3)])
     def test_matches_matrix_product(self, two_j, seed):
         spin = Spin(two_j)
         ds = feasible_set(two_j, seed)
@@ -165,8 +286,136 @@ class TestStarApply:
         right = star_apply(spin, symbols[0], star_apply(spin, symbols[1], symbols[2], ds), ds)
         assert np.abs(left - right).max() < 1e-9
 
+    @pytest.mark.parametrize("two_j,seed", [(1, 13), (2, 14), (4, 15)])
+    def test_associativity_on_complex_symbols(self, two_j, seed):
+        # symbols of non-Hermitian operators carry imaginary parts that the
+        # operator round trip has to keep
+        spin = Spin(two_j)
+        ds = feasible_set(two_j, seed)
+        ops = random_operators(spin, np.random.default_rng(seed), 3)
+        symbols = [symbol(spin, op, ds) for op in ops]
+        assert min(np.abs(s.imag).max() for s in symbols) > 1e-3
+        left = star_apply(spin, star_apply(spin, symbols[0], symbols[1], ds), symbols[2], ds)
+        right = star_apply(spin, symbols[0], star_apply(spin, symbols[1], symbols[2], ds), ds)
+        direct = symbol(spin, ops[0] @ ops[1] @ ops[2], ds)
+        assert_relative(left, right, 1e-10)
+        assert_relative(left, direct, 1e-10)
+
+    def test_refused_set_raises_the_stack_refusal(self):
+        ds = coplanar_triad()
+        spin = ds.spin
+        with pytest.raises(FeasibilityError) as stack_refusal:
+            quantizer(spin, 0, 1, ds)
+        p = np.full(6, 1.0 / 6.0)
+        with pytest.raises(FeasibilityError) as star_refusal:
+            star_apply(spin, p, p, ds)
+        with pytest.raises(FeasibilityError) as p_to_w_refusal:
+            p_to_w(spin, ds, p, 1, Direction(0.3, 0.4))
+        assert str(star_refusal.value) == str(stack_refusal.value)
+        assert str(p_to_w_refusal.value) == str(stack_refusal.value)
+
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_wrong_length_symbols_rejected(self, orthogonal_triad, length):
+        spin = Spin(1)
+        good = np.full(6, 1.0 / 6.0)
+        bad = np.full(length, 1.0 / length)
+        with pytest.raises(DomainError):
+            star_apply(spin, good, bad, orthogonal_triad)
+        with pytest.raises(DomainError):
+            star_apply(spin, bad, good, orthogonal_triad)
+
+
+class TestParentOracles:
+    """Round trips through the cached stacks against the entry-by-entry kernels."""
+
+    @pytest.fixture(params=[(1, 30), (2, 31), (4, 32)], ids=["two_j=1", "two_j=2", "two_j=4"])
+    def case(self, request):
+        two_j, seed = request.param
+        spin = Spin(two_j)
+        return spin, feasible_set(two_j, seed), np.random.default_rng(seed)
+
+    def test_quantizer(self, case):
+        spin, ds, _ = case
+        for k, two_m in layout(spin, ds):
+            assert_relative(quantizer(spin, k, two_m, ds), loop_quantizer(spin, k, two_m, ds))
+
+    def test_star_kernel(self, case):
+        spin, ds, rng = case
+        ms = list(spin.two_m_values())
+        for _ in range(12):
+            m1, m2, m3 = (int(m) for m in rng.choice(ms, size=3))
+            k1, k2, k3 = (int(k) for k in rng.integers(0, ds.n_dirs, size=3))
+            args = (spin, ds, m3, k3, m2, k2, m1, k1)
+            assert_relative(star_kernel(*args), star_kernel_by_trace(*args))
+
+    def test_star_apply(self, case):
+        spin, ds, rng = case
+        p1, p2 = (symbol(spin, op, ds) for op in random_operators(spin, rng, 2))
+        assert_relative(star_apply(spin, p1, p2, ds), star_apply_by_kernel(spin, p1, p2, ds))
+
+    def test_kernel_p_to_w(self, case):
+        spin, ds, rng = case
+        n = Direction(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
+        for two_m in spin.two_m_values():
+            for k_p, m_p in layout(spin, ds):
+                assert_relative(
+                    kernel_p_to_w(spin, ds, two_m, n, m_p, k_p),
+                    kernel_p_to_w_by_trace(spin, ds, two_m, n, m_p, k_p),
+                )
+
+    def test_p_to_w(self, case):
+        spin, ds, rng = case
+        p = prob_vector(spin, random_density_matrix(spin, rng), ds.dirs).values
+        n = Direction(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
+        for two_m in spin.two_m_values():
+            assert_relative(p_to_w(spin, ds, p, two_m, n), p_to_w_by_kernel(spin, ds, p, two_m, n))
+
+    def test_w_to_p(self, case):
+        spin, ds, rng = case
+        rho = random_density_matrix(spin, rng)
+
+        def fn(two_m, n):
+            return tomogram(spin, rho, two_m, n)
+
+        assert_relative(w_to_p(spin, ds, fn), w_to_p_by_nodes(spin, ds, fn))
+
+
+class TestDirectionIndex:
+    """Every kernel entry point rejects a direction index outside 0..n_dirs-1."""
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_star_kernel(self, orthogonal_triad, k, slot):
+        ks = [0, 1, 2]
+        ks[slot] = k
+        with pytest.raises(DomainError, match="index"):
+            star_kernel(Spin(1), orthogonal_triad, 1, ks[2], -1, ks[1], 1, ks[0])
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_kernel_w_to_p(self, orthogonal_triad, k):
+        with pytest.raises(DomainError, match="index"):
+            kernel_w_to_p(Spin(1), orthogonal_triad, 1, k, 1, Direction(0.4, 0.5))
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_kernel_p_to_w(self, orthogonal_triad, k):
+        with pytest.raises(DomainError, match="index"):
+            kernel_p_to_w(Spin(1), orthogonal_triad, 1, Direction(0.4, 0.5), 1, k)
+
 
 class TestWToP:
+    def test_refused_set_needs_no_quantizers(self, monkeypatch):
+        from spinportrait import su2
+
+        def no_quantizers(ds):
+            raise AssertionError("w_to_p built the quantizer stack")
+
+        monkeypatch.setattr(su2, "quantizer_stack", no_quantizers)
+        ds = coplanar_triad()
+        spin = ds.spin
+        rho = random_density_matrix(spin, np.random.default_rng(40))
+        out = w_to_p(spin, ds, lambda m, n: tomogram(spin, rho, m, n))
+        assert np.abs(out - prob_vector(spin, rho, ds.dirs).values).max() < 1e-12
+
     def test_qubit_closed_form(self, orthogonal_triad):
         spin = Spin(1)
         n_prime = Direction(1.234, 4.56)
@@ -222,6 +471,12 @@ class TestWToP:
 
 
 class TestPToW:
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_wrong_length_symbol_rejected(self, orthogonal_triad, length):
+        p = np.full(length, 1.0 / length)
+        with pytest.raises(DomainError):
+            p_to_w(Spin(1), orthogonal_triad, p, 1, Direction(0.3, 0.4))
+
     def test_node_interpolation(self, orthogonal_triad):
         spin = Spin(1)
         rho = random_density_matrix(spin, np.random.default_rng(3))

@@ -248,6 +248,22 @@ class TestQuantizer:
                 ).real == pytest.approx(0.0, abs=1e-12)
 
 
+class TestApplyQuantizer:
+    def test_complex_coefficients_keep_their_imaginary_part(self, orthogonal_triad):
+        from spinportrait import symbol
+
+        spin = Spin(1)
+        raising = np.array([[0.0, 1.0], [0.0, 0.0]])
+        values = symbol(spin, raising, orthogonal_triad)
+        assert np.abs(apply_quantizer(values, orthogonal_triad) - raising).max() < 1e-14
+
+    def test_real_coefficients_take_the_same_product(self, qutrit_set):
+        values = prob_vector(Spin(2), random_density_matrix(Spin(2), np.random.default_rng(9)), qutrit_set.dirs).values
+        assert np.array_equal(
+            apply_quantizer(values, qutrit_set), apply_quantizer(values.astype(complex), qutrit_set)
+        )
+
+
 class TestReconstruct:
     def test_uniform_gives_mixed(self, qutrit_set):
         spin = Spin(2)
