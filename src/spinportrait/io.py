@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantError
-from .portrait import validate_weights
+from .portrait import _check_probabilities, validate_weights
 from .spin import Direction, Spin, unitarity_defect, validate_density_matrix
 
 SCHEMES = ("su2", "sun", "aw")
@@ -188,10 +188,7 @@ def load_prob(path: str, validate: bool = True) -> ProbFile:
             raise InvariantError(
                 f"probability file has {values.size} values, expected {expected}"
             )
-        if values.min(initial=0.0) < -1e-12:
-            raise InvariantError(f"negative probability {values.min()}")
-        if abs(values.sum() - 1.0) > 1e-11:
-            raise InvariantError(f"probabilities sum to {values.sum()}, not 1")
+        _check_probabilities(values)
     except (InvariantError, DomainError) as exc:
         if validate:
             raise

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError
 from .portrait import ProbVector, _layout_index
 from .spin import Direction, Spin, frame_matrices
-from .su2 import DirectionSet, apply_quantizer, quantizer
+from .su2 import DirectionSet, _check_spin, apply_quantizer, quantizer
 from .tomography import dequantizer, quantizer_continuous, reconstruct_from_sphere
 
 
@@ -56,6 +56,7 @@ def symbol(spin: Spin, op: np.ndarray, ds: DirectionSet) -> np.ndarray:
     Complex in general; real and equal to the equal-weight probability vector
     when ``op`` is a density matrix.
     """
+    _check_spin(spin, ds)
     op = np.asarray(op, dtype=complex)
     if op.shape != (spin.dim, spin.dim):
         raise DomainError(f"operator shape {op.shape} != dim {spin.dim}")
@@ -106,6 +107,7 @@ def kernel_w_to_p(
     Equals (4j+1)^-1 sum_L (2L+1) f_L(m') f_L(m) P_L(n' . n_k); for spin 1/2
     it reduces to 1/6 + 2 m' m (n' . n_k).
     """
+    _check_spin(spin, ds)
     u_disc = dequantizer_stack(ds)[_layout_index(ds.spin, ds.n_dirs, k, two_m)]
     d_cont = quantizer_continuous(spin, two_m_prime, n_prime)
     return float(np.real(np.trace(d_cont @ u_disc)))
@@ -143,5 +145,6 @@ def w_to_p(
 
 def p_to_w(spin: Spin, ds: DirectionSet, p_eq, two_m: int, n: Direction) -> float:
     """Tomogram value at an arbitrary direction from the discrete symbol."""
+    _check_spin(spin, ds)
     op = symbol_to_operator(p_eq, ds)
     return float(np.real(np.trace(op @ dequantizer(spin, two_m, n))))

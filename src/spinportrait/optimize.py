@@ -3,8 +3,9 @@
 Noise in the measured probabilities propagates into the reconstructed state
 with a factor controlled by the conditioning of the forward map, and the
 larger the product of shell Gram determinants, the better conditioned the
-inversion.  The search maximizes either that log-product or the negated
-condition number over the direction angles, with the global orientation gauge
+inversion.  The search maximizes either that log-product, INFEASIBLE at the
+first shell su2 refuses (one without det M(L) >= GRAM_DET_FLOOR), or the
+negated condition number over the direction angles, with the orientation gauge
 fixed (first direction pinned to +z, second to the phi = 0 half-plane).
 
 The optimizer is a seeded multi-restart compass search: deterministic for a
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OptimizationError
+from .errors import DomainError, FeasibilityError, OptimizationError
 from .linalg import condition_number
 from .spin import Direction, Spin
-from .su2 import DirectionSet, q_matrix
+from .su2 import DirectionSet, _shell_grams, q_matrix
 
 INFEASIBLE = -1e18
 
@@ -49,34 +50,24 @@ class OptimizerConfig:
             raise DomainError("tolerance must be positive")
 
 
-def _gram_log_product(two_j: int, vectors: np.ndarray, det_floor: float) -> float:
-    """log prod_L det M(L) over nested shells, or the infeasibility sentinel."""
-    if two_j == 0:
-        return 0.0
-    dots = np.clip(vectors @ vectors.T, -1.0, 1.0)
-    p_prev = np.ones_like(dots)
-    p = dots
-    total = 0.0
-    for L in range(1, two_j + 1):
-        if L > 1:
-            p, p_prev = ((2 * L - 1) * dots * p - (L - 1) * p_prev) / L, p
-        det = float(np.linalg.det(p[: 2 * L + 1, : 2 * L + 1]))
-        if det <= det_floor:
-            return INFEASIBLE
-        total += math.log(det)
-    return total
+def _log_dets(vectors: np.ndarray) -> float:
+    """Sum of log det M(L) over the checked shells, or INFEASIBLE at a refusal."""
+    try:
+        return sum((math.log(det) for _, det in _shell_grams(vectors, checked=True)), 0.0)
+    except FeasibilityError:
+        return INFEASIBLE
 
 
-def objective(ds: DirectionSet, kind: str = "gram-product", det_floor: float = 1e-12) -> float:
+def objective(ds: DirectionSet, kind: str = "gram-product") -> float:
     """Scalar figure of merit for a direction set (larger is better).
 
     ``gram-product`` returns log prod_L det M(L), with the sentinel -1e18
-    standing in for -infinity whenever a shell determinant drops to the floor,
-    so line searches can step across infeasible regions.  ``condition-number``
-    returns the negated condition number of the equal-weight forward map.
+    standing in for -infinity whenever su2 refuses a shell, so line searches
+    can step across infeasible regions.  ``condition-number`` returns the
+    negated condition number of the equal-weight forward map.
     """
     if kind == "gram-product":
-        return _gram_log_product(ds.spin.two_j, ds.unit_vectors(), det_floor)
+        return _log_dets(ds.unit_vectors())
     if kind == "condition-number":
         cond = condition_number(q_matrix(ds.spin, ds.dirs))
         return -cond if math.isfinite(cond) else INFEASIBLE
@@ -102,7 +93,7 @@ def _params_to_angles(spin: Spin, x: np.ndarray):
 
 def _angles_to_vectors(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     st = np.sin(thetas)
-    return np.column_stack([np.cos(phis) * st, np.sin(phis) * st, np.cos(thetas)])
+    return np.array((np.cos(phis) * st, np.sin(phis) * st, np.cos(thetas))).T.copy()
 
 
 def _params_to_set(spin: Spin, x: np.ndarray) -> DirectionSet:
@@ -157,14 +148,9 @@ def optimize(spin: Spin, config: OptimizerConfig = OptimizerConfig()):
     toward the lowest restart index, so a fixed seed fully determines the
     output.  Raises OptimizationError if no restart finds a feasible set.
     """
-    if spin.two_j == 0:
-        return DirectionSet(spin, [Direction(0.0, 0.0)]), 0.0
     if config.objective == "gram-product":
         def fun(x):
-            thetas, phis = _params_to_angles(spin, x)
-            return _gram_log_product(
-                spin.two_j, _angles_to_vectors(thetas, phis), 1e-12
-            )
+            return _log_dets(_angles_to_vectors(*_params_to_angles(spin, x)))
     else:
         def fun(x):
             return objective(_params_to_set(spin, x), config.objective)

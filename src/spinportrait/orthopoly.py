@@ -18,6 +18,7 @@ Tr(S_L(n) S_L'(n')) = delta_LL' * P_L(n . n') with P_L the Legendre polynomial.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -77,18 +78,29 @@ def s_operator_stacks(spin: Spin, frames: Sequence[Frame]) -> np.ndarray:
     return (v * table) @ np.swapaxes(v, -1, -2).conj()
 
 
-def legendre(L: int, x):
-    """Legendre polynomial P_L(x) by the standard three-term recurrence."""
-    if L < 0:
-        raise DomainError(f"Legendre degree must be nonnegative, got {L}")
+def legendre_series(L_max: int, x, m: int = 0):
+    """P_m^m(x), P_{m+1}^m(x), ..., P_{L_max}^m(x) by the three-term recurrence.
+
+    Rolls two degrees and yields each as a new array, so a caller that stops
+    early pays only for the degrees it read.  m = 0 gives the Legendre
+    polynomials; the phase (-1)^m is dropped.
+    """
     x = np.asarray(x, dtype=float)
     p_prev = np.ones_like(x)
-    if L == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = x.copy()
-    for k in range(1, L):
-        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
-    return p if p.ndim else float(p)
+    for k in range(1, m + 1):
+        p_prev = p_prev * (2 * k - 1) * np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    p = x * (2 * m + 1) * p_prev if m else x.copy()
+    yield p_prev
+    if L_max > m:
+        yield p
+    for ell in range(m + 2, L_max + 1):
+        p, p_prev = ((2 * ell - 1) * x * p - (ell + m - 1) * p_prev) / (ell - m), p
+        yield p
+
+
+def legendre(L: int, x):
+    """Legendre polynomial P_L(x) = P_L^0(x), the last entry of the series."""
+    return assoc_legendre(L, 0, x)
 
 
 def assoc_legendre(L: int, m: int, x):
@@ -99,18 +111,5 @@ def assoc_legendre(L: int, m: int, x):
     """
     if not (0 <= m <= L):
         raise DomainError(f"need 0 <= m <= L, got m={m}, L={L}")
-    x = np.asarray(x, dtype=float)
-    somx2 = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    pmm = np.ones_like(x)
-    for k in range(1, m + 1):
-        pmm = pmm * (2 * k - 1) * somx2
-    if L == m:
-        return pmm if pmm.ndim else float(pmm)
-    pmmp1 = x * (2 * m + 1) * pmm
-    if L == m + 1:
-        return pmmp1 if pmmp1.ndim else float(pmmp1)
-    for ell in range(m + 2, L + 1):
-        pmm, pmmp1 = pmmp1, ((2 * ell - 1) * x * pmmp1 - (ell + m - 1) * pmm) / (
-            ell - m
-        )
-    return pmmp1 if pmmp1.ndim else float(pmmp1)
+    p = next(islice(legendre_series(L, x, m), L - m, None))
+    return p if p.ndim else float(p)

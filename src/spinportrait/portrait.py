@@ -65,6 +65,14 @@ def top_vs_rest_partition(spin: Spin) -> Partition:
     return Partition([(spin.two_j,), rest])
 
 
+def _check_probabilities(values: np.ndarray):
+    """Refuse a negative or NaN entry and a total away from 1 (an infinite one too)."""
+    if not values.min(initial=0.0) >= -VALUE_TOL:
+        raise InvariantError(f"negative or NaN probability {values.min()}")
+    if not abs(values.sum() - 1.0) <= SUM_TOL:
+        raise InvariantError(f"probabilities sum to {values.sum()}, not 1")
+
+
 def _layout_index(spin: Spin, n_rotations: int, k: int, two_m: int) -> int:
     """Position of (k, m) in the rotation-major layout, rejecting any k outside it."""
     if not (0 <= k < n_rotations):
@@ -87,10 +95,7 @@ class ProbVector:
                 f"expected {self.n_rotations * self.spin.dim} entries, "
                 f"got shape {values.shape}"
             )
-        if values.min(initial=0.0) < -VALUE_TOL:
-            raise InvariantError(f"negative probability {values.min()}")
-        if abs(values.sum() - 1.0) > SUM_TOL:
-            raise InvariantError(f"probabilities sum to {values.sum()}, not 1")
+        _check_probabilities(values)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

@@ -40,7 +40,7 @@ from .linalg import (
 from .orthopoly import assoc_legendre, s_operator_stacks
 from .portrait import ProbVector
 from .spin import Direction, Spin, frame_matrices, unitarity_defect
-from .su2 import GRAM_DET_FLOOR, DirectionSet, shell_determinants
+from .su2 import DirectionSet, _shell_grams
 from .tomography import forward_matrix, tomogram_columns
 
 SOLVER_CACHE_SIZE = 16  # per frame set, the same bound as the memoized stacks
@@ -263,7 +263,7 @@ def newton_young_directions(spin: Spin, theta: float) -> DirectionSet:
 
     Requires P_L^m(cos theta) != 0 for all m <= L <= 2j (checked numerically
     to 1e-10); the equator, for example, is rejected for every spin because
-    P_1^0(0) = 0.
+    P_1^0(0) = 0.  The shells are then checked as su2 checks any set.
     """
     theta = float(theta)
     if not (0.0 < theta < math.pi):
@@ -281,10 +281,5 @@ def newton_young_directions(spin: Spin, theta: float) -> DirectionSet:
         Direction(theta, 2.0 * math.pi * k / n_u) for k in range(n_u)
     ]
     ds = DirectionSet(spin, dirs)
-    dets = shell_determinants(ds)
-    if np.abs(dets).min(initial=1.0) < GRAM_DET_FLOOR:
-        raise FeasibilityError(
-            f"cone at theta={theta} produced a singular shell "
-            f"(smallest |det| {np.abs(dets).min():.3e})"
-        )
+    list(_shell_grams(ds.unit_vectors(), checked=True))  # refuses a singular shell
     return ds

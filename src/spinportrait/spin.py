@@ -77,11 +77,13 @@ class Direction:
     phi: float
 
     def __post_init__(self):
-        theta = float(self.theta)
+        theta, phi = float(self.theta), float(self.phi)
         if not (-1e-12 <= theta <= math.pi + 1e-12):
             raise DomainError(f"theta must lie in [0, pi], got {theta}")
+        if not math.isfinite(phi):
+            raise DomainError(f"phi must be finite, got {phi}")
         object.__setattr__(self, "theta", min(max(theta, 0.0), math.pi))
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
+        object.__setattr__(self, "phi", phi % TWO_PI)
 
     @property
     def cartesian(self) -> np.ndarray:

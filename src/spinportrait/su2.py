@@ -9,6 +9,8 @@ L >= ceil(k/2).  Reconstruction inverts one Gram matrix per shell,
     M(L)_ik = Tr(S_L(n_i) S_L(n_k)) = P_L(n_i . n_k),
 
 and the scheme is feasible exactly when every shell determinant is nonzero.
+One Legendre recurrence builds every M(L), and one floor rule judges them for
+every user: a set is refused at its first shell without det >= GRAM_DET_FLOOR.
 The dual operators built from the Gram inverses assemble the quantizer, and
 
     rho = sum_{L, k <= 2L, m} P_eq(m, n_k) D_L(m, k)
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +31,7 @@ from .errors import DomainError, FeasibilityError
 from .orthopoly import (
     assoc_legendre,
     coeff_table,
-    legendre,
+    legendre_series,
     s_operator_stack,
     s_operator_stacks,
 )
@@ -71,25 +74,45 @@ class DirectionSet:
         return np.array([d.cartesian for d in self.dirs])
 
 
+def _check_spin(spin: Spin, ds: DirectionSet):
+    if spin != ds.spin:
+        raise DomainError(f"{spin} does not match the direction set's {ds.spin}")
+
+
+def _shell_grams(vectors: np.ndarray, checked: bool = False):
+    """(M(L), det M(L)) for each L with 2L+1 <= N, lazily, from one recurrence.
+
+    M(L) is a view of the leading block of P_L(n_i . n_k) over all N x N dot
+    products.  ``checked`` applies the one floor rule of the module docstring.
+    """
+    dots = (vectors @ vectors.T).clip(-1.0, 1.0)
+    for L, p in enumerate(legendre_series((len(vectors) - 1) // 2, dots)):
+        gram_l = p[: 2 * L + 1, : 2 * L + 1]
+        det = float(np.linalg.det(gram_l)) if L else 1.0
+        if checked and not det >= GRAM_DET_FLOOR:
+            raise FeasibilityError(
+                f"shell L={L} Gram determinant {det:.3e} below {GRAM_DET_FLOOR:.0e}; "
+                "the direction set cannot be inverted"
+            )
+        yield gram_l, det
+
+
 def gram(spin: Spin, L: int, ds) -> np.ndarray:
     """Shell-L Gram matrix P_L(n_i . n_k), (2L+1) x (2L+1)."""
     if not (1 <= L <= spin.two_j):
         raise DomainError(f"L={L} outside 1..{spin.two_j}")
     if isinstance(ds, DirectionSet):
-        vectors = ds.unit_vectors()[: 2 * L + 1]
-    else:
-        vectors = np.array([d.cartesian for d in ds])[: 2 * L + 1]
-    if vectors.shape[0] < 2 * L + 1:
+        _check_spin(spin, ds)
+        ds = ds.dirs
+    vectors = np.array([d.cartesian for d in ds])
+    if len(vectors) < 2 * L + 1:
         raise DomainError(f"shell {L} needs {2 * L + 1} directions")
-    dots = np.clip(vectors @ vectors.T, -1.0, 1.0)
-    return legendre(L, dots)
+    return next(islice(_shell_grams(vectors), L, None))[0]
 
 
 def shell_determinants(ds: DirectionSet) -> np.ndarray:
     """det M(L) for L = 1..2j."""
-    return np.array(
-        [np.linalg.det(gram(ds.spin, L, ds)) for L in range(1, ds.spin.two_j + 1)]
-    )
+    return np.array([det for _, det in _shell_grams(ds.unit_vectors())][1:])
 
 
 def feasibility(ds: DirectionSet) -> float:
@@ -97,8 +120,6 @@ def feasibility(ds: DirectionSet) -> float:
 
     For j = 1/2 this is the squared triple product of the three directions.
     """
-    if ds.spin.two_j == 0:
-        return 1.0
     return float(np.prod(shell_determinants(ds)))
 
 
@@ -127,8 +148,6 @@ def delta_q(dirs: Sequence[Direction], q: int) -> float:
 
 def feasibility_delta(ds: DirectionSet) -> float:
     """Product of the delta_q determinants for q = 1..2j."""
-    if ds.spin.two_j == 0:
-        return 1.0
     return float(np.prod([delta_q(ds.dirs, q) for q in range(1, ds.spin.two_j + 1)]))
 
 
@@ -143,17 +162,6 @@ def q_matrix(spin: Spin, dirs: Sequence[Direction], weights=None) -> np.ndarray:
     return forward_matrix(spin, dirs, weights)
 
 
-def _checked_gram(ds: DirectionSet, L: int) -> np.ndarray:
-    m = gram(ds.spin, L, ds)
-    det = np.linalg.det(m)
-    if abs(det) < GRAM_DET_FLOOR:
-        raise FeasibilityError(
-            f"shell L={L} Gram determinant {det:.3e} below {GRAM_DET_FLOOR:.0e}; "
-            "the direction set cannot be inverted"
-        )
-    return m
-
-
 def _shell_duals(gram_l: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Dual basis sum_k' [M(L)^-1]_kk' S_L(n_k') of the shell operators ops[k']."""
     n, d, _ = ops.shape
@@ -162,6 +170,7 @@ def _shell_duals(gram_l: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
 def l_dequantizer(spin: Spin, L: int, k: int, two_m: int, ds: DirectionSet) -> np.ndarray:
     """Shell-resolved dequantizer (4j+1)^-1 f_L(m) S_L(n_k)."""
+    _check_spin(spin, ds)
     if not (0 <= k <= 2 * L):
         raise DomainError(f"direction {k} outside shell L={L}")
     f_lm = coeff_table(spin)[L, spin.m_index(two_m)]
@@ -178,12 +187,13 @@ def l_quantizer(spin: Spin, L: int, k: int, two_m: int, ds: DirectionSet) -> np.
 
         Tr(U_L(m, n_k) D_L'(m', k')) = f_L(m) f_L(m') delta_LL' delta_kk'.
     """
+    _check_spin(spin, ds)
     if not (0 <= k <= 2 * L):
         raise DomainError(f"direction {k} outside shell L={L}")
-    gram_l = _checked_gram(ds, L) if L else np.ones((1, 1))
+    ops = s_operator_stacks(spin, ds.shell(L))[:, L]
+    gram_l, _ = next(islice(_shell_grams(ds.unit_vectors(), checked=True), L, None))
     f_lm = coeff_table(spin)[L, spin.m_index(two_m)]
-    duals = _shell_duals(gram_l, s_operator_stacks(spin, ds.shell(L))[:, L])
-    return (2 * spin.two_j + 1) * f_lm * duals[k]
+    return (2 * spin.two_j + 1) * f_lm * _shell_duals(gram_l, ops)[k]
 
 
 def quantizer(spin: Spin, k: int, two_m: int, ds: DirectionSet) -> np.ndarray:
@@ -193,6 +203,7 @@ def quantizer(spin: Spin, k: int, two_m: int, ds: DirectionSet) -> np.ndarray:
     contributes to every shell and later directions only to the higher ones.
     A read-only entry of :func:`quantizer_stack`.
     """
+    _check_spin(spin, ds)
     return quantizer_stack(ds)[_layout_index(ds.spin, ds.n_dirs, k, two_m)]
 
 
@@ -202,14 +213,14 @@ def quantizer_stack(ds: DirectionSet) -> np.ndarray:
 
     Assembled shell by shell from the Gram inverses; entry index(k, m) matches
     the ProbVector layout so reconstruction is a single contraction.  Every
-    shell determinant is tested before any operator is built, so a refused
-    set costs only its Gram matrices.  The result is memoized per direction
-    set (read-only array, safe to share).
+    shell is checked before any operator is built, so a refused set costs
+    only its Gram matrices up to the refused shell.  The result is memoized
+    per direction set (read-only array, safe to share).
     """
     spin = ds.spin
     d = spin.dim
     n_u = ds.n_dirs
-    grams = [np.ones((1, 1))] + [_checked_gram(ds, L) for L in range(1, spin.two_j + 1)]
+    grams = [g for g, _ in _shell_grams(ds.unit_vectors(), checked=True)]
     table = coeff_table(spin)
     shell_ops = s_operator_stacks(spin, ds.dirs)
     out = np.zeros((n_u, d, d, d), dtype=complex)
@@ -261,4 +272,5 @@ def dual_vectors(ds: DirectionSet) -> np.ndarray:
     """
     if ds.spin.two_j < 1:
         raise DomainError("dual vectors need at least the L=1 shell")
-    return np.linalg.solve(_checked_gram(ds, 1), ds.unit_vectors()[:3])
+    gram_1, _ = next(islice(_shell_grams(ds.unit_vectors(), checked=True), 1, None))
+    return np.linalg.solve(gram_1, ds.unit_vectors()[:3])

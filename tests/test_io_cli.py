@@ -369,3 +369,34 @@ class TestKernelEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "rotation index" in captured.err
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("phi", [math.nan, math.inf])
+    def test_forward_with_non_finite_phi_is_2(self, tmp_path, capsys, phi):
+        state = write_state(tmp_path, Spin(1), np.eye(2, dtype=complex) / 2.0)
+        dirs_path = tmp_path / "dirs.json"
+        dirs_path.write_text(json.dumps([dict(TRIAD[0]), dict(TRIAD[1]), {"theta": 0.5, "phi": phi}]))
+        out = str(tmp_path / "prob.json")
+        assert main(["forward", "--state", state, "--frames", str(dirs_path), "--out", out]) == 2
+        assert "phi must be finite" in capsys.readouterr().err
+
+    def _prob_with_nan(self, tmp_path):
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps({
+            "two_j": 1, "scheme": "su2", "frames": TRIAD, "weights": [1 / 3] * 3,
+            "values": [1 / 6] * 4 + [math.nan, 1 / 6],
+        }))
+        return str(path)
+
+    def test_load_prob_rejects_or_warns_on_nan(self, tmp_path):
+        path = self._prob_with_nan(tmp_path)
+        with pytest.raises(InvariantError, match="NaN probability"):
+            fileio.load_prob(path)
+        with pytest.warns(UserWarning, match="NaN probability"):
+            fileio.load_prob(path, validate=False)
+
+    def test_invert_nan_probabilities_is_3(self, tmp_path, capsys):
+        path = self._prob_with_nan(tmp_path)
+        assert main(["invert", "--prob", path, "--out", str(tmp_path / "o.json")]) == 3
+        assert "NaN probability" in capsys.readouterr().err

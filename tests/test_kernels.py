@@ -15,6 +15,8 @@ from spinportrait import (
     gram,
     kernel_p_to_w,
     kernel_w_to_p,
+    l_dequantizer,
+    l_quantizer,
     p_to_w,
     prob_vector,
     quantizer,
@@ -534,3 +536,31 @@ class TestPToW:
             for two_m in spin.two_m_values():
                 back = p_to_w(spin, ds, p_vals, two_m, n)
                 assert abs(back - tomogram(spin, rho, two_m, n)) < 1e-10
+
+
+QUBIT_SYMBOL = np.full(6, 1.0 / 6.0)
+PROBE = Direction(0.7, 1.3)
+SPIN_ENTRY_POINTS = {
+    "gram": lambda spin, ds: gram(spin, 1, ds),
+    "l_dequantizer": lambda spin, ds: l_dequantizer(spin, 1, 0, spin.two_j, ds),
+    "l_quantizer": lambda spin, ds: l_quantizer(spin, 1, 0, spin.two_j, ds),
+    "quantizer": lambda spin, ds: quantizer(spin, 0, spin.two_j, ds),
+    "symbol": lambda spin, ds: symbol(spin, np.eye(spin.dim) / spin.dim, ds),
+    "star_kernel": lambda spin, ds: star_kernel(spin, ds, spin.two_j, 0, spin.two_j, 0, spin.two_j, 0),
+    "star_apply": lambda spin, ds: star_apply(spin, QUBIT_SYMBOL, QUBIT_SYMBOL, ds),
+    "kernel_w_to_p": lambda spin, ds: kernel_w_to_p(spin, ds, spin.two_j, 0, spin.two_j, PROBE),
+    "kernel_p_to_w": lambda spin, ds: kernel_p_to_w(spin, ds, spin.two_j, PROBE, spin.two_j, 0),
+    "w_to_p": lambda spin, ds: w_to_p(spin, ds, lambda two_m, n: 1.0 / spin.dim),
+    "p_to_w": lambda spin, ds: p_to_w(spin, ds, QUBIT_SYMBOL, spin.two_j, PROBE),
+}
+
+
+class TestSpinMismatch:
+    @pytest.mark.parametrize("entry", sorted(SPIN_ENTRY_POINTS))
+    def test_spin_other_than_the_sets_is_domain_error(self, entry, orthogonal_triad):
+        with pytest.raises(DomainError, match="does not match the direction set"):
+            SPIN_ENTRY_POINTS[entry](Spin(2), orthogonal_triad)
+
+    @pytest.mark.parametrize("entry", sorted(SPIN_ENTRY_POINTS))
+    def test_matching_spin_is_accepted(self, entry, orthogonal_triad):
+        SPIN_ENTRY_POINTS[entry](Spin(1), orthogonal_triad)

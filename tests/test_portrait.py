@@ -192,3 +192,12 @@ class TestNormalizeToEq:
         p = ProbVector(Spin(1), 2, values)
         with pytest.raises(DegeneratePriorError):
             normalize_to_eq(p)
+
+
+class TestNonFiniteProbabilities:
+    @pytest.mark.parametrize(
+        "bad,message", [(math.nan, "NaN probability nan"), (math.inf, "sum to inf")]
+    )
+    def test_non_finite_entry_rejected(self, bad, message):
+        with pytest.raises(InvariantError, match=message):
+            ProbVector(Spin(1), 3, [1 / 6] * 4 + [bad, 1 / 6])

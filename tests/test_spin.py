@@ -191,3 +191,15 @@ class TestDensityMatrix:
         bad = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
         with pytest.raises(InvariantError):
             validate_density_matrix(Spin(1), bad)
+
+
+class TestDirectionFinite:
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi_rejected(self, phi):
+        with pytest.raises(DomainError, match="phi must be finite"):
+            Direction(0.5, phi)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(DomainError, match="theta"):
+            Direction(theta, 0.5)
