@@ -69,13 +69,16 @@ def vec_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def validate_weights(weights, n: int) -> np.ndarray:
-    """Prior weights as a float array: n nonnegative entries summing to one."""
+    """Prior weights as a float array: n nonnegative entries summing to one.
+
+    Both tests are written to fail on NaN, so NaN and infinite weights raise.
+    """
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise DomainError(f"expected {n} weights, got shape {w.shape}")
-    if w.min(initial=0.0) < 0.0:
-        raise DomainError(f"negative prior weight {w.min()}")
-    if abs(w.sum() - 1.0) > 1e-12:
+    if not w.min(initial=0.0) >= 0.0:
+        raise DomainError(f"negative or NaN prior weight {w.min()}")
+    if not abs(w.sum() - 1.0) <= 1e-12:
         raise DomainError(f"prior weights sum to {w.sum()}, not 1")
     return w
 

@@ -79,17 +79,24 @@ def _check_spin(spin: Spin, ds: DirectionSet):
         raise DomainError(f"{spin} does not match the direction set's {ds.spin}")
 
 
+def _refused(det):
+    """The one floor rule: True where a shell determinant is below the floor or NaN."""
+    return np.logical_not(det >= GRAM_DET_FLOOR)
+
+
 def _shell_grams(vectors: np.ndarray, checked: bool = False):
     """(M(L), det M(L)) for each L with 2L+1 <= N, lazily, from one recurrence.
 
-    M(L) is a view of the leading block of P_L(n_i . n_k) over all N x N dot
-    products.  ``checked`` applies the one floor rule of the module docstring.
+    ``vectors`` is one set (N, 3) or a stack of sets (..., N, 3); M(L) is a
+    view of the leading block of P_L(n_i . n_k) over all N x N dot products,
+    and det M(L) has the stack's leading shape.  ``checked`` (one set only)
+    raises at the first shell :func:`_refused` rejects.
     """
-    dots = (vectors @ vectors.T).clip(-1.0, 1.0)
-    for L, p in enumerate(legendre_series((len(vectors) - 1) // 2, dots)):
-        gram_l = p[: 2 * L + 1, : 2 * L + 1]
-        det = float(np.linalg.det(gram_l)) if L else 1.0
-        if checked and not det >= GRAM_DET_FLOOR:
+    dots = (vectors @ np.swapaxes(vectors, -1, -2)).clip(-1.0, 1.0)
+    for L, p in enumerate(legendre_series((vectors.shape[-2] - 1) // 2, dots)):
+        gram_l = p[..., : 2 * L + 1, : 2 * L + 1]
+        det = np.linalg.det(gram_l) if L else 1.0
+        if checked and _refused(det):
             raise FeasibilityError(
                 f"shell L={L} Gram determinant {det:.3e} below {GRAM_DET_FLOOR:.0e}; "
                 "the direction set cannot be inverted"

@@ -281,6 +281,22 @@ class TestOptimizeDirs:
         v = np.array([d.cartesian for d in d1])
         assert abs(v[0] @ np.cross(v[1], v[2])) >= 1.0 - 1e-6
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--tol", "nan", "tolerance must be positive and finite, got nan"),
+            ("--tol", "inf", "tolerance must be positive and finite, got inf"),
+            ("--tol", "0", "tolerance must be positive and finite, got 0.0"),
+            ("--max-iters", "-3", "max_iters must be >= 0, got -3"),
+        ],
+    )
+    def test_bad_budget_exits_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "d.json"
+        code = main(["optimize-dirs", "--two-j", "1", flag, value, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: " + message
+        assert not out.exists()
+
 
 class TestRegionCommand:
     def test_ball_csv(self, tmp_path, capsys):

@@ -136,6 +136,14 @@ class TestOptimize:
             OptimizerConfig(restarts=0)
         with pytest.raises(DomainError):
             OptimizerConfig(tolerance=0.0)
+        for bad in ({"tolerance": math.nan}, {"tolerance": math.inf}, {"max_iters": -3}):
+            with pytest.raises(DomainError):
+                OptimizerConfig(**bad)
+
+    def test_zero_iterations_return_the_start(self):
+        ds, value = optimize(Spin(1), OptimizerConfig(restarts=1, max_iters=0, seed=0))
+        assert value == pytest.approx(objective(ds, "gram-product"), abs=1e-12)
+        assert value > INFEASIBLE
 
     def test_condition_number_objective_runs(self):
         ds, value = optimize(

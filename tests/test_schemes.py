@@ -27,6 +27,7 @@ from spinportrait import (
     newton_young_directions,
     numerical_rank,
     prob_vector,
+    q_matrix,
     r_matrix,
     random_density_matrix,
     random_frame_set,
@@ -149,6 +150,25 @@ class TestReconstructPinv:
         p = ProbVector(spin, 3, np.full(6, 1.0 / 6.0))
         with pytest.raises(FeasibilityError):
             reconstruct_pinv(p, ufs)
+
+    @pytest.mark.parametrize(
+        "weights,message",
+        [
+            ([math.nan, 0.5, 0.5], "negative or NaN prior weight nan"),
+            ([0.5, math.nan, 0.5], "negative or NaN prior weight nan"),
+            ([math.inf, 0.5, 0.5], "sum to inf"),
+            ([math.inf, -math.inf, 1.0], "negative or NaN prior weight -inf"),
+        ],
+    )
+    def test_non_finite_weights_rejected(self, weights, message):
+        spin = Spin(1)
+        ufs = random_frame_set(spin, np.random.default_rng(7))
+        p = ProbVector(spin, 3, np.full(6, 1.0 / 6.0))
+        with pytest.raises(DomainError, match=message):
+            reconstruct_pinv(p, ufs, weights)
+        dirs = [Direction(0.0, 0.0), Direction(1.5, 0.0), Direction(1.5, 1.5)]
+        with pytest.raises(DomainError, match=message):
+            q_matrix(spin, dirs, weights)
 
     @pytest.mark.parametrize("two_j", [1, 2])
     def test_mu_bound(self, two_j):
