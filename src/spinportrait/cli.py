@@ -24,7 +24,7 @@ from .errors import (
     OptimizationError,
 )
 from .kernels import kernel_p_to_w, kernel_w_to_p, star_kernel
-from .linalg import condition_number, hermitian_to_vec
+from .linalg import condition_number, validate_weights
 from .optimize import OptimizerConfig, optimize
 from .portrait import ProbVector, normalize_to_eq, prob_vector
 from .region import SliceEntry, SliceSpec, sample_region, write_region_csv
@@ -36,67 +36,63 @@ from .schemes import (
     aw_normalized_forward,
     aw_reconstruct,
     default_aw_grid,
-    r_matrix,
     reconstruct_pinv,
 )
 from .spin import Direction, Spin, validate_density_matrix
-from .su2 import DirectionSet, q_matrix, quantizer_stack, reconstruct
+from .su2 import DirectionSet, quantizer_stack, reconstruct
+from .tomography import forward_matrix
 
 
 def _parse_weights(arg: str | None, n: int) -> np.ndarray:
     if arg is None:
-        return np.full(n, 1.0 / n)
-    weights = np.array([float(x) for x in arg.split(",")])
+        return validate_weights(None, n)
+    weights = np.array([_parse_float(x, "--weights") for x in arg.split(",")])
     if weights.size != n:
         raise ConfigError(f"got {weights.size} weights for {n} frames")
     return weights
 
 
+def _parse_float(text: str, flag: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{flag} entry {text!r} is not a number") from None
+
+
 def cmd_forward(args) -> int:
+    if args.scheme == "aw" and args.weights is not None:
+        raise ConfigError("--weights applies to the su2 and sun schemes only")
     spin, rho = fileio.load_state(args.state, validate=not args.no_validate)
     if args.scheme == "sun":
         frames = fileio.load_unitary_frames(
             args.frames, spin.dim, validate=not args.no_validate
         )
-        weights = _parse_weights(args.weights, len(frames))
-        vec = r_matrix(spin, frames, weights) @ hermitian_to_vec(rho)
-        out = fileio.ProbFile(spin, "sun", frames, weights, vec)
     else:
-        dirs = fileio.load_directions(args.frames)
-        if args.scheme == "aw":
-            values = aw_normalized_forward(spin, rho, dirs)
-            weights = np.full(len(dirs), 1.0 / len(dirs))
-            out = fileio.ProbFile(spin, "aw", dirs, weights, values)
-        else:
-            weights = _parse_weights(args.weights, len(dirs))
-            p = prob_vector(spin, rho, dirs, weights)
-            out = fileio.ProbFile(spin, "su2", dirs, weights, p.values)
-    fileio.save_prob(args.out, out)
+        frames = fileio.load_directions(args.frames)
+    weights = _parse_weights(args.weights, len(frames))
+    if args.scheme == "aw":
+        values = aw_normalized_forward(spin, rho, frames)
+    else:
+        values = prob_vector(spin, rho, frames, weights).values
+    fileio.save_prob(args.out, fileio.ProbFile(spin, args.scheme, frames, weights, values))
     return 0
 
 
 def cmd_invert(args) -> int:
     prob = fileio.load_prob(args.prob, validate=not args.no_validate)
-    spin = prob.spin
+    spin, frames = prob.spin, prob.frames
     if prob.scheme == "aw":
-        rho = aw_reconstruct(spin, prob.values, prob.frames, normalized=True)
-        print(
-            f"condition number: {condition_number(aw_m_matrix(spin, prob.frames)):.6e}",
-            file=sys.stderr,
-        )
+        rho = aw_reconstruct(spin, prob.values, frames, normalized=True)
+        forward = aw_m_matrix(spin, frames)
     elif prob.scheme == "sun":
-        ufs = UnitaryFrameSet(spin, prob.frames)
-        p = ProbVector(spin, len(prob.frames), prob.values)
-        rho = reconstruct_pinv(p, ufs, prob.weights)
-        print(
-            f"condition number: {condition_number(r_matrix(spin, prob.frames, prob.weights)):.6e}",
-            file=sys.stderr,
-        )
+        p = ProbVector(spin, len(frames), prob.values)
+        rho = reconstruct_pinv(p, UnitaryFrameSet(spin, frames), prob.weights)
+        forward = forward_matrix(spin, frames, prob.weights)
     else:
-        ds = DirectionSet(spin, prob.frames)
+        ds = DirectionSet(spin, frames)
         quantizer_stack(ds)  # refuses an infeasible set before the prior checks
-        p = ProbVector(spin, len(prob.frames), prob.values)
-        if np.abs(p.block_sums() - 1.0 / len(prob.frames)).max() > 1e-12:
+        p = ProbVector(spin, len(frames), prob.values)
+        if np.abs(p.block_sums() - 1.0 / len(frames)).max() > 1e-12:
             print(
                 "notice: probabilities carry non-equal priors; renormalizing "
                 "to the equal-weight form",
@@ -104,10 +100,8 @@ def cmd_invert(args) -> int:
             )
             p = normalize_to_eq(p)
         rho = reconstruct(p, ds)
-        print(
-            f"condition number: {condition_number(q_matrix(spin, prob.frames)):.6e}",
-            file=sys.stderr,
-        )
+        forward = forward_matrix(spin, frames)
+    print(f"condition number: {condition_number(forward):.6e}", file=sys.stderr)
     if not args.no_validate:
         validate_density_matrix(spin, rho, trace_tol=1e-9, eig_tol=1e-8)
     fileio.save_state(args.out, spin, rho)
@@ -124,7 +118,7 @@ def cmd_optimize(args) -> int:
         tolerance=args.tol,
     )
     ds, value = optimize(spin, config)
-    cond = condition_number(q_matrix(spin, ds.dirs))
+    cond = condition_number(forward_matrix(spin, ds.dirs))
     print(f"objective: {value:.12g}", file=sys.stderr)
     print(f"condition number: {cond:.6e}", file=sys.stderr)
     fileio.save_directions(args.out, ds.dirs)
@@ -195,8 +189,9 @@ def cmd_kernel_eval(args) -> int:
 def cmd_aw_grid(args) -> int:
     spin = Spin(args.two_j)
     if args.thetas:
-        thetas = [float(x) for x in args.thetas.split(",")]
-        grid = AWGrid(spin, thetas, args.delta if args.delta else 1.0 / spin.dim)
+        thetas = [_parse_float(x, "--thetas") for x in args.thetas.split(",")]
+        delta = args.delta if args.delta is not None else 1.0 / spin.dim
+        grid = AWGrid(spin, thetas, delta)
     else:
         grid = default_aw_grid(spin, args.delta)
     fileio.save_directions(args.out, aw_directions(grid))
@@ -215,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True,
                    help="directions file (su2/aw) or unitary frames file (sun)")
     p.add_argument("--scheme", choices=fileio.SCHEMES, default="su2")
-    p.add_argument("--weights", default=None, help="comma-separated priors")
+    p.add_argument("--weights", default=None, help="comma-separated priors (su2, sun)")
     p.add_argument("--out", required=True)
     p.add_argument("--no-validate", action="store_true")
     p.set_defaults(func=cmd_forward)

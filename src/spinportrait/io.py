@@ -63,6 +63,14 @@ def _matrix_from_parts(re, im, dim: int, what: str) -> np.ndarray:
     return (re + 1j * im).reshape(dim, dim)
 
 
+def _read_spin(raw) -> Spin:
+    """The spin of a state or probability file; two_j must be a JSON integer."""
+    two_j = raw["two_j"]
+    if isinstance(two_j, bool) or not isinstance(two_j, int):
+        raise DomainError(f"two_j must be a JSON integer, got {two_j!r}")
+    return Spin(two_j)
+
+
 def save_state(path: str, spin: Spin, rho: np.ndarray):
     rho = np.asarray(rho, dtype=complex)
     _dump_json(
@@ -77,7 +85,7 @@ def save_state(path: str, spin: Spin, rho: np.ndarray):
 
 def load_state(path: str, validate: bool = True):
     raw = _load_json(path)
-    spin = Spin(int(raw["two_j"]))
+    spin = _read_spin(raw)
     rho = _matrix_from_parts(raw["re"], raw["im"], spin.dim, "state file")
     try:
         validate_density_matrix(spin, rho)
@@ -88,17 +96,33 @@ def load_state(path: str, validate: bool = True):
     return spin, rho
 
 
+def _direction_records(dirs) -> list:
+    """{"theta", "phi"} records of directions."""
+    return [{"theta": float(d.theta), "phi": float(d.phi)} for d in dirs]
+
+
+def _read_directions(records, what: str) -> list:
+    """Directions from {"theta", "phi"} records; a malformed one raises DomainError."""
+    if not isinstance(records, list):
+        raise DomainError(f"{what} must be a JSON list")
+    dirs = []
+    for i, rec in enumerate(records):
+        try:
+            theta, phi = float(rec["theta"]), float(rec["phi"])
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"{what} record {i} is not a theta/phi pair of numbers: {rec!r}"
+            ) from None
+        dirs.append(Direction(theta, phi))
+    return dirs
+
+
 def save_directions(path: str, dirs):
-    _dump_json(
-        path, [{"theta": float(d.theta), "phi": float(d.phi)} for d in dirs]
-    )
+    _dump_json(path, _direction_records(dirs))
 
 
 def load_directions(path: str):
-    raw = _load_json(path)
-    if not isinstance(raw, list):
-        raise DomainError("directions file must be a JSON list")
-    return [Direction(float(rec["theta"]), float(rec["phi"])) for rec in raw]
+    return _read_directions(_load_json(path), "directions file")
 
 
 def _frame_records(frames) -> list:
@@ -151,16 +175,13 @@ class ProbFile:
 def save_prob(path: str, prob: ProbFile):
     if prob.scheme not in SCHEMES:
         raise DomainError(f"scheme must be one of {SCHEMES}, got {prob.scheme!r}")
-    if prob.scheme == "sun":
-        frames = _frame_records(prob.frames)
-    else:
-        frames = [{"theta": float(d.theta), "phi": float(d.phi)} for d in prob.frames]
+    records = _frame_records if prob.scheme == "sun" else _direction_records
     _dump_json(
         path,
         {
             "two_j": prob.spin.two_j,
             "scheme": prob.scheme,
-            "frames": frames,
+            "frames": records(prob.frames),
             "weights": [float(w) for w in prob.weights],
             "values": [float(v) for v in prob.values],
         },
@@ -169,16 +190,14 @@ def save_prob(path: str, prob: ProbFile):
 
 def load_prob(path: str, validate: bool = True) -> ProbFile:
     raw = _load_json(path)
-    spin = Spin(int(raw["two_j"]))
+    spin = _read_spin(raw)
     scheme = raw["scheme"]
     if scheme not in SCHEMES:
         raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if scheme == "sun":
         frames = _read_frames(raw["frames"], spin.dim, validate, "probability file frame")
     else:
-        frames = [
-            Direction(float(rec["theta"]), float(rec["phi"])) for rec in raw["frames"]
-        ]
+        frames = _read_directions(raw["frames"], "probability file frames")
     weights = np.asarray(raw["weights"], dtype=float)
     values = np.asarray(raw["values"], dtype=float)
     try:

@@ -71,8 +71,11 @@ def vec_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
 def validate_weights(weights, n: int) -> np.ndarray:
     """Prior weights as a float array: n nonnegative entries summing to one.
 
-    Both tests are written to fail on NaN, so NaN and infinite weights raise.
+    ``None`` stands for the equal priors 1/n.  Both tests are written to fail
+    on NaN, so NaN and infinite weights raise.
     """
+    if weights is None:
+        return np.full(n, 1.0 / n)
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise DomainError(f"expected {n} weights, got shape {w.shape}")

@@ -129,7 +129,7 @@ def portrait(w_column: Sequence[float], partition: Partition) -> np.ndarray:
 
 
 def stack(portraits: Sequence[Sequence[float]], weights) -> ProbVector:
-    """Stack portraits scaled by prior weights into one probability vector."""
+    """Stack portraits scaled by prior weights (None: equal) into one vector."""
     arrays = [np.asarray(p, dtype=float) for p in portraits]
     if not arrays:
         raise DomainError("nothing to stack")
@@ -144,9 +144,7 @@ def stack(portraits: Sequence[Sequence[float]], weights) -> ProbVector:
 def prob_vector(
     spin: Spin, rho: np.ndarray, frames: Sequence[Frame], weights=None
 ) -> ProbVector:
-    """Forward map of a state: blocks p_k * w(m, frame_k)."""
-    if weights is None:
-        weights = np.full(len(frames), 1.0 / len(frames))
+    """Forward map of a state: blocks p_k * w(m, frame_k), equal priors by default."""
     return stack(tomogram_columns(spin, rho, frames), weights)
 
 

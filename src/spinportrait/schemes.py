@@ -43,15 +43,14 @@ from .spin import Direction, Spin, frame_matrices, unitarity_defect
 from .su2 import DirectionSet, _shell_grams
 from .tomography import forward_matrix, tomogram_columns
 
-SOLVER_CACHE_SIZE = 16  # per frame set, the same bound as the memoized stacks
-
 
 @dataclass(frozen=True, eq=False)
 class UnitaryFrameSet:
     """2j+2 unitary frames of dimension 2j+1, the minimal injective count.
 
-    Compared and hashed by identity: the frames are arrays, and each set holds
-    its own cache of inverse maps.
+    Compared and hashed by identity, since the frames are arrays.  The inverse
+    maps of ``reconstruct_pinv`` are memoized per (set, prior weights) in one
+    least-recently-used cache of 16 entries shared by all sets.
     """
 
     spin: Spin
@@ -63,8 +62,6 @@ class UnitaryFrameSet:
         for u in frames:
             u.flags.writeable = False
         object.__setattr__(self, "frames", frames)
-        # inverse maps per prior-weight vector, filled by reconstruct_pinv
-        object.__setattr__(self, "_solvers", {})
         expected = spin.two_j + 2
         if len(frames) != expected:
             raise DomainError(
@@ -90,16 +87,8 @@ def random_frame_set(spin: Spin, rng: np.random.Generator) -> UnitaryFrameSet:
     )
 
 
-def r_matrix(spin: Spin, frames: Sequence[np.ndarray], weights=None) -> np.ndarray:
-    """Forward-map matrix for unitary frames, row (k, m) = p_k * coords(U(m, u_k)).
-
-    Accepts any number of frames so rank experiments can under- and
-    over-sample; applying it to the coordinates of rho gives the stacked
-    probability vector exactly.
-    """
-    if isinstance(frames, UnitaryFrameSet):
-        frames = frames.frames
-    return forward_matrix(spin, frames, weights)
+# forward-map matrix for unitary frames, row (k, m) = p_k * coords(U(m, u_k))
+r_matrix = forward_matrix
 
 
 def sun_gram(ufs: UnitaryFrameSet) -> np.ndarray:
@@ -132,27 +121,27 @@ def mu_bound(gamma: float) -> float:
     return (1.0 + root) / (1.0 - root)
 
 
+@lru_cache(maxsize=16)
+def _pinv_solver(ufs: UnitaryFrameSet, weights: bytes):
+    """Rank verdict (rtol 1e-8) and pseudo-inverse of the frame map, from one SVD."""
+    return svd_inverse(
+        forward_matrix(ufs.spin, ufs.frames, np.frombuffer(weights)), rtol=1e-8
+    )
+
+
 def reconstruct_pinv(p: ProbVector, ufs: UnitaryFrameSet, weights=None) -> np.ndarray:
     """Least-squares inverse of the unitary-frame forward map.
 
     Solves the overdetermined system through the SVD pseudo-inverse rather
     than the normal equations, which would square the conditioning.  The rank
-    verdict (rtol 1e-8) and the pseudo-inverse are computed once per weight
-    vector and kept on the frame set.
+    verdict and the pseudo-inverse are memoized per (frame set, weights).
     """
     spin = ufs.spin
     n = len(ufs.frames)
     if p.spin != spin or p.n_rotations != n:
         raise DomainError("probability vector does not match the frame set")
-    w = validate_weights(np.full(n, 1.0 / n) if weights is None else weights, n)
-    key = w.tobytes()
-    solver = ufs._solvers.get(key)
-    if solver is None:
-        solver = svd_inverse(forward_matrix(spin, ufs.frames, w), rtol=1e-8)
-        if len(ufs._solvers) >= SOLVER_CACHE_SIZE:
-            del ufs._solvers[next(iter(ufs._solvers))]
-        ufs._solvers[key] = solver
-    rank, inverse = solver
+    w = validate_weights(weights, n)
+    rank, inverse = _pinv_solver(ufs, w.tobytes())
     if inverse is None:
         raise FeasibilityError(
             f"frame forward map has rank {rank} < {spin.dim * spin.dim}"

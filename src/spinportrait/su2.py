@@ -158,15 +158,8 @@ def feasibility_delta(ds: DirectionSet) -> float:
     return float(np.prod([delta_q(ds.dirs, q) for q in range(1, ds.spin.two_j + 1)]))
 
 
-def q_matrix(spin: Spin, dirs: Sequence[Direction], weights=None) -> np.ndarray:
-    """Forward-map matrix: row (k, m) holds p_k times the coordinates of U(m, n_k).
-
-    Hermitian operators are flattened with the isometric real coordinate map,
-    so the matrix is real and applying it to the coordinates of rho reproduces
-    the probability vector exactly.  Any number of directions is accepted,
-    which the rank experiments rely on.
-    """
-    return forward_matrix(spin, dirs, weights)
+# forward-map matrix for directions, row (k, m) = p_k * coords(U(m, n_k))
+q_matrix = forward_matrix
 
 
 def _shell_duals(gram_l: np.ndarray, ops: np.ndarray) -> np.ndarray:

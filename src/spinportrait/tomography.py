@@ -90,8 +90,6 @@ def forward_matrix(spin: Spin, frames: Sequence[Frame], weights=None) -> np.ndar
     priors by default), which the rank experiments rely on.
     """
     frames = tuple(frames)
-    if weights is None:
-        weights = np.full(len(frames), 1.0 / len(frames))
     w = validate_weights(weights, len(frames))
     kets = frame_matrices(spin, frames)
     rows = projector_coords(np.swapaxes(kets, 1, 2))

@@ -183,23 +183,27 @@ class TestCaches:
         reconstruct_pinv(prob_vector(spin, rho, ufs.frames), ufs)
         for u in ufs.frames:
             _assert_read_only(u)
-        for _, inverse in ufs._solvers.values():
-            _assert_read_only(inverse)
+        hits = schemes._pinv_solver.cache_info().hits
+        key = linalg.validate_weights(None, len(ufs.frames)).tobytes()
+        _assert_read_only(schemes._pinv_solver(ufs, key)[1])
+        assert schemes._pinv_solver.cache_info().hits == hits + 1
 
     def test_bounds(self):
         assert tomography._direction_kets.cache_info().maxsize == 16
         assert schemes._aw_solver.cache_info().maxsize == 16
         assert su2.quantizer_stack.cache_info().maxsize == 16
+        assert schemes._pinv_solver.cache_info().maxsize == 16
         spin = Spin(1)
         rng = np.random.default_rng(12)
         ufs = random_frame_set(spin, rng)
         rho = random_density_matrix(spin, rng)
+        schemes._pinv_solver.cache_clear()
         for _ in range(20):
             w = rng.uniform(0.5, 1.5, 3)
             w /= w.sum()
             p = prob_vector(spin, rho, ufs.frames, w)
             assert np.abs(reconstruct_pinv(p, ufs, w) - rho).max() < 1e-12
-        assert len(ufs._solvers) <= schemes.SOLVER_CACHE_SIZE
+        assert schemes._pinv_solver.cache_info().currsize == 16
 
     def test_one_frame_set_two_weight_vectors(self):
         spin = Spin(3)
@@ -208,12 +212,18 @@ class TestCaches:
         rho = random_density_matrix(spin, rng)
         uniform = np.full(5, 0.2)
         skewed = np.array([0.1, 0.3, 0.2, 0.15, 0.25])
+        schemes._pinv_solver.cache_clear()
+        answers = []
         for w in (uniform, skewed, uniform, skewed):
             p = prob_vector(spin, rho, ufs.frames, w)
-            assert np.abs(reconstruct_pinv(p, ufs, w) - rho).max() < 1e-12
+            answers.append(reconstruct_pinv(p, ufs, w))
+            assert np.abs(answers[-1] - rho).max() < 1e-12
+        assert np.array_equal(answers[0], answers[2])
+        assert np.array_equal(answers[1], answers[3])
         p = prob_vector(spin, rho, ufs.frames)
         assert np.abs(reconstruct_pinv(p, ufs) - rho).max() < 1e-12
-        assert len(ufs._solvers) == 2
+        info = schemes._pinv_solver.cache_info()
+        assert (info.currsize, info.misses) == (2, 2)
 
     def test_caller_mutation_does_not_reach_the_frame_set(self):
         spin = Spin(2)

@@ -4,7 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from spinportrait import Direction, InvariantError, Spin, random_density_matrix
+from spinportrait import (
+    Direction,
+    DomainError,
+    InvariantError,
+    Spin,
+    aw_m_matrix,
+    condition_number,
+    prob_vector,
+    q_matrix,
+    r_matrix,
+    random_density_matrix,
+)
 from spinportrait import io as fileio
 from spinportrait.cli import main
 from spinportrait.schemes import aw_directions, default_aw_grid, haar_unitary
@@ -416,3 +427,139 @@ class TestNonFiniteInputs:
         path = self._prob_with_nan(tmp_path)
         assert main(["invert", "--prob", path, "--out", str(tmp_path / "o.json")]) == 3
         assert "NaN probability" in capsys.readouterr().err
+
+
+def write_sun_frames(tmp_path, spin, seed, name="frames.json"):
+    rng = np.random.default_rng(seed)
+    path = str(tmp_path / name)
+    fileio.save_unitary_frames(path, [haar_unitary(spin.dim, rng) for _ in range(spin.two_j + 2)])
+    return path
+
+
+class TestForwardMatchesLibrary:
+    @pytest.mark.parametrize("weights", [None, "0.4,0.1,0.3,0.2"])
+    def test_sun_writes_prob_vector(self, tmp_path, weights):
+        spin = Spin(2)
+        rho = random_density_matrix(spin, np.random.default_rng(20))
+        state = write_state(tmp_path, spin, rho)
+        frames_path = write_sun_frames(tmp_path, spin, 21)
+        out = str(tmp_path / "prob.json")
+        args = ["forward", "--state", state, "--frames", frames_path, "--scheme", "sun"]
+        if weights is not None:
+            args += ["--weights", weights]
+        assert main(args + ["--out", out]) == 0
+        frames = fileio.load_unitary_frames(frames_path, spin.dim)
+        w = None if weights is None else [float(x) for x in weights.split(",")]
+        expected = prob_vector(spin, rho, frames, w).values
+        prob = fileio.load_prob(out)
+        assert np.abs(prob.values - expected).max() <= 1e-15
+        assert np.array_equal(prob.weights, np.full(4, 0.25) if w is None else w)
+
+    def test_sun_invalid_state_without_validation_is_3(self, tmp_path, capsys):
+        path = tmp_path / "bad_state.json"
+        write_json(path, {"two_j": 1, "re": [1.0, 0, 0, 1.0], "im": [0.0] * 4})
+        frames_path = write_sun_frames(tmp_path, Spin(1), 22)
+        out = tmp_path / "prob.json"
+        with pytest.warns(UserWarning, match="failed validation"):
+            code = main(["forward", "--state", str(path), "--frames", frames_path,
+                         "--scheme", "sun", "--no-validate", "--out", str(out)])
+        assert code == 3
+        assert "probabilities sum to" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["su2", "sun", "aw"])
+    def test_invert_prints_the_condition_number_once(self, tmp_path, capsys, scheme):
+        spin = Spin(1)
+        state = write_state(tmp_path, spin, random_density_matrix(spin, np.random.default_rng(23)))
+        if scheme == "sun":
+            frames_path = write_sun_frames(tmp_path, spin, 24)
+        elif scheme == "aw":
+            frames_path = str(tmp_path / "grid.json")
+            assert main(["aw-grid", "--two-j", "1", "--out", frames_path]) == 0
+        else:
+            frames_path = write_triad(tmp_path)
+        prob_path = str(tmp_path / "prob.json")
+        assert main(["forward", "--state", state, "--frames", frames_path, "--scheme", scheme,
+                     "--out", prob_path]) == 0
+        capsys.readouterr()
+        assert main(["invert", "--prob", prob_path, "--out", str(tmp_path / "back.json")]) == 0
+        prob = fileio.load_prob(prob_path)
+        forward = {
+            "su2": lambda: q_matrix(spin, prob.frames),
+            "sun": lambda: r_matrix(spin, prob.frames, prob.weights),
+            "aw": lambda: aw_m_matrix(spin, prob.frames),
+        }[scheme]()
+        lines = [line for line in capsys.readouterr().err.splitlines() if "condition number" in line]
+        assert lines == [f"condition number: {condition_number(forward):.6e}"]
+
+
+class TestMalformedInput:
+    def test_non_numeric_weight_is_2(self, tmp_path, capsys):
+        state = write_state(tmp_path, Spin(1), np.eye(2, dtype=complex) / 2.0)
+        out = str(tmp_path / "prob.json")
+        args = ["forward", "--state", state, "--frames", write_triad(tmp_path),
+                "--weights", "a,b,c", "--out", out]
+        assert main(args) == 2
+        assert capsys.readouterr().err.strip() == "error: --weights entry 'a' is not a number"
+
+    def test_weights_with_aw_scheme_is_2(self, tmp_path, capsys):
+        state = write_state(tmp_path, Spin(1), np.eye(2, dtype=complex) / 2.0)
+        grid = str(tmp_path / "grid.json")
+        assert main(["aw-grid", "--two-j", "1", "--out", grid]) == 0
+        out = tmp_path / "prob.json"
+        args = ["forward", "--state", state, "--frames", grid, "--scheme", "aw",
+                "--weights", "0.7,0.1,0.1,0.1", "--out", str(out)]
+        assert main(args) == 2
+        assert "--weights applies to the su2 and sun schemes only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_theta_is_2(self, tmp_path, capsys):
+        out = tmp_path / "grid.json"
+        assert main(["aw-grid", "--two-j", "1", "--thetas", "x,1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == "error: --thetas entry 'x' is not a number"
+        assert not out.exists()
+
+    def test_zero_delta_with_thetas_is_2(self, tmp_path, capsys):
+        out = tmp_path / "grid.json"
+        args = ["aw-grid", "--two-j", "1", "--thetas", "1.0,2.0", "--delta", "0", "--out", str(out)]
+        assert main(args) == 2
+        assert "twist delta must lie in (0, 1/2], got 0.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("record", [{"theta": "x", "phi": 0.0}, 1.5, [0.1, 0.2]])
+    def test_bad_direction_record_is_2(self, tmp_path, capsys, record):
+        state = write_state(tmp_path, Spin(1), np.eye(2, dtype=complex) / 2.0)
+        dirs_path = tmp_path / "dirs.json"
+        write_json(dirs_path, [TRIAD[0], record, TRIAD[2]])
+        out = str(tmp_path / "prob.json")
+        assert main(["forward", "--state", state, "--frames", str(dirs_path), "--out", out]) == 2
+        assert "directions file record 1 is not a theta/phi pair" in capsys.readouterr().err
+
+    def test_bad_direction_record_in_prob_file_is_2(self, tmp_path, capsys):
+        path = tmp_path / "prob.json"
+        write_json(path, {
+            "two_j": 1, "scheme": "su2", "frames": [TRIAD[0], TRIAD[1], 7],
+            "weights": [1 / 3] * 3, "values": [1 / 6] * 6,
+        })
+        assert main(["invert", "--prob", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        assert "frames record 2 is not a theta/phi pair" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("two_j", [1.7, True, 1.0, "1"])
+    def test_non_integer_two_j_is_refused(self, tmp_path, capsys, two_j):
+        state_path = tmp_path / "state.json"
+        write_json(state_path, {"two_j": two_j, "re": [0.5, 0.0, 0.0, 0.5], "im": [0.0] * 4})
+        with pytest.raises(DomainError, match="two_j must be a JSON integer"):
+            fileio.load_state(str(state_path))
+        out = str(tmp_path / "prob.json")
+        args = ["forward", "--state", str(state_path), "--frames", write_triad(tmp_path), "--out", out]
+        assert main(args) == 2
+        assert "two_j must be a JSON integer" in capsys.readouterr().err
+
+        prob_path = tmp_path / "bad_prob.json"
+        write_json(prob_path, {
+            "two_j": two_j, "scheme": "su2", "frames": TRIAD,
+            "weights": [1 / 3] * 3, "values": [1 / 6] * 6,
+        })
+        with pytest.raises(DomainError, match="two_j must be a JSON integer"):
+            fileio.load_prob(str(prob_path))
+        assert main(["invert", "--prob", str(prob_path), "--out", str(tmp_path / "o.json")]) == 2
