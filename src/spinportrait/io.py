@@ -54,8 +54,13 @@ def _load_json(path: str):
 
 
 def _matrix_from_parts(re, im, dim: int, what: str) -> np.ndarray:
-    re = np.asarray(re, dtype=float)
-    im = np.asarray(im, dtype=float)
+    try:
+        re = np.asarray(re, dtype=float)
+        im = np.asarray(im, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} re/im entries are not lists of numbers") from None
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise DomainError(f"{what} has a non-finite or null re/im entry")
     if re.size != dim * dim or im.size != dim * dim:
         raise DomainError(
             f"{what} needs {dim * dim} re/im entries, got {re.size}/{im.size}"
@@ -139,10 +144,18 @@ def _frame_records(frames) -> list:
 def _read_frames(records, dim: int, validate: bool, what: str) -> list:
     """Unitary frames from row-major {"re", "im"} records.
 
-    A frame that is not unitary to 1e-12 raises InvariantError, or only warns
-    when ``validate`` is false.
+    A malformed record raises DomainError; a frame that is not unitary to
+    1e-12 raises InvariantError, or only warns when ``validate`` is false.
     """
-    frames = [_matrix_from_parts(rec["re"], rec["im"], dim, what) for rec in records]
+    if not isinstance(records, list):
+        raise DomainError(f"{what}s must be a JSON list")
+    frames = []
+    for i, rec in enumerate(records):
+        try:
+            re, im = rec["re"], rec["im"]
+        except (TypeError, KeyError):
+            raise DomainError(f"{what} {i} is not an re/im record: {rec!r}") from None
+        frames.append(_matrix_from_parts(re, im, dim, f"{what} {i}"))
     bad = [i for i, u in enumerate(frames) if unitarity_defect(u) > 1e-12]
     if bad:
         message = f"{what} {bad[0]} is not unitary to 1e-12"
@@ -157,10 +170,7 @@ def save_unitary_frames(path: str, frames):
 
 
 def load_unitary_frames(path: str, dim: int, validate: bool = True):
-    raw = _load_json(path)
-    if not isinstance(raw, list):
-        raise DomainError("frames file must be a JSON list")
-    return _read_frames(raw, dim, validate, "frame")
+    return _read_frames(_load_json(path), dim, validate, "frame")
 
 
 @dataclass
@@ -202,6 +212,9 @@ def load_prob(path: str, validate: bool = True) -> ProbFile:
     values = np.asarray(raw["values"], dtype=float)
     try:
         validate_weights(weights, len(frames))
+        equal = validate_weights(None, len(frames))
+        if scheme == "aw" and not np.array_equal(weights, equal):
+            raise DomainError("aw probability files carry the equal priors 1/n only")
         expected = len(frames) if scheme == "aw" else len(frames) * spin.dim
         if values.size != expected:
             raise InvariantError(

@@ -14,6 +14,7 @@ from spinportrait import (
     optimize,
     s_operator,
 )
+from spinportrait.orthopoly import s_operator_stack
 
 settings.register_profile(
     "suite",
@@ -90,6 +91,11 @@ def random_direction_set(spin: Spin, rng: np.random.Generator) -> DirectionSet:
     )
 
 
+def assert_relative(value, reference, rtol=1e-12):
+    value, reference = np.asarray(value), np.asarray(reference)
+    assert np.abs(value - reference).max() <= rtol * max(1.0, np.abs(reference).max())
+
+
 def loop_quantizer(spin: Spin, k: int, two_m: int, ds: DirectionSet) -> np.ndarray:
     """Quantizer of direction k summed shell by shell from explicit Gram inverses.
 
@@ -104,3 +110,13 @@ def loop_quantizer(spin: Spin, k: int, two_m: int, ds: DirectionSet) -> np.ndarr
         dual = sum(minv[k, kp] * s_operator(spin, L, n) for kp, n in enumerate(ds.shell(L)))
         out += ds.n_dirs * table[L, spin.m_index(two_m)] * dual
     return out
+
+
+def shell_sum_quantizer(spin: Spin, two_m: int, n: Direction) -> np.ndarray:
+    """Continuous quantizer D(m, n) = sum_L (2L+1) f_L(m) S_L(n) over one S_L stack.
+
+    The shell expansion term by term: the reference for the frame-diagonal
+    form V diag(K[m]) V^dag and for the sphere inversion built on it.
+    """
+    weights = (2 * np.arange(spin.dim) + 1) * coeff_table(spin)[:, spin.m_index(two_m)]
+    return np.einsum("L,Lab->ab", weights, s_operator_stack(spin, n))

@@ -544,6 +544,86 @@ class TestMalformedInput:
         assert main(["invert", "--prob", str(path), "--out", str(tmp_path / "o.json")]) == 2
         assert "frames record 2 is not a theta/phi pair" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "frames, message",
+        [
+            ([1.5, 2.5, 3.5], "frame 0 is not an re/im record"),
+            ([[1, 2], [3, 4]], "frame 0 is not an re/im record"),
+            ([{"re": [1.0, 0.0, 0.0, 1.0]}], "frame 0 is not an re/im record"),
+            ([{"re": ["x", 0, 0, 1], "im": [0] * 4}], "frame 0 re/im entries are not lists of numbers"),
+            ([{"re": [1, 0, 0, None], "im": [0] * 4}], "frame 0 has a non-finite or null re/im entry"),
+            ({"re": [1, 0, 0, 1], "im": [0] * 4}, "frames must be a JSON list"),
+        ],
+    )
+    def test_bad_unitary_frame_record_is_2(self, tmp_path, capsys, frames, message):
+        state = write_state(tmp_path, Spin(1), np.eye(2, dtype=complex) / 2.0)
+        frames_path = tmp_path / "frames.json"
+        write_json(frames_path, frames)
+        out = tmp_path / "prob.json"
+        args = ["forward", "--state", state, "--frames", str(frames_path), "--scheme", "sun",
+                "--out", str(out)]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_frame_record_in_sun_prob_file_is_2(self, tmp_path, capsys):
+        path = tmp_path / "prob.json"
+        identity = {"re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
+        write_json(path, {
+            "two_j": 1, "scheme": "sun", "frames": [identity, identity, "u"],
+            "weights": [1 / 3] * 3, "values": [1 / 6] * 6,
+        })
+        assert main(["invert", "--prob", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        assert "probability file frame 2 is not an re/im record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "re, message",
+        [
+            (["x", 0.0, 0.0, 0.5], "state file re/im entries are not lists of numbers"),
+            ([[0.5, 0.0], [0.0]], "state file re/im entries are not lists of numbers"),
+            ([0.5, 0.0, 0.0, None], "state file has a non-finite or null re/im entry"),
+        ],
+    )
+    def test_bad_state_entries_are_2(self, tmp_path, capsys, re, message):
+        state_path = tmp_path / "state.json"
+        write_json(state_path, {"two_j": 1, "re": re, "im": [0.0] * 4})
+        with pytest.raises(DomainError, match=message):
+            fileio.load_state(str(state_path))
+        out = tmp_path / "prob.json"
+        args = ["forward", "--state", str(state_path), "--frames", write_triad(tmp_path),
+                "--out", str(out)]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def _aw_prob_with_weights(self, tmp_path, weights):
+        state = write_state(tmp_path, Spin(1), random_density_matrix(Spin(1), np.random.default_rng(4)))
+        grid = str(tmp_path / "grid.json")
+        assert main(["aw-grid", "--two-j", "1", "--out", grid]) == 0
+        path = tmp_path / "prob.json"
+        assert main(["forward", "--state", state, "--frames", grid, "--scheme", "aw",
+                     "--out", str(path)]) == 0
+        raw = json.loads(path.read_text())
+        raw["weights"] = weights
+        write_json(path, raw)
+        return str(path)
+
+    def test_aw_prob_file_with_unequal_weights_is_2(self, tmp_path, capsys):
+        path = self._aw_prob_with_weights(tmp_path, [0.7, 0.1, 0.1, 0.1])
+        with pytest.raises(DomainError, match="equal priors"):
+            fileio.load_prob(path)
+        out = tmp_path / "back.json"
+        assert main(["invert", "--prob", path, "--out", str(out)]) == 2
+        assert "aw probability files carry the equal priors 1/n only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_aw_prob_file_with_unequal_weights_warns_without_validation(self, tmp_path):
+        path = self._aw_prob_with_weights(tmp_path, [0.7, 0.1, 0.1, 0.1])
+        out = tmp_path / "back.json"
+        with pytest.warns(UserWarning, match="equal priors"):
+            code = main(["invert", "--prob", path, "--no-validate", "--out", str(out)])
+        assert code == 0 and out.exists()
+
     @pytest.mark.parametrize("two_j", [1.7, True, 1.0, "1"])
     def test_non_integer_two_j_is_refused(self, tmp_path, capsys, two_j):
         state_path = tmp_path / "state.json"

@@ -20,7 +20,6 @@ from spinportrait import (
     p_to_w,
     prob_vector,
     quantizer,
-    quantizer_continuous,
     random_density_matrix,
     sphere_quadrature,
     star_apply,
@@ -31,7 +30,7 @@ from spinportrait import (
     w_to_p,
 )
 from spinportrait.orthopoly import s_operator_stack
-from conftest import loop_quantizer, random_direction_set
+from conftest import assert_relative, loop_quantizer, random_direction_set, shell_sum_quantizer
 
 
 # Reference implementations: each kernel evaluated entry by entry from its
@@ -122,16 +121,11 @@ def w_to_p_by_nodes(spin, ds, tomogram_fn) -> np.ndarray:
     out = np.zeros(u_stack.shape[0])
     for n_prime, weight in zip(nodes, weights):
         acc = sum(
-            tomogram_fn(m_p, n_prime) * quantizer_continuous(spin, m_p, n_prime)
+            tomogram_fn(m_p, n_prime) * shell_sum_quantizer(spin, m_p, n_prime)
             for m_p in spin.two_m_values()
         )
         out += weight * np.real(np.einsum("Iab,ba->I", u_stack, acc))
     return out
-
-
-def assert_relative(value, reference, rtol=1e-12):
-    value, reference = np.asarray(value), np.asarray(reference)
-    assert np.abs(value - reference).max() <= rtol * max(1.0, np.abs(reference).max())
 
 
 def coplanar_triad():

@@ -14,6 +14,7 @@ from spinportrait import (
     rotation,
     s_operator,
 )
+from spinportrait.orthopoly import MAX_TWO_J
 
 SQRT2 = math.sqrt(2.0)
 SQRT6 = math.sqrt(6.0)
@@ -59,11 +60,18 @@ class TestCoeffTable:
         )
         assert np.abs(coeff_table(spin)[1] - expected).max() < 1e-13
 
-    @pytest.mark.parametrize("two_j", range(0, 13))
+    @pytest.mark.parametrize("two_j", range(0, MAX_TWO_J + 1))
     def test_orthonormality(self, two_j):
         table = coeff_table(Spin(two_j))
         defect = np.abs(table @ table.T - np.eye(two_j + 1)).max()
-        assert defect < 1e-11
+        # the stated range is orthonormal to 1e-10; the low spins to 1e-11
+        assert defect < (1e-11 if two_j <= 12 else 1e-10)
+
+    def test_above_validated_range_raises(self):
+        with pytest.raises(DomainError, match="orthonormal"):
+            coeff_table(Spin(MAX_TWO_J + 1))
+        with pytest.raises(DomainError):
+            s_operator(Spin(MAX_TWO_J + 1), 0, Direction(0.0, 0.0))
 
     @pytest.mark.parametrize("two_j", range(1, 13))
     def test_constant_row_and_parity(self, two_j):

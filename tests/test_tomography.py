@@ -8,6 +8,7 @@ from spinportrait import (
     Direction,
     DomainError,
     Spin,
+    coeff_table,
     dequantizer,
     quantizer_continuous,
     random_density_matrix,
@@ -17,12 +18,70 @@ from spinportrait import (
     tomogram,
     tomogram_column,
 )
+from spinportrait.orthopoly import s_operator_stack
+from spinportrait.tomography import tomogram_columns
+from conftest import assert_relative, shell_sum_quantizer
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def sphere_nodes_by_loop(spin, n_theta=None, n_phi=None):
+    """Quadrature nodes and weights from a double loop, polar nodes outermost."""
+    n_theta = 2 * (spin.two_j + 1) if n_theta is None else n_theta
+    n_phi = 2 * (2 * spin.two_j + 2) if n_phi is None else n_phi
+    nodes, gl_weights = np.polynomial.legendre.leggauss(n_theta)
+    thetas = np.arccos(nodes)
+    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    dirs = []
+    weights = []
+    for theta, gw in zip(thetas, gl_weights):
+        for phi in phis:
+            dirs.append(Direction(float(theta), float(phi)))
+            weights.append(gw / (2.0 * n_phi))
+    return dirs, np.array(weights)
+
+
+def reconstruct_by_nodes(spin, tomogram_fn, n_theta=None, n_phi=None):
+    """Sphere inversion node by node: one S_L stack and one shell sum per node."""
+    dirs, weights = sphere_quadrature(spin, n_theta, n_phi)
+    d = spin.dim
+    weighted_table = (2 * np.arange(d)[:, None] + 1) * coeff_table(spin)
+    rho = np.zeros((d, d), dtype=complex)
+    for direction, weight in zip(dirs, weights):
+        stack = s_operator_stack(spin, direction)
+        w_col = np.array(
+            [tomogram_fn(two_m, direction) for two_m in spin.two_m_values()]
+        )
+        rho += weight * np.tensordot(weighted_table @ w_col, stack, axes=1)
+    return rho
+
+
+# (n_theta, n_phi) per spin: the defaults, the exactness thresholds, and more
+# nodes than the defaults with odd counts
+QUADRATURES = {
+    "default": lambda two_j: (None, None),
+    "minimal": lambda two_j: (two_j + 1, 2 * two_j + 2),
+    "oversized": lambda two_j: (2 * two_j + 5, 4 * two_j + 9),
+}
+
+
+def table_callback(spin, op, n_theta=None, n_phi=None):
+    """w(m, n) = Re Tr(op U(m, n)) read from a table filled on the quadrature nodes."""
+    dirs, _ = sphere_quadrature(spin, n_theta, n_phi)
+    cols = tomogram_columns(spin, op, dirs)
+    table = {(n.theta, n.phi): col for n, col in zip(dirs, cols)}
+    return lambda two_m, n: float(table[(n.theta, n.phi)][spin.m_index(two_m)])
+
+
+def random_operator(spin, kind, rng):
+    if kind == "state":
+        return random_density_matrix(spin, rng)
+    g = rng.normal(size=(spin.dim, spin.dim)) + 1j * rng.normal(size=(spin.dim, spin.dim))
+    return g + g.conj().T
 
 
 def bloch_state(r) -> np.ndarray:
@@ -114,6 +173,21 @@ class TestQuantizerContinuous:
         d = quantizer_continuous(Spin(1), 1, Direction(0.0, 0.0))
         assert np.abs(d - np.diag([2.0, -1.0])).max() < 1e-13
 
+    @pytest.mark.parametrize("two_j", [1, 2, 4, 8])
+    def test_matches_shell_sum(self, two_j):
+        spin = Spin(two_j)
+        rng = np.random.default_rng(two_j)
+        dirs = [Direction(0.0, 0.0), Direction(math.pi, 1.3)] + [
+            Direction(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+            for _ in range(3)
+        ]
+        for n in dirs:
+            for two_m in spin.two_m_values():
+                assert_relative(
+                    quantizer_continuous(spin, two_m, n),
+                    shell_sum_quantizer(spin, two_m, n),
+                )
+
     @pytest.mark.parametrize("two_j", [1, 2, 3])
     def test_unit_trace(self, two_j):
         spin = Spin(two_j)
@@ -137,6 +211,17 @@ class TestSphereQuadrature:
     def test_minimal_sizes_accepted(self):
         dirs, weights = sphere_quadrature(Spin(2), n_theta=3, n_phi=6)
         assert len(dirs) == 18 and weights.size == 18
+
+    @pytest.mark.parametrize("size", sorted(QUADRATURES))
+    @pytest.mark.parametrize("two_j", range(0, 17))
+    def test_nodes_bitwise_equal_to_double_loop(self, two_j, size):
+        spin = Spin(two_j)
+        n_theta, n_phi = QUADRATURES[size](two_j)
+        dirs, weights = sphere_quadrature(spin, n_theta, n_phi)
+        ref_dirs, ref_weights = sphere_nodes_by_loop(spin, n_theta, n_phi)
+        assert [(n.theta, n.phi) for n in dirs] == [(n.theta, n.phi) for n in ref_dirs]
+        assert weights.dtype == ref_weights.dtype
+        assert np.array_equal(weights, ref_weights)
 
 
 class TestReconstructFromSphere:
@@ -179,3 +264,36 @@ class TestReconstructFromSphere:
             ),
         )
         assert np.abs(rec - a).max() < 1e-10
+
+    @pytest.mark.parametrize("kind", ["state", "hermitian"])
+    @pytest.mark.parametrize("size", sorted(QUADRATURES))
+    @pytest.mark.parametrize("two_j", [1, 2, 4, 8])
+    def test_matches_node_by_node_oracle(self, two_j, size, kind):
+        spin = Spin(two_j)
+        n_theta, n_phi = QUADRATURES[size](two_j)
+        op = random_operator(spin, kind, np.random.default_rng(two_j))
+        fn = table_callback(spin, op, n_theta, n_phi)
+        rec = reconstruct_from_sphere(spin, fn, n_theta, n_phi)
+        assert_relative(rec, reconstruct_by_nodes(spin, fn, n_theta, n_phi))
+        assert np.abs(rec - op).max() < 1e-10 * max(1.0, np.abs(op).max())
+
+    def test_callback_order_is_theta_major_descending_m(self):
+        spin = Spin(3)
+        calls = []
+
+        def fn(two_m, n):
+            calls.append((two_m, n.theta, n.phi))
+            return 0.25
+
+        reconstruct_from_sphere(spin, fn, n_theta=4, n_phi=9)
+        dirs, _ = sphere_nodes_by_loop(spin, 4, 9)
+        assert calls == [
+            (two_m, n.theta, n.phi) for n in dirs for two_m in spin.two_m_values()
+        ]
+
+    def test_repeated_calls_bitwise_equal(self):
+        spin = Spin(4)
+        fn = table_callback(spin, random_density_matrix(spin, np.random.default_rng(2)))
+        assert np.array_equal(
+            reconstruct_from_sphere(spin, fn), reconstruct_from_sphere(spin, fn)
+        )
