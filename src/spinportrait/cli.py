@@ -31,15 +31,15 @@ from .region import SliceEntry, SliceSpec, sample_region, write_region_csv
 from .schemes import (
     AWGrid,
     UnitaryFrameSet,
+    _aw_solver,
     aw_directions,
-    aw_m_matrix,
     aw_normalized_forward,
     aw_reconstruct,
     default_aw_grid,
     reconstruct_pinv,
 )
 from .spin import Direction, Spin, validate_density_matrix
-from .su2 import DirectionSet, quantizer_stack, reconstruct
+from .su2 import DirectionSet, least_squares, reconstruct
 from .tomography import forward_matrix
 
 
@@ -83,16 +83,15 @@ def cmd_invert(args) -> int:
     spin, frames = prob.spin, prob.frames
     if prob.scheme == "aw":
         rho = aw_reconstruct(spin, prob.values, frames, normalized=True)
-        forward = aw_m_matrix(spin, frames)
+        s, _ = _aw_solver(spin, tuple(frames))
     elif prob.scheme == "sun":
-        p = ProbVector(spin, len(frames), prob.values)
-        rho = reconstruct_pinv(p, UnitaryFrameSet(spin, frames), prob.weights)
-        forward = forward_matrix(spin, frames, prob.weights)
+        ufs = UnitaryFrameSet(spin, frames)
+        rho = reconstruct_pinv(ProbVector(spin, len(frames), prob.values), ufs, prob.weights)
+        s, _ = least_squares(ufs, prob.weights)
     else:
         ds = DirectionSet(spin, frames)
-        quantizer_stack(ds)  # refuses an infeasible set before the prior checks
         p = ProbVector(spin, len(frames), prob.values)
-        if np.abs(p.block_sums() - 1.0 / len(frames)).max() > 1e-12:
+        if not np.abs(p.block_sums() - 1.0 / len(frames)).max() <= 1e-12:
             print(
                 "notice: probabilities carry non-equal priors; renormalizing "
                 "to the equal-weight form",
@@ -100,8 +99,9 @@ def cmd_invert(args) -> int:
             )
             p = normalize_to_eq(p)
         rho = reconstruct(p, ds)
-        forward = forward_matrix(spin, frames)
-    print(f"condition number: {condition_number(forward):.6e}", file=sys.stderr)
+        s, _ = least_squares(ds)
+    # the conditioning of the inverse just applied, from its memoized singular values
+    print(f"condition number: {s[0] / s[-1]:.6e}", file=sys.stderr)
     if not args.no_validate:
         validate_density_matrix(spin, rho, trace_tol=1e-9, eig_tol=1e-8)
     fileio.save_state(args.out, spin, rho)

@@ -11,6 +11,12 @@ from .errors import DomainError
 
 SQRT2 = math.sqrt(2.0)
 
+# The relative rank rules, each a fraction of the largest singular value or
+# eigenvalue below which a map counts as singular:
+LSQ_RTOL = 1e-8  # the least-squares inverse of the su2 and sun forward maps
+AW_RTOL = 1e-10  # the highest-projection grid matrix
+BLOCK_RTOL = 1e-12  # each nested shell Gram block M(L) behind the su2 quantizers
+
 
 @lru_cache(maxsize=16)
 def _upper(dim: int):
@@ -46,7 +52,7 @@ def projector_coords(kets) -> np.ndarray:
     and the rows (or the probabilities Tr(rho |v><v|) = row . coords(rho))
     follow from here.
     """
-    kets = np.asarray(kets, dtype=complex)
+    kets = np.ascontiguousarray(kets, dtype=complex)  # fast gathers below
     rows, cols = _upper(kets.shape[-1])
     upper = kets[..., rows] * kets[..., cols].conj()
     diag = kets.real * kets.real + kets.imag * kets.imag
@@ -86,28 +92,29 @@ def validate_weights(weights, n: int) -> np.ndarray:
     return w
 
 
-def numerical_rank(a: np.ndarray, rtol: float = 1e-8) -> int:
+def numerical_rank(a: np.ndarray, rtol: float = LSQ_RTOL) -> int:
     """Rank by singular-value threshold rtol * sigma_max."""
     return _rank(np.linalg.svd(np.asarray(a), compute_uv=False), rtol)
 
 
 def svd_inverse(a: np.ndarray, rtol: float):
-    """Numerical rank of ``a`` and, for full column rank, its pseudo-inverse.
+    """Singular values of ``a`` and, for full column rank, its pseudo-inverse.
 
-    Returns ``(rank, inverse)`` from one SVD, with the rank counted as in
-    :func:`numerical_rank`; ``inverse`` (read-only) is None when the columns
-    are dependent at ``rtol``.
+    Returns ``(s, inverse)`` from one SVD: ``s`` descending, and ``inverse``
+    None when the columns are dependent at ``rtol`` (rank counted as in
+    :func:`numerical_rank`).  Both arrays are read-only.
     """
     u, s, vt = np.linalg.svd(np.asarray(a), full_matrices=False)
-    rank = _rank(s, rtol)
-    if rank < vt.shape[1]:
-        return rank, None
+    s.flags.writeable = False
+    if _rank(s, rtol) < vt.shape[1]:
+        return s, None
     inverse = (vt.conj().T / s) @ u.conj().T
     inverse.flags.writeable = False
-    return rank, inverse
+    return s, inverse
 
 
 def _rank(s: np.ndarray, rtol: float) -> int:
+    """Count of the descending singular values ``s`` above rtol * s[0]."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rtol * s[0]))

@@ -2,11 +2,14 @@
 
 Noise in the measured probabilities propagates into the reconstructed state
 with a factor controlled by the conditioning of the forward map, and the
-larger the product of shell Gram determinants, the better conditioned the
-inversion.  The search maximizes either that log-product, INFEASIBLE at the
-first shell su2 refuses (one without det M(L) >= GRAM_DET_FLOOR), or the
-negated condition number over the direction angles, with the orientation gauge
-fixed (first direction pinned to +z, second to the phi = 0 half-plane).
+larger the product of the nested shell Gram determinants, the better
+conditioned the inversion.  The search maximizes either that log-product
+(D-optimal design over the leading blocks M(L)), INFEASIBLE for a set with a
+block of det M(L) below the objective's own cut _DET_CUT = 1e-12 (or NaN), or
+the negated condition number of the forward map, over the direction angles,
+with the orientation gauge fixed (first direction pinned to +z, second to the
+phi = 0 half-plane).  The cut is the objective's alone: su2 inverts sets
+by a relative rank rule, and the objective only needs a finite logarithm.
 
 The optimizer is a seeded multi-restart compass search: deterministic for a
 fixed seed, monotone in the objective, and terminating once the step shrinks
@@ -33,9 +36,10 @@ import numpy as np
 from .errors import DomainError, OptimizationError
 from .linalg import condition_number
 from .spin import Direction, Spin
-from .su2 import DirectionSet, _refused, _shell_grams, q_matrix
+from .su2 import DirectionSet, _shell_grams, q_matrix
 
 INFEASIBLE = -1e18
+_DET_CUT = 1e-12  # a gram-product set with a smaller (or NaN) det M(L) scores INFEASIBLE
 
 # Trials scored per stacked evaluation of a compass sweep (_compass_search).
 # Longer batches waste the rows after an accepted trial, shorter ones pay the
@@ -68,14 +72,14 @@ class OptimizerConfig:
 def _log_dets(vectors: np.ndarray) -> list:
     """Sum of log det M(L) over the shells of each stacked set (k, N, 3).
 
-    A set gets INFEASIBLE if su2 refuses any of its shells.  The logs are
+    A set gets INFEASIBLE if any det M(L) is below _DET_CUT.  The logs are
     ``math.log`` summed in shell order, so a set scores the same alone or in
     any stack.
     """
     dets = np.empty(((vectors.shape[-2] + 1) // 2, len(vectors)))
     for L, (_, det) in enumerate(_shell_grams(vectors)):
         dets[L] = det
-    feasible = ~_refused(dets).any(axis=0)
+    feasible = (dets >= _DET_CUT).all(axis=0)
     return [
         sum(map(math.log, row), 0.0) if ok else INFEASIBLE
         for row, ok in zip(dets.T.tolist(), feasible.tolist())
@@ -86,7 +90,7 @@ def objective(ds: DirectionSet, kind: str = "gram-product") -> float:
     """Scalar figure of merit for a direction set (larger is better).
 
     ``gram-product`` returns log prod_L det M(L), with the sentinel -1e18
-    standing in for -infinity whenever su2 refuses a shell, so line searches
+    standing in for -infinity below the determinant cut, so line searches
     can step across infeasible regions.  ``condition-number`` returns the
     negated condition number of the equal-weight forward map.
     """

@@ -18,6 +18,7 @@ Tr(S_L(n) S_L'(n')) = delta_LL' * P_L(n . n') with P_L the Legendre polynomial.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import islice
 from typing import Sequence
 
@@ -62,6 +63,24 @@ def coeff_table(spin: Spin) -> np.ndarray:
             row = -row
         table[L] = row
     return table
+
+
+@lru_cache(maxsize=16)
+def _jacobi_table(spin: Spin) -> np.ndarray:
+    """:func:`coeff_table` to machine precision at any spin (read-only).
+
+    Column i of the eigenvectors of the recurrence's Jacobi matrix (off
+    diagonal sqrt(beta_k); the constant alpha only shifts the eigenvalues
+    x_i, which lie one apart) holds f_L(x_i), L = 0..2j, with no lost digits.
+    """
+    n = spin.dim
+    k = np.arange(1, n)
+    off = np.sqrt(k * k * (n * n - k * k) / (4.0 * (4 * k * k - 1)))
+    _, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    vecs = vecs[:, ::-1] * np.sign(vecs[0, ::-1])  # descending m, f_0 > 0
+    vecs *= np.sign(vecs[:, :1])  # f_L(+j) > 0
+    vecs.flags.writeable = False
+    return vecs
 
 
 def s_operator(spin: Spin, L: int, frame: Frame) -> np.ndarray:

@@ -31,16 +31,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, FeasibilityError
-from .linalg import (
-    projector_coords,
-    svd_inverse,
-    validate_weights,
-    vec_to_hermitian,
-)
+from .linalg import AW_RTOL, projector_coords, svd_inverse, vec_to_hermitian
 from .orthopoly import assoc_legendre, s_operator_stacks
 from .portrait import ProbVector
 from .spin import Direction, Spin, frame_matrices, unitarity_defect
-from .su2 import DirectionSet, _shell_grams
+from .su2 import DirectionSet, _admitted_grams, least_squares
 from .tomography import forward_matrix, tomogram_columns
 
 
@@ -49,8 +44,8 @@ class UnitaryFrameSet:
     """2j+2 unitary frames of dimension 2j+1, the minimal injective count.
 
     Compared and hashed by identity, since the frames are arrays.  The inverse
-    maps of ``reconstruct_pinv`` are memoized per (set, prior weights) in one
-    least-recently-used cache of 16 entries shared by all sets.
+    maps of ``reconstruct_pinv`` are memoized per (set, prior weights) in the
+    one cache of ``su2.least_squares``.
     """
 
     spin: Spin
@@ -70,7 +65,7 @@ class UnitaryFrameSet:
         for u in frames:
             if u.shape != (spin.dim, spin.dim):
                 raise DomainError(f"frame shape {u.shape} != dim {spin.dim}")
-            if unitarity_defect(u) > 1e-12:
+            if not unitarity_defect(u) <= 1e-12:
                 raise DomainError("frame is not unitary to 1e-12")
 
 
@@ -121,31 +116,18 @@ def mu_bound(gamma: float) -> float:
     return (1.0 + root) / (1.0 - root)
 
 
-@lru_cache(maxsize=16)
-def _pinv_solver(ufs: UnitaryFrameSet, weights: bytes):
-    """Rank verdict (rtol 1e-8) and pseudo-inverse of the frame map, from one SVD."""
-    return svd_inverse(
-        forward_matrix(ufs.spin, ufs.frames, np.frombuffer(weights)), rtol=1e-8
-    )
-
-
 def reconstruct_pinv(p: ProbVector, ufs: UnitaryFrameSet, weights=None) -> np.ndarray:
     """Least-squares inverse of the unitary-frame forward map.
 
     Solves the overdetermined system through the SVD pseudo-inverse rather
     than the normal equations, which would square the conditioning.  The rank
-    verdict and the pseudo-inverse are memoized per (frame set, weights).
+    verdict and the pseudo-inverse are memoized per (frame set, weights) by
+    :func:`su2.least_squares`, whose rule and refusal su2 shares.
     """
     spin = ufs.spin
-    n = len(ufs.frames)
-    if p.spin != spin or p.n_rotations != n:
+    if p.spin != spin or p.n_rotations != len(ufs.frames):
         raise DomainError("probability vector does not match the frame set")
-    w = validate_weights(weights, n)
-    rank, inverse = _pinv_solver(ufs, w.tobytes())
-    if inverse is None:
-        raise FeasibilityError(
-            f"frame forward map has rank {rank} < {spin.dim * spin.dim}"
-        )
+    _, inverse = least_squares(ufs, weights)
     return vec_to_hermitian(inverse @ p.values, spin.dim)
 
 
@@ -209,8 +191,8 @@ def aw_forward(spin: Spin, rho: np.ndarray, dirs: Sequence[Direction]) -> np.nda
 
 @lru_cache(maxsize=16)
 def _aw_solver(spin: Spin, dirs: tuple):
-    """Rank verdict (rtol 1e-10) and inverse of the grid matrix, from one SVD."""
-    return svd_inverse(aw_m_matrix(spin, dirs), rtol=1e-10)
+    """Singular values and inverse (rule AW_RTOL) of the grid matrix, one SVD."""
+    return svd_inverse(aw_m_matrix(spin, dirs), AW_RTOL)
 
 
 def aw_reconstruct(
@@ -252,7 +234,8 @@ def newton_young_directions(spin: Spin, theta: float) -> DirectionSet:
 
     Requires P_L^m(cos theta) != 0 for all m <= L <= 2j (checked numerically
     to 1e-10); the equator, for example, is rejected for every spin because
-    P_1^0(0) = 0.  The shells are then checked as su2 checks any set.
+    P_1^0(0) = 0.  The shell blocks are then checked as the su2 quantizers
+    check any set.
     """
     theta = float(theta)
     if not (0.0 < theta < math.pi):
@@ -270,5 +253,5 @@ def newton_young_directions(spin: Spin, theta: float) -> DirectionSet:
         Direction(theta, 2.0 * math.pi * k / n_u) for k in range(n_u)
     ]
     ds = DirectionSet(spin, dirs)
-    list(_shell_grams(ds.unit_vectors(), checked=True))  # refuses a singular shell
+    list(_admitted_grams(ds.unit_vectors()))  # refuses a singular block
     return ds

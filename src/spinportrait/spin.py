@@ -192,7 +192,7 @@ def frame_matrices(spin: Spin, frames: Sequence[Frame]) -> np.ndarray:
         u = np.asarray(frame, dtype=complex)
         if u.shape != (spin.dim, spin.dim):
             raise DomainError(f"frame shape {u.shape} does not match dim {spin.dim}")
-        if unitarity_defect(u) > 1e-12:
+        if not unitarity_defect(u) <= 1e-12:
             raise InvariantError("frame matrix is not unitary to 1e-12")
         out[k] = u
     return out
@@ -218,16 +218,18 @@ def validate_density_matrix(spin: Spin, rho, trace_tol=1e-12, eig_tol=1e-10):
     """Check Hermiticity, unit trace, and positive semidefiniteness.
 
     Raises InvariantError on violation; returns the matrix as a complex array.
+    Every test is written to fail on NaN, so a NaN matrix raises.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (spin.dim, spin.dim):
         raise DomainError(f"density matrix shape {rho.shape} != dim {spin.dim}")
-    if hermiticity_defect(rho) > 1e-12:
+    if not hermiticity_defect(rho) <= 1e-12:
         raise InvariantError("density matrix is not Hermitian to 1e-12")
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
-        raise InvariantError(f"density matrix trace {np.trace(rho)} != 1")
+    trace = np.trace(rho)
+    if not (abs(trace.real - 1.0) <= trace_tol and abs(trace.imag) <= trace_tol):
+        raise InvariantError(f"density matrix trace {trace} != 1")
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
-    if min_eig < -eig_tol:
+    if not min_eig >= -eig_tol:
         raise InvariantError(f"density matrix has eigenvalue {min_eig} < -{eig_tol}")
     return rho
 

@@ -1,25 +1,25 @@
-"""Finite SU(2) scheme: 4j+1 directions, Gram feasibility, and the inverse map.
+"""Finite SU(2) scheme: 4j+1 directions, their least-squares inverse and quantizers.
 
-A state of spin j is encoded in the (2j+1)(4j+1) probabilities obtained by
-measuring all projections along 4j+1 directions.  The directions carry a
-nested shell structure, the first 2L+1 of them serving the degree-L operator
-subspace; direction k (0-based) therefore contributes to every shell with
-L >= ceil(k/2).  Reconstruction inverts one Gram matrix per shell,
+A spin-j state is encoded in the (2j+1)(4j+1) probabilities of all
+projections along 4j+1 directions.  The degree-L parts S_L(n_k) of the
+measured projectors overlap as M(L)_ik = Tr(S_L(n_i) S_L(n_k)) = P_L(n_i . n_k),
+so the equal-weight forward map Q is block-diagonal by shell, with singular
+values sqrt(lambda)/N for the top 2L+1 eigenvalues of P_L(n_i . n_k) over all
+N directions.  :func:`reconstruct` applies its pseudo-inverse, the canonical
+dual frame and the linear inverse of least error (A. J. Scott, J. Phys. A 39,
+13507 (2006)), built shell by shell from the addition theorem's factor
+P_L(n_i . n_k) = Y_L Y_L^T; :func:`least_squares` shares its memo, rank rule
+(LSQ_RTOL) and refusal with the sun frames.
 
-    M(L)_ik = Tr(S_L(n_i) S_L(n_k)) = P_L(n_i . n_k),
-
-and the scheme is feasible exactly when every shell determinant is nonzero.
-One Legendre recurrence builds every M(L), and one floor rule judges them for
-every user: a set is refused at its first shell without det >= GRAM_DET_FLOOR.
-The dual operators built from the Gram inverses assemble the quantizer, and
-
-    rho = sum_{L, k <= 2L, m} P_eq(m, n_k) D_L(m, k)
-
-recovers the state from the equal-weight probability vector.
+The paper's nested quantizers serve shell L by the first 2L+1 directions and
+invert each leading block M(L), rho = sum_{L, k <= 2L, m} P_eq(m, n_k) D_L(m, k).
+They carry the symbol calculus and the region's candidate map, and refuse a
+set at its first block with lambda_min(M(L)) <= BLOCK_RTOL lambda_max(M(L)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -28,18 +28,26 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, FeasibilityError
+from .linalg import (
+    BLOCK_RTOL,
+    LSQ_RTOL,
+    SQRT2,
+    _rank,
+    projector_coords,
+    svd_inverse,
+    validate_weights,
+    vec_to_hermitian,
+)
 from .orthopoly import (
-    assoc_legendre,
+    _jacobi_table,
     coeff_table,
     legendre_series,
     s_operator_stack,
     s_operator_stacks,
 )
 from .portrait import ProbVector, _layout_index
-from .spin import Direction, Spin
+from .spin import Direction, Spin, frame_matrices
 from .tomography import forward_matrix
-
-GRAM_DET_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,29 +87,59 @@ def _check_spin(spin: Spin, ds: DirectionSet):
         raise DomainError(f"{spin} does not match the direction set's {ds.spin}")
 
 
-def _refused(det):
-    """The one floor rule: True where a shell determinant is below the floor or NaN."""
-    return np.logical_not(det >= GRAM_DET_FLOOR)
-
-
-def _shell_grams(vectors: np.ndarray, checked: bool = False):
+def _shell_grams(vectors: np.ndarray):
     """(M(L), det M(L)) for each L with 2L+1 <= N, lazily, from one recurrence.
 
     ``vectors`` is one set (N, 3) or a stack of sets (..., N, 3); M(L) is a
     view of the leading block of P_L(n_i . n_k) over all N x N dot products,
-    and det M(L) has the stack's leading shape.  ``checked`` (one set only)
-    raises at the first shell :func:`_refused` rejects.
+    and det M(L) has the stack's leading shape.
     """
     dots = (vectors @ np.swapaxes(vectors, -1, -2)).clip(-1.0, 1.0)
     for L, p in enumerate(legendre_series((vectors.shape[-2] - 1) // 2, dots)):
         gram_l = p[..., : 2 * L + 1, : 2 * L + 1]
-        det = np.linalg.det(gram_l) if L else 1.0
-        if checked and _refused(det):
+        yield gram_l, (np.linalg.det(gram_l) if L else 1.0)
+
+
+def _admitted_grams(vectors: np.ndarray):
+    """The blocks M(L) of one set, refusing it at the first singular block.
+
+    A block is singular when lambda_min(M(L)) <= BLOCK_RTOL lambda_max(M(L)).
+    """
+    for L, (gram_l, _) in enumerate(_shell_grams(vectors)):
+        lam = np.linalg.eigvalsh(gram_l)
+        if not lam[0] > BLOCK_RTOL * lam[-1]:
             raise FeasibilityError(
-                f"shell L={L} Gram determinant {det:.3e} below {GRAM_DET_FLOOR:.0e}; "
-                "the direction set cannot be inverted"
+                f"shell L={L} Gram eigenvalue ratio {lam[0] / lam[-1]:.3e} at or below "
+                f"{BLOCK_RTOL:.0e}; the direction set cannot be inverted"
             )
-        yield gram_l, det
+        yield gram_l
+
+
+def _harmonic_factors(vectors: np.ndarray, two_j: int) -> np.ndarray:
+    """Factors Y_L Y_L^T = P_L(n_i . n_k) of N = 2 two_j + 1 vectors, (two_j+1, N, N).
+
+    The addition theorem: column 0 of Y_L is Pbar_L^0(cos theta), columns
+    2M-1, 2M are sqrt(2) Pbar_L^M(cos theta) (cos M phi, sin M phi), with
+    Pbar_L^M = sqrt((L-M)!/(L+M)!) P_L^M by its stable recurrence in L, and
+    the columns past 2L are zero.
+    """
+    cos_theta = vectors[:, 2].clip(-1.0, 1.0)
+    sin_theta = np.hypot(vectors[:, 0], vectors[:, 1])
+    pbar = np.zeros((two_j + 1, two_j + 1, len(vectors)))  # [L, M], zero for M > L
+    pbar[0, 0] = 1.0
+    for L in range(1, two_j + 1):
+        m = np.arange(L)[:, None]
+        pbar[L, :L] = (
+            (2 * L - 1) * cos_theta * pbar[L - 1, :L]
+            - np.sqrt((L + m - 1) * (L - m - 1)) * pbar[max(L - 2, 0), :L]
+        ) / np.sqrt((L - m) * (L + m))
+        pbar[L, L] = math.sqrt((2 * L - 1) / (2 * L)) * sin_theta * pbar[L - 1, L - 1]
+    mphi = np.arange(1, two_j + 1)[:, None] * np.arctan2(vectors[:, 1], vectors[:, 0])
+    out = np.empty((two_j + 1, len(vectors), len(vectors)))
+    out[:, :, 0] = pbar[:, 0]
+    out[:, :, 1::2] = np.swapaxes(SQRT2 * pbar[:, 1:] * np.cos(mphi), 1, 2)
+    out[:, :, 2::2] = np.swapaxes(SQRT2 * pbar[:, 1:] * np.sin(mphi), 1, 2)
+    return out
 
 
 def gram(spin: Spin, L: int, ds) -> np.ndarray:
@@ -131,30 +169,19 @@ def feasibility(ds: DirectionSet) -> float:
 
 
 def delta_q(dirs: Sequence[Direction], q: int) -> float:
-    """Secondary feasibility determinant built from associated Legendre rows.
+    """Secondary feasibility determinant, det Y_q over the first 2q+1 directions.
 
-    Row per direction: [P_q^0(cos t), P_q^1(cos t) cos(phi), P_q^1 sin(phi),
-    ..., P_q^q cos(q phi), P_q^q sin(q phi)] over the first 2q+1 directions.
-    Sign conventions differ from the Gram form; only zero versus nonzero is
-    meaningful.
+    Y_q is the shell-q factor of :func:`_harmonic_factors`, so
+    delta_q^2 = det M(q), and delta_1 is the triple product up to sign.
     """
     dirs = tuple(dirs)[: 2 * q + 1]
     if len(dirs) < 2 * q + 1:
         raise DomainError(f"delta_{q} needs {2 * q + 1} directions")
-    rows = []
-    for d in dirs:
-        c = np.cos(d.theta)
-        row = [assoc_legendre(q, 0, c)]
-        for m in range(1, q + 1):
-            p = assoc_legendre(q, m, c)
-            row.append(p * np.cos(m * d.phi))
-            row.append(p * np.sin(m * d.phi))
-        rows.append(row)
-    return float(np.linalg.det(np.array(rows)))
+    return float(np.linalg.det(_harmonic_factors(np.array([d.cartesian for d in dirs]), q)[q]))
 
 
 def feasibility_delta(ds: DirectionSet) -> float:
-    """Product of the delta_q determinants for q = 1..2j."""
+    """Product of the delta_q for q = 1..2j; its square is :func:`feasibility`."""
     return float(np.prod([delta_q(ds.dirs, q) for q in range(1, ds.spin.two_j + 1)]))
 
 
@@ -191,7 +218,7 @@ def l_quantizer(spin: Spin, L: int, k: int, two_m: int, ds: DirectionSet) -> np.
     if not (0 <= k <= 2 * L):
         raise DomainError(f"direction {k} outside shell L={L}")
     ops = s_operator_stacks(spin, ds.shell(L))[:, L]
-    gram_l, _ = next(islice(_shell_grams(ds.unit_vectors(), checked=True), L, None))
+    gram_l = next(islice(_admitted_grams(ds.unit_vectors()), L, None))
     f_lm = coeff_table(spin)[L, spin.m_index(two_m)]
     return (2 * spin.two_j + 1) * f_lm * _shell_duals(gram_l, ops)[k]
 
@@ -220,7 +247,7 @@ def quantizer_stack(ds: DirectionSet) -> np.ndarray:
     spin = ds.spin
     d = spin.dim
     n_u = ds.n_dirs
-    grams = [g for g, _ in _shell_grams(ds.unit_vectors(), checked=True)]
+    grams = list(_admitted_grams(ds.unit_vectors()))
     table = coeff_table(spin)
     shell_ops = s_operator_stacks(spin, ds.dirs)
     out = np.zeros((n_u, d, d, d), dtype=complex)
@@ -234,7 +261,7 @@ def quantizer_stack(ds: DirectionSet) -> np.ndarray:
 
 
 def reconstruct(p_eq: ProbVector, ds: DirectionSet) -> np.ndarray:
-    """Inverse map of the equal-weight probability vector.
+    """Least-squares inverse map of the equal-weight probability vector.
 
     The input must be an equal-weight vector over this direction set; vectors
     built with other priors are rejected (renormalize them first).
@@ -242,19 +269,66 @@ def reconstruct(p_eq: ProbVector, ds: DirectionSet) -> np.ndarray:
     spin = ds.spin
     if p_eq.spin != spin or p_eq.n_rotations != ds.n_dirs:
         raise DomainError("probability vector does not match the direction set")
-    if np.abs(p_eq.block_sums() - 1.0 / ds.n_dirs).max() > 1e-8:
+    if not np.abs(p_eq.block_sums() - 1.0 / ds.n_dirs).max() <= 1e-8:
         raise DomainError(
             "probability vector is not equal-weight; renormalize it first"
         )
-    return apply_quantizer(p_eq.values, ds)
+    _, inverse = least_squares(ds)
+    return vec_to_hermitian(inverse @ p_eq.values, spin.dim)
+
+
+def least_squares(frame_set, weights=None):
+    """Singular values and pseudo-inverse of a frame set's forward map, read-only.
+
+    A DirectionSet is taken with equal weights, a unitary frame set (``spin``,
+    ``frames``) with the priors ``weights``; both share one memo of 16 sets.
+    A map of rank below (2j+1)^2 at LSQ_RTOL raises FeasibilityError.
+    """
+    if isinstance(frame_set, DirectionSet):
+        if weights is not None:
+            raise DomainError("a direction set is inverted in its equal-weight form")
+        key = b""
+    else:
+        key = validate_weights(weights, len(frame_set.frames)).tobytes()
+    s, inverse = _solver(frame_set, key)
+    if inverse is None:
+        full = frame_set.spin.dim ** 2
+        raise FeasibilityError(f"frame forward map has rank {_rank(s, LSQ_RTOL)} < {full}")
+    return s, inverse
+
+
+@lru_cache(maxsize=16)
+def _solver(frame_set, weights: bytes):
+    """(s, inverse) of :func:`least_squares`: shell by shell for a direction set."""
+    if not isinstance(frame_set, DirectionSet):
+        a = forward_matrix(frame_set.spin, frame_set.frames, np.frombuffer(weights))
+        return svd_inverse(a, LSQ_RTOL)
+    spin, n, d = frame_set.spin, frame_set.n_dirs, frame_set.spin.dim
+    table = _jacobi_table(spin)
+    # shells[k, L]: coordinates of S_L(n_k) = sum_m f_L(m) U(m, n_k)
+    shells = table @ projector_coords(np.swapaxes(frame_matrices(spin, frame_set.dirs), 1, 2))
+    u, sv, _ = np.linalg.svd(_harmonic_factors(frame_set.unit_vectors(), spin.two_j))
+    kept = np.arange(n) < 2 * np.arange(d)[:, None] + 1
+    s = np.sort(sv[kept])[::-1] / n
+    s.flags.writeable = False
+    if _rank(s, LSQ_RTOL) < d * d:
+        return s, None
+    # S_L^+ = S_L^T P_L(n_i . n_k)^+, and Q^+ = N sum_L S_L^+ (x) f_L(m)
+    gram_pinv = (u * np.where(kept, sv, np.inf)[:, None, :] ** -2.0) @ np.swapaxes(u, 1, 2)
+    shell_pinv = np.transpose(shells, (1, 2, 0)) @ gram_pinv
+    inverse = np.tensordot(shell_pinv, n * table, axes=(0, 0)).reshape(d * d, n * d)
+    inverse.flags.writeable = False
+    return s, inverse
 
 
 def apply_quantizer(values: np.ndarray, ds: DirectionSet) -> np.ndarray:
     """Contract arbitrary layout-ordered coefficients with the quantizers.
 
-    This is the raw linear inverse map; it does not require the coefficients
-    to be a valid probability vector, and complex coefficients (symbols of
-    non-Hermitian operators) keep their imaginary parts.
+    This is the nested linear inverse of the symbol calculus, which agrees
+    with :func:`reconstruct` on every vector the forward map produces; it
+    does not require the coefficients to be a valid probability vector, and
+    complex coefficients (symbols of non-Hermitian operators) keep their
+    imaginary parts.
     """
     values = np.asarray(values, dtype=complex)
     stack = quantizer_stack(ds)
@@ -272,5 +346,5 @@ def dual_vectors(ds: DirectionSet) -> np.ndarray:
     """
     if ds.spin.two_j < 1:
         raise DomainError("dual vectors need at least the L=1 shell")
-    gram_1, _ = next(islice(_shell_grams(ds.unit_vectors(), checked=True), 1, None))
+    gram_1 = next(islice(_admitted_grams(ds.unit_vectors()), 1, None))
     return np.linalg.solve(gram_1, ds.unit_vectors()[:3])

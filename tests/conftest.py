@@ -38,6 +38,14 @@ def orthogonal_triad() -> DirectionSet:
     )
 
 
+def coplanar_triad() -> DirectionSet:
+    """Three directions in the xy-plane: the L=1 shell, and so Q, is singular."""
+    return DirectionSet(
+        Spin(1),
+        [Direction(math.pi / 2, 0.0), Direction(math.pi / 2, 1.0), Direction(math.pi / 2, 2.0)],
+    )
+
+
 def make_qutrit_set() -> DirectionSet:
     """Five spin-1 directions with the pairwise overlaps 1/sqrt(3).
 

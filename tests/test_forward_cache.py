@@ -14,7 +14,6 @@ from spinportrait import (
     Direction,
     DirectionSet,
     FeasibilityError,
-    ProbVector,
     Spin,
     UnitaryFrameSet,
     angular_momentum,
@@ -37,10 +36,10 @@ from spinportrait import (
     rotation,
     tomogram_column,
 )
-from spinportrait import kernels, linalg, schemes, spin as spin_module, su2, tomography
+from spinportrait import kernels, linalg, orthopoly, schemes, spin as spin_module, su2, tomography
 from spinportrait.spin import frame_matrices, rotations
 
-from conftest import loop_quantizer, random_direction_set
+from conftest import coplanar_triad, loop_quantizer, random_direction_set
 
 
 def scaled_series_expm(a: np.ndarray, terms: int = 30) -> np.ndarray:
@@ -183,27 +182,33 @@ class TestCaches:
         reconstruct_pinv(prob_vector(spin, rho, ufs.frames), ufs)
         for u in ufs.frames:
             _assert_read_only(u)
-        hits = schemes._pinv_solver.cache_info().hits
+        hits = su2._solver.cache_info().hits
         key = linalg.validate_weights(None, len(ufs.frames)).tobytes()
-        _assert_read_only(schemes._pinv_solver(ufs, key)[1])
-        assert schemes._pinv_solver.cache_info().hits == hits + 1
+        for arr in su2._solver(ufs, key):
+            _assert_read_only(arr)
+        assert su2._solver.cache_info().hits == hits + 1
+        reconstruct(prob_vector(spin, rho, qutrit_set.dirs), qutrit_set)
+        for arr in su2.least_squares(qutrit_set):
+            _assert_read_only(arr)
+        _assert_read_only(orthopoly._jacobi_table(spin))
 
     def test_bounds(self):
         assert tomography._direction_kets.cache_info().maxsize == 16
         assert schemes._aw_solver.cache_info().maxsize == 16
         assert su2.quantizer_stack.cache_info().maxsize == 16
-        assert schemes._pinv_solver.cache_info().maxsize == 16
+        assert su2._solver.cache_info().maxsize == 16
+        assert orthopoly._jacobi_table.cache_info().maxsize == 16
         spin = Spin(1)
         rng = np.random.default_rng(12)
         ufs = random_frame_set(spin, rng)
         rho = random_density_matrix(spin, rng)
-        schemes._pinv_solver.cache_clear()
+        su2._solver.cache_clear()
         for _ in range(20):
             w = rng.uniform(0.5, 1.5, 3)
             w /= w.sum()
             p = prob_vector(spin, rho, ufs.frames, w)
             assert np.abs(reconstruct_pinv(p, ufs, w) - rho).max() < 1e-12
-        assert schemes._pinv_solver.cache_info().currsize == 16
+        assert su2._solver.cache_info().currsize == 16
 
     def test_one_frame_set_two_weight_vectors(self):
         spin = Spin(3)
@@ -212,7 +217,7 @@ class TestCaches:
         rho = random_density_matrix(spin, rng)
         uniform = np.full(5, 0.2)
         skewed = np.array([0.1, 0.3, 0.2, 0.15, 0.25])
-        schemes._pinv_solver.cache_clear()
+        su2._solver.cache_clear()
         answers = []
         for w in (uniform, skewed, uniform, skewed):
             p = prob_vector(spin, rho, ufs.frames, w)
@@ -222,8 +227,23 @@ class TestCaches:
         assert np.array_equal(answers[1], answers[3])
         p = prob_vector(spin, rho, ufs.frames)
         assert np.abs(reconstruct_pinv(p, ufs) - rho).max() < 1e-12
-        info = schemes._pinv_solver.cache_info()
+        info = su2._solver.cache_info()
         assert (info.currsize, info.misses) == (2, 2)
+
+    def test_su2_and_sun_share_one_memo(self, qutrit_set):
+        spin = qutrit_set.spin
+        rng = np.random.default_rng(19)
+        ufs = random_frame_set(spin, rng)
+        rho = random_density_matrix(spin, rng)
+        su2._solver.cache_clear()
+        for _ in range(2):
+            reconstruct(prob_vector(spin, rho, qutrit_set.dirs), qutrit_set)
+            reconstruct_pinv(prob_vector(spin, rho, ufs.frames), ufs)
+        # an equal direction set built anew is the same key
+        copy = DirectionSet(spin, [Direction(n.theta, n.phi) for n in qutrit_set.dirs])
+        reconstruct(prob_vector(spin, rho, copy.dirs), copy)
+        info = su2._solver.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 3)
 
     def test_caller_mutation_does_not_reach_the_frame_set(self):
         spin = Spin(2)
@@ -267,24 +287,35 @@ class TestRefusals:
         assert messages == {"direction matrix is numerically singular"}
 
     def test_det_floor_su2_set(self, monkeypatch):
+        # a set the absolute floor det M(L) >= 1e-12 refused inverts, and the
+        # least-squares inverse builds no S_L operator and no quantizer stack
         spin = Spin(16)
         ds = random_direction_set(spin, np.random.default_rng(17))
         dets = [np.linalg.det(gram(spin, L, ds)) for L in range(1, spin.two_j + 1)]
-        first = next(L for L, det in enumerate(dets, start=1) if abs(det) < su2.GRAM_DET_FLOOR)
-        expected = (
-            f"shell L={first} Gram determinant {dets[first - 1]:.3e} below "
-            f"{su2.GRAM_DET_FLOOR:.0e}; the direction set cannot be inverted"
-        )
-        p = ProbVector(spin, ds.n_dirs, np.full(ds.n_dirs * spin.dim, 1.0 / (ds.n_dirs * spin.dim)))
+        assert min(dets) < 1e-12
+        rho = random_density_matrix(spin, np.random.default_rng(17))
+        p = prob_vector(spin, rho, ds.dirs)
+
+        def no_operators(*args, **kwargs):
+            raise AssertionError("the least-squares inverse built S_L operators")
+
+        monkeypatch.setattr(su2, "s_operator_stacks", no_operators)
+        monkeypatch.setattr(su2, "quantizer_stack", no_operators)
+        su2._solver.cache_clear()
+        answers = [reconstruct(p, ds) for _ in range(3)]
+        assert np.abs(answers[0] - rho).max() < 1e-9
+        assert all(np.array_equal(a, answers[0]) for a in answers)
+
+    def test_singular_blocks_refuse_before_any_operator(self, monkeypatch):
+        ds = coplanar_triad()
 
         def no_operators(*args, **kwargs):
             raise AssertionError("a refused set built S_L operators")
 
-        # every shell is tested before any S_L operator is built
         monkeypatch.setattr(su2, "s_operator_stacks", no_operators)
         su2.quantizer_stack.cache_clear()
-        messages = {_message(lambda: reconstruct(p, ds)) for _ in range(3)}
-        assert messages == {expected}
+        messages = {_message(lambda: su2.quantizer_stack(ds)) for _ in range(3)}
+        assert len(messages) == 1 and messages.pop().startswith("shell L=1 Gram eigenvalue ratio")
 
     def test_rank_deficient_frames(self):
         spin = Spin(1)

@@ -195,6 +195,27 @@ class TestForwardInvert:
         _, rho2 = fileio.load_state(back_path)
         assert np.abs(rho2 - rho).max() < 1e-9
 
+    def test_su2_two_j_16_random_directions(self, tmp_path, capsys):
+        # every random set at two_j=16 has some det M(L) < 1e-12, which the
+        # absolute floor refused (exit 4); the least-squares inverse takes it
+        spin = Spin(16)
+        rng = np.random.default_rng(16)
+        rho = random_density_matrix(spin, rng)
+        thetas = np.arccos(rng.uniform(-1.0, 1.0, 33))
+        dirs = [Direction(float(t), float(p)) for t, p in zip(thetas, rng.uniform(0.0, 2.0 * math.pi, 33))]
+        dirs_path = str(tmp_path / "dirs.json")
+        fileio.save_directions(dirs_path, dirs)
+        prob_path = str(tmp_path / "prob.json")
+        back_path = str(tmp_path / "back.json")
+        state = write_state(tmp_path, spin, rho)
+        assert main(["forward", "--state", state, "--frames", dirs_path, "--out", prob_path]) == 0
+        capsys.readouterr()
+        assert main(["invert", "--prob", prob_path, "--out", back_path]) == 0
+        cond = condition_number(q_matrix(spin, fileio.load_prob(prob_path).frames))
+        assert capsys.readouterr().err.splitlines() == [f"condition number: {cond:.6e}"]
+        _, rho2 = fileio.load_state(back_path)
+        assert np.abs(rho2 - rho).max() < 1e-9
+
     def test_uniform_prob_gives_mixed_state(self, tmp_path):
         dirs = [Direction(**rec) for rec in TRIAD]
         prob = fileio.ProbFile(
@@ -260,7 +281,7 @@ class TestExitCodes:
         prob_path = str(tmp_path / "prob.json")
         fileio.save_prob(prob_path, prob)
         assert main(["invert", "--prob", prob_path, "--out", str(tmp_path / "o.json")]) == 4
-        assert "shell L=1 Gram determinant" in capsys.readouterr().err
+        assert "frame forward map has rank 3 < 4" in capsys.readouterr().err
 
     def test_degenerate_slice_is_2(self, tmp_path, orthogonal_triad):
         dirs = write_triad(tmp_path)

@@ -5,7 +5,6 @@ import pytest
 
 from spinportrait import (
     Direction,
-    DirectionSet,
     DomainError,
     FeasibilityError,
     Spin,
@@ -30,7 +29,7 @@ from spinportrait import (
     w_to_p,
 )
 from spinportrait.orthopoly import s_operator_stack
-from conftest import assert_relative, loop_quantizer, random_direction_set, shell_sum_quantizer
+from conftest import assert_relative, coplanar_triad, loop_quantizer, random_direction_set, shell_sum_quantizer
 
 
 # Reference implementations: each kernel evaluated entry by entry from its
@@ -126,13 +125,6 @@ def w_to_p_by_nodes(spin, ds, tomogram_fn) -> np.ndarray:
         )
         out += weight * np.real(np.einsum("Iab,ba->I", u_stack, acc))
     return out
-
-
-def coplanar_triad():
-    return DirectionSet(
-        Spin(1),
-        [Direction(math.pi / 2, 0.0), Direction(math.pi / 2, 1.0), Direction(math.pi / 2, 2.0)],
-    )
 
 
 def random_operators(spin, rng, count):

@@ -14,7 +14,7 @@ from spinportrait import (
     rotation,
     s_operator,
 )
-from spinportrait.orthopoly import MAX_TWO_J
+from spinportrait.orthopoly import MAX_TWO_J, _jacobi_table
 
 SQRT2 = math.sqrt(2.0)
 SQRT6 = math.sqrt(6.0)
@@ -66,6 +66,18 @@ class TestCoeffTable:
         defect = np.abs(table @ table.T - np.eye(two_j + 1)).max()
         # the stated range is orthonormal to 1e-10; the low spins to 1e-11
         assert defect < (1e-11 if two_j <= 12 else 1e-10)
+
+    def test_jacobi_table_is_the_table_to_machine_precision(self):
+        # the eigenvector form behind the least-squares inverse: the same rows,
+        # apart from the digits the recurrence has lost, and orthogonal to rounding
+        for two_j in range(0, MAX_TWO_J + 1):
+            table = coeff_table(Spin(two_j))
+            defect = np.abs(table @ table.T - np.eye(two_j + 1)).max()
+            assert np.abs(_jacobi_table(Spin(two_j)) - table).max() <= 2.0 * defect + 1e-15
+        for two_j in (MAX_TWO_J, 40):
+            jacobi = _jacobi_table(Spin(two_j))
+            assert np.abs(jacobi @ jacobi.T - np.eye(two_j + 1)).max() < 1e-14
+            assert (jacobi[:, 0] > 0).all() and (jacobi[0] > 0).all()
 
     def test_above_validated_range_raises(self):
         with pytest.raises(DomainError, match="orthonormal"):

@@ -1,12 +1,16 @@
-"""The shell Gram builder and its one floor rule, pinned against a per-shell oracle.
+"""The shell Gram builder and the relative rules, pinned against oracles.
 
-The oracle is the rule every Gram user applied before they shared one
-builder: each shell matrix rebuilt on its own as P_L(dots[:2L+1, :2L+1]) with
-the Legendre recurrence rolled from degree 0, and the set refused at the first
-shell with |det| < 1e-12.  Verdicts, refused shells and messages of the
-library must match it, and so must the optimizer objective.
+The block oracle rebuilds each shell matrix on its own as
+P_L(dots[:2L+1, :2L+1]) with the Legendre recurrence rolled from degree 0, and
+refuses the nested quantizers at the first block with
+lambda_min <= 1e-12 lambda_max.  The inverse oracle is one SVD of the
+equal-weight forward map, refused below rank (2j+1)^2 at 1e-8 sigma_max.
+Verdicts, refused shells and messages of the library and the exit codes of
+``cli invert`` must match them.  The gram-product objective keeps its own cut,
+det M(L) < 1e-12, and must match the log product under that cut.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -27,6 +31,9 @@ from spinportrait import (
     newton_young_directions,
     objective,
     optimize,
+    prob_vector,
+    q_matrix,
+    random_density_matrix,
     reconstruct,
     shell_determinants,
 )
@@ -37,7 +44,12 @@ from spinportrait.optimize import INFEASIBLE
 from spinportrait.orthopoly import legendre_series
 from conftest import random_direction_set
 
-ORACLE_FLOOR = 1e-12
+# the package exports the function optimize under the module's name
+opt = importlib.import_module("spinportrait.optimize")
+
+ORACLE_BLOCK_RTOL = 1e-12
+ORACLE_LSQ_RTOL = 1e-8
+ORACLE_DET_CUT = 1e-12  # the gram-product objective's own cut
 SPINS = (1, 2, 4, 8, 12, 16)
 N_SETS = 20
 
@@ -52,24 +64,40 @@ def oracle_legendre(L: int, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def oracle_shells(ds: DirectionSet):
-    """(first refused shell or None, the determinants of the shells tested)."""
+def oracle_blocks(ds: DirectionSet):
+    """The nested quantizers' refusal message, or None if every block passes."""
+    vectors = ds.unit_vectors()
+    dots = np.clip(vectors @ vectors.T, -1.0, 1.0)
+    for L in range(1, ds.spin.two_j + 1):
+        n = 2 * L + 1
+        lam = np.linalg.eigvalsh(oracle_legendre(L, dots[:n, :n]))
+        if lam[0] <= ORACLE_BLOCK_RTOL * lam[-1]:
+            return (
+                f"shell L={L} Gram eigenvalue ratio {lam[0] / lam[-1]:.3e} at or below "
+                "1e-12; the direction set cannot be inverted"
+            )
+    return None
+
+
+def oracle_inverse(ds: DirectionSet):
+    """(the least-squares refusal message or None, the singular values of Q)."""
+    s = np.linalg.svd(q_matrix(ds.spin, ds.dirs), compute_uv=False)
+    rank = int(np.count_nonzero(s > ORACLE_LSQ_RTOL * s[0]))
+    full = ds.spin.dim**2
+    return (None if rank == full else f"frame forward map has rank {rank} < {full}"), s
+
+
+def oracle_dets(ds: DirectionSet):
+    """(True if the objective's cut refuses the set, the determinants tested)."""
     vectors = ds.unit_vectors()
     dots = np.clip(vectors @ vectors.T, -1.0, 1.0)
     dets = []
     for L in range(1, ds.spin.two_j + 1):
         n = 2 * L + 1
         dets.append(np.linalg.det(oracle_legendre(L, dots[:n, :n])))
-        if abs(dets[-1]) < ORACLE_FLOOR:
-            return L, dets
-    return None, dets
-
-
-def oracle_message(L: int, det: float) -> str:
-    return (
-        f"shell L={L} Gram determinant {det:.3e} below 1e-12; "
-        "the direction set cannot be inverted"
-    )
+        if not dets[-1] >= ORACLE_DET_CUT:
+            return True, dets
+    return False, dets
 
 
 def oracle_log_product(dets) -> float:
@@ -94,7 +122,7 @@ def random_sets(two_j: int):
 
 
 def nearly_coplanar_sets(two_j: int):
-    """Random sets squashed toward the xy-plane, straddling the floor at low spin."""
+    """Random sets squashed toward the xy-plane, straddling every rule at low spin."""
     spin = Spin(two_j)
     out = []
     for i, squash in enumerate(np.logspace(-1, -9, N_SETS)):
@@ -152,10 +180,9 @@ class TestBuilder:
             assert np.array_equal(gram(ds.spin, L, ds), oracle_legendre(L, dots)[:n, :n])
 
     def test_nan_determinant_is_refused(self):
-        with np.errstate(invalid="ignore"), pytest.raises(
-            FeasibilityError, match="shell L=1 Gram determinant nan"
-        ):
-            list(su2._shell_grams(np.full((3, 3), np.nan), checked=True))
+        # the objective's cut is written to fail on NaN
+        with np.errstate(invalid="ignore"):
+            assert opt._log_dets(np.full((1, 3, 3), np.nan)) == [INFEASIBLE]
 
     def test_two_j_zero_has_the_empty_product(self):
         ds = DirectionSet(Spin(0), [Direction(0.3, 1.0)])
@@ -180,56 +207,76 @@ class TestAgainstOracle:
 
     def test_verdicts_shells_and_messages(self, two_j, sets):
         for ds in self._sets(two_j, sets):
-            refused, dets = oracle_shells(ds)
-            expected = None if refused is None else oracle_message(refused, dets[-1])
             su2.quantizer_stack.cache_clear()
-            assert refusal(lambda: su2.quantizer_stack(ds)) == expected
+            assert refusal(lambda: su2.quantizer_stack(ds)) == oracle_blocks(ds)
+            expected, _ = oracle_inverse(ds)
             assert refusal(lambda: reconstruct(uniform_vector(ds), ds)) == expected
+            _, dets = oracle_dets(ds)
             assert np.allclose(shell_determinants(ds)[: len(dets)], dets, rtol=1e-12, atol=0.0)
 
     def test_objective_matches_the_log_product(self, two_j, sets):
         for ds in self._sets(two_j, sets):
-            refused, dets = oracle_shells(ds)
+            refused, dets = oracle_dets(ds)
             value = objective(ds, "gram-product")
-            if refused is None:
-                assert abs(value - oracle_log_product(dets)) <= 1e-12
-            else:
+            if refused:
                 assert value == INFEASIBLE
+            else:
+                assert abs(value - oracle_log_product(dets)) <= 1e-12
 
     def test_cli_invert(self, two_j, sets, tmp_path, capsys):
         for i, ds in enumerate(self._sets(two_j, sets)):
-            refused, dets = oracle_shells(ds)
+            refused, s = oracle_inverse(ds)
             n = ds.n_dirs
             prob_path = str(tmp_path / f"prob{i}.json")
             fileio.save_prob(
                 prob_path,
                 fileio.ProbFile(ds.spin, "su2", list(ds.dirs), np.full(n, 1.0 / n), uniform_vector(ds).values),
             )
-            su2.quantizer_stack.cache_clear()
             code = main(["invert", "--prob", prob_path, "--out", str(tmp_path / f"o{i}.json")])
             err = capsys.readouterr().err
             if refused is None:
-                assert code != 4
+                cond = s[0] / s[-1]
+                # 3 only where rounding at cond(Q) near 1e8 fails the state checks
+                assert code == 0 or (code == 3 and cond > 1e6)
+                # two SVDs of Q agree to rounding, eps * cond relative
+                printed = float(err.splitlines()[0].removeprefix("condition number: "))
+                assert abs(printed / cond - 1.0) <= 1e-6 + 1e-14 * cond
             else:
                 assert code == 4
-                assert err.strip() == "infeasible: " + oracle_message(refused, dets[-1])
+                assert err.strip() == "infeasible: " + refused
 
 
 def test_sets_cover_both_verdicts():
-    verdicts = {
-        oracle_shells(ds)[0] is None
-        for sets in (random_sets(12), nearly_coplanar_sets(1))
-        for ds in sets
-    }
-    assert verdicts == {True, False}
+    sets = random_sets(12) + nearly_coplanar_sets(1) + nearly_coplanar_sets(2)
+    assert {oracle_blocks(ds) is None for ds in sets} == {True, False}
+    assert {oracle_inverse(ds)[0] is None for ds in sets} == {True, False}
+    assert {oracle_dets(ds)[0] for ds in sets} == {True, False}
+
+
+def cone(two_j: int, theta: float) -> DirectionSet:
+    n_u = 2 * two_j + 1
+    return DirectionSet(Spin(two_j), [Direction(theta, 2.0 * math.pi * k / n_u) for k in range(n_u)])
 
 
 @pytest.mark.parametrize("two_j,theta", [(2, 0.05), (4, 0.1), (8, 0.6)])
-def test_newton_young_refuses_with_the_shell_message(two_j, theta):
-    n_u = 2 * two_j + 1
-    ds = DirectionSet(Spin(two_j), [Direction(theta, 2.0 * math.pi * k / n_u) for k in range(n_u)])
-    refused, dets = oracle_shells(ds)
-    assert refused is not None
+def test_newton_young_cones_the_floor_refused_round_trip(two_j, theta):
+    # well posed (cond Q of 654, 1.9e4 and 218) although a det M(L) < 1e-12
+    ds = cone(two_j, theta)
+    assert oracle_dets(ds)[0] and oracle_blocks(ds) is None
+    assert newton_young_directions(Spin(two_j), theta) == ds
+    rho = random_density_matrix(ds.spin, np.random.default_rng(two_j))
+    p = prob_vector(ds.spin, rho, ds.dirs)
+    assert np.abs(reconstruct(p, ds) - rho).max() < 1e-9
+    assert su2.quantizer_stack(ds).shape == (ds.n_dirs * ds.spin.dim,) + rho.shape
+
+
+def test_newton_young_refuses_a_singular_cone():
+    ds = cone(2, 1e-4)  # P_2^2(cos theta) = 3e-8 passes, the L=2 block is singular
+    message = oracle_blocks(ds)
+    assert message is not None
     with pytest.raises(FeasibilityError) as info:
-        newton_young_directions(Spin(two_j), theta)
-    assert str(info.value) == oracle_message(refused, dets[-1])
+        newton_young_directions(Spin(2), 1e-4)
+    assert str(info.value) == message
+    expected, _ = oracle_inverse(ds)
+    assert expected is not None
+    assert refusal(lambda: reconstruct(uniform_vector(ds), ds)) == expected

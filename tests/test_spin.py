@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spinportrait import (
     Direction,
+    UnitaryFrameSet,
     DomainError,
     InvariantError,
     Spin,
@@ -191,6 +192,24 @@ class TestDensityMatrix:
         bad = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
         with pytest.raises(InvariantError):
             validate_density_matrix(Spin(1), bad)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+    def test_nan_state_raises(self, entry):
+        bad = np.eye(2, dtype=complex) / 2.0
+        bad[entry] = math.nan
+        with pytest.raises(InvariantError):
+            validate_density_matrix(Spin(1), bad)
+
+
+class TestNanFrames:
+    def test_frame_matrix_raises(self):
+        with pytest.raises(InvariantError):
+            frame_matrix(Spin(1), np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
+    def test_unitary_frame_set_raises(self):
+        frames = [np.eye(2), np.eye(2), np.array([[math.nan, 0.0], [0.0, 1.0]])]
+        with pytest.raises(DomainError, match="not unitary"):
+            UnitaryFrameSet(Spin(1), frames)
 
 
 class TestDirectionFinite:

@@ -18,6 +18,7 @@ from spinportrait import (
     gram,
     hermitian_to_vec,
     l_dequantizer,
+    legendre,
     l_quantizer,
     normalize_to_eq,
     numerical_rank,
@@ -29,14 +30,8 @@ from spinportrait import (
     s_operator,
     shell_determinants,
 )
-from conftest import random_direction_set
-
-
-def coplanar_triad() -> DirectionSet:
-    return DirectionSet(
-        Spin(1),
-        [Direction(math.pi / 2, 0.0), Direction(math.pi / 2, 1.0), Direction(math.pi / 2, 2.0)],
-    )
+from spinportrait import su2
+from conftest import coplanar_triad, random_direction_set
 
 
 def triple_product(ds: DirectionSet) -> float:
@@ -119,6 +114,11 @@ class TestFeasibility:
         )
         assert abs(feasibility(bad)) < 1e-10
         assert abs(feasibility_delta(bad)) < 1e-10
+
+    @pytest.mark.parametrize("two_j", [1, 2, 4, 8])
+    def test_delta_product_squares_to_the_gram_product(self, two_j):
+        ds = random_direction_set(Spin(two_j), np.random.default_rng(two_j))
+        assert feasibility_delta(ds) ** 2 == pytest.approx(feasibility(ds), rel=1e-10)
 
     def test_delta_q1_is_triple_product(self):
         rng = np.random.default_rng(3)
@@ -319,6 +319,59 @@ class TestReconstruct:
             reconstruct(p, orthogonal_triad)
         rec = reconstruct(normalize_to_eq(p), orthogonal_triad)
         assert np.abs(rec - rho).max() < 1e-11
+
+
+class TestLeastSquares:
+    @pytest.mark.parametrize("two_j", [12, 16, 24])
+    def test_random_sets_round_trip_and_match_pinv(self, two_j):
+        spin = Spin(two_j)
+        for seed in range(2):
+            rng = np.random.default_rng((two_j, seed))
+            ds = random_direction_set(spin, rng)
+            rho = random_density_matrix(spin, rng)
+            assert np.abs(reconstruct(prob_vector(spin, rho, ds.dirs), ds) - rho).max() < 1e-9
+            q = q_matrix(spin, ds.dirs)
+            s, inverse = su2.least_squares(ds)
+            pinv = np.linalg.pinv(q)
+            assert np.abs(inverse - pinv).max() <= 1e-9 * np.abs(pinv).max()
+            sv = np.linalg.svd(q, compute_uv=False)
+            assert np.abs(s - sv).max() <= 1e-13 * sv[0]
+
+    def test_coplanar_triad_is_refused_with_the_rank_message(self):
+        ds = coplanar_triad()
+        p = prob_vector(ds.spin, np.eye(2) / 2.0, ds.dirs)
+        with pytest.raises(FeasibilityError, match=r"^frame forward map has rank 3 < 4$"):
+            reconstruct(p, ds)
+        with pytest.raises(FeasibilityError, match=r"^frame forward map has rank 3 < 4$"):
+            su2.least_squares(ds)
+
+    def test_direction_sets_take_no_weights(self, orthogonal_triad):
+        with pytest.raises(DomainError, match="equal-weight"):
+            su2.least_squares(orthogonal_triad, [0.5, 0.3, 0.2])
+
+    @pytest.mark.parametrize("two_j", [0, 1, 4, 16, 24])
+    def test_harmonic_factors_are_the_addition_theorem(self, two_j):
+        vectors = random_direction_set(Spin(two_j), np.random.default_rng(two_j)).unit_vectors()
+        vectors[0] = [0.0, 0.0, 1.0]  # a pole, where phi is arbitrary
+        factors = su2._harmonic_factors(vectors, two_j)
+        dots = np.clip(vectors @ vectors.T, -1.0, 1.0)
+        for L in range(two_j + 1):
+            assert np.abs(factors[L] @ factors[L].T - legendre(L, dots)).max() < 1e-12
+            assert not factors[L][:, 2 * L + 1 :].any()
+
+    @pytest.mark.parametrize("two_j", [2, 4])
+    def test_least_error_among_the_two_inverses(self, two_j):
+        # both maps invert Q exactly; the pseudo-inverse has the smaller
+        # Frobenius norm, the expected squared error under white noise
+        spin = Spin(two_j)
+        for seed in range(5):
+            ds = random_direction_set(spin, np.random.default_rng((two_j, seed)))
+            q = q_matrix(spin, ds.dirs)
+            _, inverse = su2.least_squares(ds)
+            nested = np.array([hermitian_to_vec(d) for d in su2.quantizer_stack(ds)]).T
+            assert np.abs(inverse @ q - np.eye(spin.dim**2)).max() < 1e-9
+            assert np.abs(nested @ q - np.eye(spin.dim**2)).max() < 1e-9
+            assert np.linalg.norm(inverse) <= np.linalg.norm(nested) * (1.0 + 1e-12)
 
 
 class TestDualVectors:
