@@ -49,8 +49,7 @@ def projector_coords(kets) -> np.ndarray:
     ``kets`` has shape (..., d); the result has shape (..., d*d) with row
     ``hermitian_to_vec(outer(v, v.conj()))`` for every ket v.  This is the one
     builder of forward-map rows: every frame kind supplies its measured kets
-    and the rows (or the probabilities Tr(rho |v><v|) = row . coords(rho))
-    follow from here.
+    and the rows follow from here.
     """
     kets = np.ascontiguousarray(kets, dtype=complex)  # fast gathers below
     rows, cols = _upper(kets.shape[-1])
@@ -60,17 +59,18 @@ def projector_coords(kets) -> np.ndarray:
 
 
 def vec_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`hermitian_to_vec`."""
+    """Inverse of :func:`hermitian_to_vec`, over the last axis of a stack (..., d*d)."""
     v = np.asarray(v, dtype=float)
-    if v.size != dim * dim:
-        raise ValueError(f"coordinate vector length {v.size} != {dim * dim}")
-    out = np.zeros((dim, dim), dtype=complex)
-    out[np.diag_indices(dim)] = v[:dim]
-    iu = _upper(dim)
-    n_off = iu[0].size
-    upper = (v[dim : dim + n_off] + 1j * v[dim + n_off :]) / SQRT2
-    out[iu] = upper
-    out[(iu[1], iu[0])] = upper.conj()
+    if v.shape[-1:] != (dim * dim,):
+        raise ValueError(f"coordinate vector shape {v.shape} does not end in {dim * dim}")
+    out = np.zeros(v.shape[:-1] + (dim, dim), dtype=complex)
+    diag = np.arange(dim)
+    out[..., diag, diag] = v[..., :dim]
+    rows, cols = _upper(dim)
+    n_off = rows.size
+    upper = (v[..., dim : dim + n_off] + 1j * v[..., dim + n_off :]) / SQRT2
+    out[..., rows, cols] = upper
+    out[..., cols, rows] = upper.conj()
     return out
 
 

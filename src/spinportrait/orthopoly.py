@@ -5,9 +5,12 @@ of the discrete projection variable with unit weight,
 
     sum_m f_L(m) f_L'(m) = delta_LL',
 
-built from the three-term recurrence of discrete Chebyshev polynomials on the
-grid {0, ..., 2j}.  Rows are normalized to unit Euclidean norm with the sign
-fixed so f_L(+j) > 0, which reproduces the closed forms
+the discrete Chebyshev polynomials on the grid {0, ..., 2j}.  Their
+three-term recurrence is the Jacobi matrix whose eigenvalues are the grid
+points; eigenvector i holds f_L(x_i) for every L (Golub & Welsch, Math. Comp.
+23, 221 (1969)), so the table is orthogonal to rounding at any spin.  Each
+eigenvector is signed so f_0 > 0, which gives every polynomial a positive
+leading coefficient, hence f_L(+j) > 0, and reproduces the closed forms
 
     f_0(m) = 1/sqrt(2j+1),    f_1(m) = sqrt(3) m / sqrt(j(j+1)(2j+1)).
 
@@ -27,58 +30,31 @@ import numpy as np
 from .errors import DomainError
 from .spin import Frame, Spin, frame_matrices
 
-# Largest two_j whose table is orthonormal to 1e-10 (max |f f^T - I|), and so
-# is every smaller one.  The monic recurrence loses digits as the spin grows:
-# 3.8e-11 at two_j=24, 2.0e-10 at 25, 4.4e-6 at 40.
+# Largest two_j the test suite validates; the table itself is orthonormal to
+# rounding at any spin.  Raising it waits for a memory bound on the per-set
+# stacks, which grow as two_j^4 (ROADMAP item 5).
 MAX_TWO_J = 24
 
 
+@lru_cache(maxsize=16)
 def coeff_table(spin: Spin) -> np.ndarray:
-    """Orthonormal coefficient table, shape (2j+1, 2j+1), f[L][m_index].
+    """Orthonormal coefficient table, shape (2j+1, 2j+1), f[L][m_index] (read-only).
 
-    Row L is the degree-L discrete Chebyshev polynomial evaluated on the
-    descending projections m = j, j-1, ..., -j and normalized to unit norm.
-    Spins above ``MAX_TWO_J`` raise DomainError.
+    Column i holds the eigenvector of the Jacobi matrix (off-diagonal
+    sqrt(beta_k); the constant diagonal only shifts the eigenvalues, which lie
+    one apart) for the i-th largest eigenvalue, m = j - i, signed so
+    f_0(m) > 0.  Spins above ``MAX_TWO_J`` raise DomainError.
     """
     if spin.two_j > MAX_TWO_J:
         raise DomainError(
-            f"two_j={spin.two_j} above {MAX_TWO_J}, the largest spin whose "
-            "coefficient table is orthonormal to 1e-10"
+            f"two_j={spin.two_j} above {MAX_TWO_J}, the largest spin the test suite "
+            "validates; larger spins wait for a memory bound on the per-set stacks"
         )
-    n = spin.dim
-    x = np.arange(n, dtype=float)
-    alpha = (n - 1) / 2.0
-    polys = [np.ones(n)]
-    if n > 1:
-        polys.append(x - alpha)
-    for k in range(1, n - 1):
-        beta_k = k * k * (n * n - k * k) / (4.0 * (4 * k * k - 1))
-        polys.append((x - alpha) * polys[k] - beta_k * polys[k - 1])
-    table = np.empty((n, n))
-    for L, p in enumerate(polys):
-        row = p / np.linalg.norm(p)
-        # x = 2j corresponds to m = +j; flip to descending-m ordering
-        row = row[::-1]
-        if row[0] < 0:
-            row = -row
-        table[L] = row
-    return table
-
-
-@lru_cache(maxsize=16)
-def _jacobi_table(spin: Spin) -> np.ndarray:
-    """:func:`coeff_table` to machine precision at any spin (read-only).
-
-    Column i of the eigenvectors of the recurrence's Jacobi matrix (off
-    diagonal sqrt(beta_k); the constant alpha only shifts the eigenvalues
-    x_i, which lie one apart) holds f_L(x_i), L = 0..2j, with no lost digits.
-    """
     n = spin.dim
     k = np.arange(1, n)
     off = np.sqrt(k * k * (n * n - k * k) / (4.0 * (4 * k * k - 1)))
     _, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     vecs = vecs[:, ::-1] * np.sign(vecs[0, ::-1])  # descending m, f_0 > 0
-    vecs *= np.sign(vecs[:, :1])  # f_L(+j) > 0
     vecs.flags.writeable = False
     return vecs
 

@@ -233,10 +233,9 @@ def classify_points(points: np.ndarray, ds: DirectionSet, tol: float = DEFAULT_T
 
     Returns (is_quantum bool array, min eigenvalue array); points leaving the
     simplex or breaking the candidate trace are never quantum, matching the
-    scalar :func:`is_quantum` on every row.  The points are real, so the
-    Hermitian part of sum_I p_I Q_I is sum_I p_I (Q_I + Q_I^dagger) / 2: all
-    candidates come from one real matrix product against the symmetrized
-    quantizers, viewed as (re, im) pairs.
+    scalar :func:`is_quantum` on every row.  The points are real and the
+    quantizers exactly Hermitian, so all candidates sum_I p_I Q_I come from
+    one real matrix product against the quantizers viewed as (re, im) pairs.
     """
     points = np.asarray(points, dtype=float)
     stack = quantizer_stack(ds)
@@ -245,11 +244,10 @@ def classify_points(points: np.ndarray, ds: DirectionSet, tol: float = DEFAULT_T
         raise DomainError(
             f"expected rows of n_dirs*dim = {n} coordinates, got shape {points.shape}"
         )
-    herm = (stack + np.conj(np.swapaxes(stack, 1, 2))) / 2.0
-    pairs = herm.reshape(n, d * d).view(float)
+    pairs = stack.reshape(n, d * d).view(float)
     candidates = (points @ pairs).view(complex).reshape(-1, d, d)
     min_eigs = np.linalg.eigvalsh(candidates)[:, 0]
-    traces = points @ np.trace(herm, axis1=1, axis2=2).real
+    traces = points @ np.trace(stack, axis1=1, axis2=2).real
     on_simplex = points.min(axis=1) >= -tol
     flags = on_simplex & trace_ok(traces, tol) & (min_eigs >= -tol)
     return flags, min_eigs

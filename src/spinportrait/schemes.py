@@ -35,7 +35,7 @@ from .linalg import AW_RTOL, projector_coords, svd_inverse, vec_to_hermitian
 from .orthopoly import assoc_legendre, s_operator_stacks
 from .portrait import ProbVector
 from .spin import Direction, Spin, frame_matrices, unitarity_defect
-from .su2 import DirectionSet, _admitted_grams, least_squares
+from .su2 import DirectionSet, _block_inverses, least_squares
 from .tomography import forward_matrix, tomogram_columns
 
 
@@ -253,5 +253,5 @@ def newton_young_directions(spin: Spin, theta: float) -> DirectionSet:
         Direction(theta, 2.0 * math.pi * k / n_u) for k in range(n_u)
     ]
     ds = DirectionSet(spin, dirs)
-    list(_admitted_grams(ds.unit_vectors()))  # refuses a singular block
+    list(_block_inverses(ds.unit_vectors()))  # refuses a singular block
     return ds

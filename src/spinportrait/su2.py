@@ -1,20 +1,30 @@
-"""Finite SU(2) scheme: 4j+1 directions, their least-squares inverse and quantizers.
+"""Finite SU(2) scheme: 4j+1 directions and the two inverses of their forward map.
 
 A spin-j state is encoded in the (2j+1)(4j+1) probabilities of all
-projections along 4j+1 directions.  The degree-L parts S_L(n_k) of the
-measured projectors overlap as M(L)_ik = Tr(S_L(n_i) S_L(n_k)) = P_L(n_i . n_k),
-so the equal-weight forward map Q is block-diagonal by shell, with singular
-values sqrt(lambda)/N for the top 2L+1 eigenvalues of P_L(n_i . n_k) over all
-N directions.  :func:`reconstruct` applies its pseudo-inverse, the canonical
-dual frame and the linear inverse of least error (A. J. Scott, J. Phys. A 39,
-13507 (2006)), built shell by shell from the addition theorem's factor
-P_L(n_i . n_k) = Y_L Y_L^T; :func:`least_squares` shares its memo, rank rule
-(LSQ_RTOL) and refusal with the sun frames.
+projections along N = 4j+1 directions.  The degree-L parts
+S_L(n_k) = sum_m f_L(m) U(m, n_k) of the measured projectors overlap as
+Tr(S_L(n_i) S_L(n_k)) = P_L(n_i . n_k), which the addition theorem factors as
+Y_L Y_L^T with Y_L the degree-L real spherical harmonics of the directions.
+Both inverses of the equal-weight forward map are the one product
 
-The paper's nested quantizers serve shell L by the first 2L+1 directions and
-invert each leading block M(L), rho = sum_{L, k <= 2L, m} P_eq(m, n_k) D_L(m, k).
-They carry the symbol calculus and the region's candidate map, and refuse a
-set at its first block with lambda_min(M(L)) <= BLOCK_RTOL lambda_max(M(L)).
+    N sum_L S_L^T G_L (x) f_L(m)
+
+and differ only in the per-shell matrix G_L:
+
+* :func:`reconstruct` takes G_L = P_L(n_i . n_k)^+ over all N directions,
+  the pseudo-inverse of the map, the canonical dual frame and the linear
+  inverse of least error (A. J. Scott, J. Phys. A 39, 13507 (2006));
+  :func:`least_squares` shares its memo, rank rule (LSQ_RTOL) and refusal
+  with the sun frames.
+* The paper's nested quantizers D(m, k) serve shell L by the first 2L+1
+  directions, rho = sum_{L, k <= 2L, m} P_eq(m, n_k) D_L(m, k): G_L is the
+  zero-padded inverse of the leading block M(L) = Y Y^T, Y the leading
+  (2L+1)-square block of Y_L.  They carry the symbol calculus and the
+  region's candidate map, and refuse a set at its first block with
+  lambda_min(M(L)) <= BLOCK_RTOL lambda_max(M(L)), lambda = sigma(Y)^2.
+
+The determinants behind feasibility and the optimizer objective read M(L)
+from one Legendre recurrence (:func:`_shell_grams`).
 """
 
 from __future__ import annotations
@@ -38,13 +48,7 @@ from .linalg import (
     validate_weights,
     vec_to_hermitian,
 )
-from .orthopoly import (
-    _jacobi_table,
-    coeff_table,
-    legendre_series,
-    s_operator_stack,
-    s_operator_stacks,
-)
+from .orthopoly import coeff_table, legendre_series, s_operator_stack
 from .portrait import ProbVector, _layout_index
 from .spin import Direction, Spin, frame_matrices
 from .tomography import forward_matrix
@@ -98,21 +102,6 @@ def _shell_grams(vectors: np.ndarray):
     for L, p in enumerate(legendre_series((vectors.shape[-2] - 1) // 2, dots)):
         gram_l = p[..., : 2 * L + 1, : 2 * L + 1]
         yield gram_l, (np.linalg.det(gram_l) if L else 1.0)
-
-
-def _admitted_grams(vectors: np.ndarray):
-    """The blocks M(L) of one set, refusing it at the first singular block.
-
-    A block is singular when lambda_min(M(L)) <= BLOCK_RTOL lambda_max(M(L)).
-    """
-    for L, (gram_l, _) in enumerate(_shell_grams(vectors)):
-        lam = np.linalg.eigvalsh(gram_l)
-        if not lam[0] > BLOCK_RTOL * lam[-1]:
-            raise FeasibilityError(
-                f"shell L={L} Gram eigenvalue ratio {lam[0] / lam[-1]:.3e} at or below "
-                f"{BLOCK_RTOL:.0e}; the direction set cannot be inverted"
-            )
-        yield gram_l
 
 
 def _harmonic_factors(vectors: np.ndarray, two_j: int) -> np.ndarray:
@@ -189,10 +178,41 @@ def feasibility_delta(ds: DirectionSet) -> float:
 q_matrix = forward_matrix
 
 
-def _shell_duals(gram_l: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Dual basis sum_k' [M(L)^-1]_kk' S_L(n_k') of the shell operators ops[k']."""
-    n, d, _ = ops.shape
-    return np.linalg.solve(gram_l, ops.reshape(n, d * d)).reshape(n, d, d)
+def _block_inverses(vectors: np.ndarray):
+    """G_L, the inverse of M(L) zero-padded to N x N, for L = 0, 1, ..., lazily.
+
+    M(L) = Y Y^T with Y the leading (2L+1)-square block of the shell-L
+    harmonic factor, so M(L)^-1 = U diag(sigma^-2) U^T from the SVD of Y.  A
+    block with lambda_min <= BLOCK_RTOL lambda_max (lambda = sigma^2) refuses
+    the set, so a caller is refused only by the shells it reads.
+    """
+    n = len(vectors)
+    for L, factor in enumerate(_harmonic_factors(vectors, (n - 1) // 2)):
+        size = 2 * L + 1
+        u, sv, _ = np.linalg.svd(factor[:size, :size])
+        lam = sv * sv
+        if not lam[-1] > BLOCK_RTOL * lam[0]:
+            raise FeasibilityError(
+                f"shell L={L} Gram eigenvalue ratio {lam[-1] / lam[0]:.3e} at or below "
+                f"{BLOCK_RTOL:.0e}; the direction set cannot be inverted"
+            )
+        inverse = np.zeros((n, n))
+        inverse[:size, :size] = (u / lam) @ u.T
+        yield inverse
+
+
+def _shell_product(ds: DirectionSet, grams: np.ndarray) -> np.ndarray:
+    """N sum_L S_L^T G_L (x) f_L(m) for the per-shell G_L, grams (2j+1, N, N).
+
+    The (d*d, N*d) matrix whose column (k, m) holds the coordinates of the
+    dual of U(m, n_k): an inverse of the equal-weight forward map.
+    """
+    spin, n, d = ds.spin, ds.n_dirs, ds.spin.dim
+    table = coeff_table(spin)
+    # shells[k, L]: coordinates of S_L(n_k) = sum_m f_L(m) U(m, n_k)
+    shells = table @ projector_coords(np.swapaxes(frame_matrices(spin, ds.dirs), 1, 2))
+    shell_g = np.transpose(shells, (1, 2, 0)) @ grams
+    return np.tensordot(shell_g, n * table, axes=(0, 0)).reshape(d * d, n * d)
 
 
 def l_dequantizer(spin: Spin, L: int, k: int, two_m: int, ds: DirectionSet) -> np.ndarray:
@@ -215,12 +235,12 @@ def l_quantizer(spin: Spin, L: int, k: int, two_m: int, ds: DirectionSet) -> np.
         Tr(U_L(m, n_k) D_L'(m', k')) = f_L(m) f_L(m') delta_LL' delta_kk'.
     """
     _check_spin(spin, ds)
-    if not (0 <= k <= 2 * L):
+    if not (0 <= k < len(ds.shell(L))):
         raise DomainError(f"direction {k} outside shell L={L}")
-    ops = s_operator_stacks(spin, ds.shell(L))[:, L]
-    gram_l = next(islice(_admitted_grams(ds.unit_vectors()), L, None))
-    f_lm = coeff_table(spin)[L, spin.m_index(two_m)]
-    return (2 * spin.two_j + 1) * f_lm * _shell_duals(gram_l, ops)[k]
+    grams = np.zeros((spin.dim, ds.n_dirs, ds.n_dirs))
+    grams[L] = next(islice(_block_inverses(ds.unit_vectors()), L, None))
+    column = _shell_product(ds, grams)[:, _layout_index(spin, ds.n_dirs, k, two_m)]
+    return vec_to_hermitian(column, spin.dim)
 
 
 def quantizer(spin: Spin, k: int, two_m: int, ds: DirectionSet) -> np.ndarray:
@@ -238,24 +258,14 @@ def quantizer(spin: Spin, k: int, two_m: int, ds: DirectionSet) -> np.ndarray:
 def quantizer_stack(ds: DirectionSet) -> np.ndarray:
     """All quantizers in probability-vector layout, shape (N_u * d, d, d).
 
-    Assembled shell by shell from the Gram inverses; entry index(k, m) matches
-    the ProbVector layout so reconstruction is a single contraction.  Every
-    shell is checked before any operator is built, so a refused set costs
-    only its Gram matrices up to the refused shell.  The result is memoized
-    per direction set (read-only array, safe to share).
+    The columns of the nested inverse, entry index(k, m) in the ProbVector
+    layout so reconstruction is a single contraction.  Every shell block is
+    checked before any forward-map row is built, so a refused set costs only
+    its harmonic factors and the block SVDs up to the refused shell.  The
+    result is memoized per direction set (read-only array, safe to share).
     """
-    spin = ds.spin
-    d = spin.dim
-    n_u = ds.n_dirs
-    grams = list(_admitted_grams(ds.unit_vectors()))
-    table = coeff_table(spin)
-    shell_ops = s_operator_stacks(spin, ds.dirs)
-    out = np.zeros((n_u, d, d, d), dtype=complex)
-    for L, gram_l in enumerate(grams):
-        n_shell = 2 * L + 1
-        duals = _shell_duals(gram_l, shell_ops[:n_shell, L])
-        out[:n_shell] += (n_u * table[L])[:, None, None] * duals[:, None]
-    out = out.reshape(n_u * d, d, d)
+    grams = np.stack(list(_block_inverses(ds.unit_vectors())))
+    out = vec_to_hermitian(_shell_product(ds, grams).T, ds.spin.dim)
     out.flags.writeable = False
     return out
 
@@ -303,20 +313,16 @@ def _solver(frame_set, weights: bytes):
     if not isinstance(frame_set, DirectionSet):
         a = forward_matrix(frame_set.spin, frame_set.frames, np.frombuffer(weights))
         return svd_inverse(a, LSQ_RTOL)
-    spin, n, d = frame_set.spin, frame_set.n_dirs, frame_set.spin.dim
-    table = _jacobi_table(spin)
-    # shells[k, L]: coordinates of S_L(n_k) = sum_m f_L(m) U(m, n_k)
-    shells = table @ projector_coords(np.swapaxes(frame_matrices(spin, frame_set.dirs), 1, 2))
-    u, sv, _ = np.linalg.svd(_harmonic_factors(frame_set.unit_vectors(), spin.two_j))
+    n, d = frame_set.n_dirs, frame_set.spin.dim
+    u, sv, _ = np.linalg.svd(_harmonic_factors(frame_set.unit_vectors(), d - 1))
     kept = np.arange(n) < 2 * np.arange(d)[:, None] + 1
     s = np.sort(sv[kept])[::-1] / n
     s.flags.writeable = False
     if _rank(s, LSQ_RTOL) < d * d:
         return s, None
-    # S_L^+ = S_L^T P_L(n_i . n_k)^+, and Q^+ = N sum_L S_L^+ (x) f_L(m)
+    # G_L = P_L(n_i . n_k)^+ from the factor's SVD
     gram_pinv = (u * np.where(kept, sv, np.inf)[:, None, :] ** -2.0) @ np.swapaxes(u, 1, 2)
-    shell_pinv = np.transpose(shells, (1, 2, 0)) @ gram_pinv
-    inverse = np.tensordot(shell_pinv, n * table, axes=(0, 0)).reshape(d * d, n * d)
+    inverse = _shell_product(frame_set, gram_pinv)
     inverse.flags.writeable = False
     return s, inverse
 
@@ -346,5 +352,5 @@ def dual_vectors(ds: DirectionSet) -> np.ndarray:
     """
     if ds.spin.two_j < 1:
         raise DomainError("dual vectors need at least the L=1 shell")
-    gram_1 = next(islice(_admitted_grams(ds.unit_vectors()), 1, None))
-    return np.linalg.solve(gram_1, ds.unit_vectors()[:3])
+    gram_1 = next(islice(_block_inverses(ds.unit_vectors()), 1, None))
+    return gram_1[:3, :3] @ ds.unit_vectors()[:3]

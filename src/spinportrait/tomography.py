@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .linalg import hermitian_to_vec, projector_coords, validate_weights
+from .linalg import projector_coords, validate_weights
 from .orthopoly import coeff_table
 from .spin import Direction, Frame, Spin, frame_matrices, frame_matrix
 
@@ -106,8 +106,8 @@ def _state(spin: Spin, rho) -> np.ndarray:
 
 
 def _probabilities(kets: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Tr(rho |v><v|) for the kets stored as columns of ``kets`` (last axis)."""
-    return projector_coords(np.swapaxes(kets, -1, -2)) @ hermitian_to_vec(rho)
+    """Tr(rho |v><v|) = Re v^dag rho v for the kets stored as columns of ``kets``."""
+    return np.sum(kets.conj() * (rho @ kets), axis=-2).real
 
 
 def _shell_sum(spin: Spin) -> np.ndarray:

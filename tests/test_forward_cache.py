@@ -190,14 +190,14 @@ class TestCaches:
         reconstruct(prob_vector(spin, rho, qutrit_set.dirs), qutrit_set)
         for arr in su2.least_squares(qutrit_set):
             _assert_read_only(arr)
-        _assert_read_only(orthopoly._jacobi_table(spin))
+        _assert_read_only(orthopoly.coeff_table(spin))
 
     def test_bounds(self):
         assert tomography._direction_kets.cache_info().maxsize == 16
         assert schemes._aw_solver.cache_info().maxsize == 16
         assert su2.quantizer_stack.cache_info().maxsize == 16
         assert su2._solver.cache_info().maxsize == 16
-        assert orthopoly._jacobi_table.cache_info().maxsize == 16
+        assert orthopoly.coeff_table.cache_info().maxsize == 16
         spin = Spin(1)
         rng = np.random.default_rng(12)
         ufs = random_frame_set(spin, rng)
@@ -288,7 +288,7 @@ class TestRefusals:
 
     def test_det_floor_su2_set(self, monkeypatch):
         # a set the absolute floor det M(L) >= 1e-12 refused inverts, and the
-        # least-squares inverse builds no S_L operator and no quantizer stack
+        # least-squares inverse never builds the quantizer stack
         spin = Spin(16)
         ds = random_direction_set(spin, np.random.default_rng(17))
         dets = [np.linalg.det(gram(spin, L, ds)) for L in range(1, spin.two_j + 1)]
@@ -296,11 +296,10 @@ class TestRefusals:
         rho = random_density_matrix(spin, np.random.default_rng(17))
         p = prob_vector(spin, rho, ds.dirs)
 
-        def no_operators(*args, **kwargs):
-            raise AssertionError("the least-squares inverse built S_L operators")
+        def no_quantizers(*args, **kwargs):
+            raise AssertionError("the least-squares inverse built the quantizer stack")
 
-        monkeypatch.setattr(su2, "s_operator_stacks", no_operators)
-        monkeypatch.setattr(su2, "quantizer_stack", no_operators)
+        monkeypatch.setattr(su2, "quantizer_stack", no_quantizers)
         su2._solver.cache_clear()
         answers = [reconstruct(p, ds) for _ in range(3)]
         assert np.abs(answers[0] - rho).max() < 1e-9
@@ -309,10 +308,10 @@ class TestRefusals:
     def test_singular_blocks_refuse_before_any_operator(self, monkeypatch):
         ds = coplanar_triad()
 
-        def no_operators(*args, **kwargs):
-            raise AssertionError("a refused set built S_L operators")
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a refused set built forward-map rows")
 
-        monkeypatch.setattr(su2, "s_operator_stacks", no_operators)
+        monkeypatch.setattr(su2, "projector_coords", no_rows)
         su2.quantizer_stack.cache_clear()
         messages = {_message(lambda: su2.quantizer_stack(ds)) for _ in range(3)}
         assert len(messages) == 1 and messages.pop().startswith("shell L=1 Gram eigenvalue ratio")

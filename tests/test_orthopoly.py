@@ -14,10 +14,21 @@ from spinportrait import (
     rotation,
     s_operator,
 )
-from spinportrait.orthopoly import MAX_TWO_J, _jacobi_table
+from spinportrait.orthopoly import MAX_TWO_J
 
 SQRT2 = math.sqrt(2.0)
 SQRT6 = math.sqrt(6.0)
+
+
+def recurrence_rows(n: int):
+    """Oracle: the monic three-term recurrence of the discrete Chebyshev
+    polynomials on {0, ..., n-1}, rows normalized, in descending m."""
+    x = np.arange(n, dtype=float)
+    polys = [np.ones(n), x - (n - 1) / 2.0][:n]
+    for k in range(1, n - 1):
+        beta_k = k * k * (n * n - k * k) / (4.0 * (4 * k * k - 1))
+        polys.append((x - (n - 1) / 2.0) * polys[k] - beta_k * polys[k - 1])
+    return np.array([p[::-1] / np.linalg.norm(p) for p in polys])
 
 
 def gram_schmidt_monic_rows(n: int):
@@ -63,24 +74,19 @@ class TestCoeffTable:
     @pytest.mark.parametrize("two_j", range(0, MAX_TWO_J + 1))
     def test_orthonormality(self, two_j):
         table = coeff_table(Spin(two_j))
-        defect = np.abs(table @ table.T - np.eye(two_j + 1)).max()
-        # the stated range is orthonormal to 1e-10; the low spins to 1e-11
-        assert defect < (1e-11 if two_j <= 12 else 1e-10)
+        assert np.abs(table @ table.T - np.eye(two_j + 1)).max() < 1e-14
+        assert (table[:, 0] > 0).all()  # f_L(+j) > 0
+        assert (table[0] > 0).all()
 
-    def test_jacobi_table_is_the_table_to_machine_precision(self):
-        # the eigenvector form behind the least-squares inverse: the same rows,
-        # apart from the digits the recurrence has lost, and orthogonal to rounding
+    def test_table_is_the_recurrence_to_its_lost_digits(self):
+        # the recurrence gives the same rows, apart from the digits it loses
         for two_j in range(0, MAX_TWO_J + 1):
-            table = coeff_table(Spin(two_j))
-            defect = np.abs(table @ table.T - np.eye(two_j + 1)).max()
-            assert np.abs(_jacobi_table(Spin(two_j)) - table).max() <= 2.0 * defect + 1e-15
-        for two_j in (MAX_TWO_J, 40):
-            jacobi = _jacobi_table(Spin(two_j))
-            assert np.abs(jacobi @ jacobi.T - np.eye(two_j + 1)).max() < 1e-14
-            assert (jacobi[:, 0] > 0).all() and (jacobi[0] > 0).all()
+            oracle = recurrence_rows(two_j + 1)
+            defect = np.abs(oracle @ oracle.T - np.eye(two_j + 1)).max()
+            assert np.abs(coeff_table(Spin(two_j)) - oracle).max() <= 2.0 * defect + 1e-15
 
     def test_above_validated_range_raises(self):
-        with pytest.raises(DomainError, match="orthonormal"):
+        with pytest.raises(DomainError, match="largest spin the test suite validates"):
             coeff_table(Spin(MAX_TWO_J + 1))
         with pytest.raises(DomainError):
             s_operator(Spin(MAX_TWO_J + 1), 0, Direction(0.0, 0.0))

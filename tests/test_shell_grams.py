@@ -6,12 +6,15 @@ refuses the nested quantizers at the first block with
 lambda_min <= 1e-12 lambda_max.  The inverse oracle is one SVD of the
 equal-weight forward map, refused below rank (2j+1)^2 at 1e-8 sigma_max.
 Verdicts, refused shells and messages of the library and the exit codes of
-``cli invert`` must match them.  The gram-product objective keeps its own cut,
+``cli invert`` must match them; the eigenvalue ratio a block refusal prints
+must match the oracle's to 1e-14, which is all eigvalsh resolves of a ratio
+near 1e-12.  The gram-product objective keeps its own cut,
 det M(L) < 1e-12, and must match the log product under that cut.
 """
 
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,18 +68,32 @@ def oracle_legendre(L: int, x: np.ndarray) -> np.ndarray:
 
 
 def oracle_blocks(ds: DirectionSet):
-    """The nested quantizers' refusal message, or None if every block passes."""
+    """(first refused shell L, its eigenvalue ratio) of the nested quantizers, or None."""
     vectors = ds.unit_vectors()
     dots = np.clip(vectors @ vectors.T, -1.0, 1.0)
     for L in range(1, ds.spin.two_j + 1):
         n = 2 * L + 1
         lam = np.linalg.eigvalsh(oracle_legendre(L, dots[:n, :n]))
         if lam[0] <= ORACLE_BLOCK_RTOL * lam[-1]:
-            return (
-                f"shell L={L} Gram eigenvalue ratio {lam[0] / lam[-1]:.3e} at or below "
-                "1e-12; the direction set cannot be inverted"
-            )
+            return L, lam[0] / lam[-1]
     return None
+
+
+BLOCK_REFUSAL = re.compile(
+    r"shell L=(\d+) Gram eigenvalue ratio (\S+) at or below 1e-12; "
+    r"the direction set cannot be inverted"
+)
+
+
+def assert_block_refusal(message, expected):
+    """A block refusal message (or None) names the oracle's shell and ratio."""
+    if expected is None:
+        assert message is None
+        return
+    match = BLOCK_REFUSAL.fullmatch(message)
+    assert match is not None, message
+    assert int(match[1]) == expected[0]
+    assert abs(float(match[2]) - expected[1]) <= 1e-14
 
 
 def oracle_inverse(ds: DirectionSet):
@@ -208,7 +225,7 @@ class TestAgainstOracle:
     def test_verdicts_shells_and_messages(self, two_j, sets):
         for ds in self._sets(two_j, sets):
             su2.quantizer_stack.cache_clear()
-            assert refusal(lambda: su2.quantizer_stack(ds)) == oracle_blocks(ds)
+            assert_block_refusal(refusal(lambda: su2.quantizer_stack(ds)), oracle_blocks(ds))
             expected, _ = oracle_inverse(ds)
             assert refusal(lambda: reconstruct(uniform_vector(ds), ds)) == expected
             _, dets = oracle_dets(ds)
@@ -272,11 +289,10 @@ def test_newton_young_cones_the_floor_refused_round_trip(two_j, theta):
 
 def test_newton_young_refuses_a_singular_cone():
     ds = cone(2, 1e-4)  # P_2^2(cos theta) = 3e-8 passes, the L=2 block is singular
-    message = oracle_blocks(ds)
-    assert message is not None
+    assert oracle_blocks(ds) is not None
     with pytest.raises(FeasibilityError) as info:
         newton_young_directions(Spin(2), 1e-4)
-    assert str(info.value) == message
+    assert_block_refusal(str(info.value), oracle_blocks(ds))
     expected, _ = oracle_inverse(ds)
     assert expected is not None
     assert refusal(lambda: reconstruct(uniform_vector(ds), ds)) == expected

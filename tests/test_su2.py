@@ -31,7 +31,40 @@ from spinportrait import (
     shell_determinants,
 )
 from spinportrait import su2
+from spinportrait.orthopoly import coeff_table, s_operator_stacks
 from conftest import coplanar_triad, random_direction_set
+
+
+def admitted_set(spin: Spin, seed: int) -> DirectionSet:
+    """The first random set from the seed that the nested quantizers accept."""
+    rng = np.random.default_rng((spin.two_j, seed))
+    while True:
+        ds = random_direction_set(spin, rng)
+        try:
+            su2.quantizer_stack(ds)
+            return ds
+        except FeasibilityError:
+            pass
+
+
+def operator_oracle(ds: DirectionSet):
+    """(quantizer stack, max cond M(L)) from S_L operators and Legendre solves.
+
+    D(m, k) = (4j+1) sum_L f_L(m) sum_k' [M(L)^-1]_kk' S_L(n_k'), each shell's
+    duals from np.linalg.solve on its Gram block P_L(n_i . n_k).
+    """
+    spin, n, d = ds.spin, ds.n_dirs, ds.spin.dim
+    table = coeff_table(spin)
+    ops = s_operator_stacks(spin, ds.dirs)
+    out = np.zeros((n, d, d, d), dtype=complex)
+    cond = 1.0
+    for L in range(d):
+        size = 2 * L + 1
+        block = gram(spin, L, ds) if L else np.ones((1, 1))
+        cond = max(cond, np.linalg.cond(block))
+        duals = np.linalg.solve(block, ops[:size, L].reshape(size, d * d)).reshape(size, d, d)
+        out[:size] += (n * table[L])[:, None, None] * duals[:, None]
+    return out.reshape(n * d, d, d), cond
 
 
 def triple_product(ds: DirectionSet) -> float:
@@ -193,8 +226,6 @@ class TestLQuantizer:
     def test_biorthogonality(self, two_j, seed):
         spin = Spin(two_j)
         ds = random_direction_set(spin, np.random.default_rng(seed))
-        from spinportrait import coeff_table
-
         table = coeff_table(spin)
         ms = list(spin.two_m_values())
         dequants = {
@@ -235,6 +266,32 @@ class TestQuantizer:
         for k in (1, 2):
             only_l1 = l_quantizer(spin, 1, k, 1, orthogonal_triad)
             assert np.abs(quantizer(spin, k, 1, orthogonal_triad) - only_l1).max() < 1e-13
+
+    @pytest.mark.parametrize("two_j", [1, 2, 4, 8, 16])
+    def test_stack_matches_the_operator_oracle(self, two_j):
+        for seed in range(4):
+            ds = admitted_set(Spin(two_j), seed)
+            oracle, cond = operator_oracle(ds)
+            # both lose digits as eps * cond(M(L)); measured up to 12 eps * cond
+            tol = 1e-13 * cond * np.abs(oracle).max()
+            assert np.abs(su2.quantizer_stack(ds) - oracle).max() <= tol
+
+    @pytest.mark.parametrize("two_j", [1, 2, 4])
+    def test_l_quantizers_sum_to_the_quantizer(self, two_j):
+        spin = Spin(two_j)
+        ds = admitted_set(spin, 0)
+        for k in range(ds.n_dirs):
+            for two_m in spin.two_m_values():
+                total = sum(
+                    l_quantizer(spin, L, k, two_m, ds) for L in range((k + 1) // 2, two_j + 1)
+                )
+                full = quantizer(spin, k, two_m, ds)
+                assert np.abs(total - full).max() <= 1e-12 * max(1.0, np.abs(full).max())
+
+    @pytest.mark.parametrize("two_j", [1, 4, 16])
+    def test_stack_is_exactly_hermitian(self, two_j):
+        stack = su2.quantizer_stack(admitted_set(Spin(two_j), 1))
+        assert np.array_equal(stack, np.conj(np.swapaxes(stack, 1, 2)))
 
     def test_trace_values_spin_half(self, orthogonal_triad):
         spin = Spin(1)
