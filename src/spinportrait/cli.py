@@ -24,8 +24,8 @@ from .errors import (
     OptimizationError,
 )
 from .kernels import kernel_p_to_w, kernel_w_to_p, star_kernel
-from .linalg import condition_number, validate_weights
-from .optimize import OptimizerConfig, optimize
+from .linalg import validate_weights
+from .optimize import OBJECTIVES, OptimizerConfig, optimize
 from .portrait import ProbVector, normalize_to_eq, prob_vector
 from .region import SliceEntry, SliceSpec, sample_region, write_region_csv
 from .schemes import (
@@ -36,11 +36,9 @@ from .schemes import (
     aw_normalized_forward,
     aw_reconstruct,
     default_aw_grid,
-    reconstruct_pinv,
 )
 from .spin import Direction, Spin, validate_density_matrix
-from .su2 import DirectionSet, least_squares, reconstruct
-from .tomography import forward_matrix
+from .su2 import DirectionSet, _spectrum, least_squares, reconstruct
 
 
 def _parse_weights(arg: str | None, n: int) -> np.ndarray:
@@ -84,22 +82,18 @@ def cmd_invert(args) -> int:
     if prob.scheme == "aw":
         rho = aw_reconstruct(spin, prob.values, frames, normalized=True)
         s, _ = _aw_solver(spin, tuple(frames))
-    elif prob.scheme == "sun":
-        ufs = UnitaryFrameSet(spin, frames)
-        rho = reconstruct_pinv(ProbVector(spin, len(frames), prob.values), ufs, prob.weights)
-        s, _ = least_squares(ufs, prob.weights)
     else:
-        ds = DirectionSet(spin, frames)
         p = ProbVector(spin, len(frames), prob.values)
-        if not np.abs(p.block_sums() - 1.0 / len(frames)).max() <= 1e-12:
-            print(
-                "notice: probabilities carry non-equal priors; renormalizing "
-                "to the equal-weight form",
-                file=sys.stderr,
-            )
-            p = normalize_to_eq(p)
-        rho = reconstruct(p, ds)
-        s, _ = least_squares(ds)
+        if prob.scheme == "sun":
+            frame_set, weights = UnitaryFrameSet(spin, frames), prob.weights
+        else:
+            frame_set, weights = DirectionSet(spin, frames), None
+            if not np.abs(p.block_sums() - 1.0 / len(frames)).max() <= 1e-12:
+                print("notice: probabilities carry non-equal priors; renormalizing "
+                      "to the equal-weight form", file=sys.stderr)
+                p = normalize_to_eq(p)
+        rho = reconstruct(p, frame_set, weights)
+        s, _ = least_squares(frame_set, weights)
     # the conditioning of the inverse just applied, from its memoized singular values
     print(f"condition number: {s[0] / s[-1]:.6e}", file=sys.stderr)
     if not args.no_validate:
@@ -118,9 +112,9 @@ def cmd_optimize(args) -> int:
         tolerance=args.tol,
     )
     ds, value = optimize(spin, config)
-    cond = condition_number(forward_matrix(spin, ds.dirs))
+    s = _spectrum(ds.unit_vectors())  # of the least-squares inverse, as cmd_invert prints
     print(f"objective: {value:.12g}", file=sys.stderr)
-    print(f"condition number: {cond:.6e}", file=sys.stderr)
+    print(f"condition number: {s[0] / s[-1]:.6e}", file=sys.stderr)
     fileio.save_directions(args.out, ds.dirs)
     return 0
 
@@ -227,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=400, dest="max_iters")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--objective", choices=("gram-product", "condition-number"),
-                   default="gram-product")
+    p.add_argument("--objective", choices=OBJECTIVES, default="gram-product")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_optimize)
 

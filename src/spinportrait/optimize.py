@@ -6,24 +6,24 @@ larger the product of the nested shell Gram determinants, the better
 conditioned the inversion.  The search maximizes either that log-product
 (D-optimal design over the leading blocks M(L)), INFEASIBLE for a set with a
 block of det M(L) below the objective's own cut _DET_CUT = 1e-12 (or NaN), or
-the negated condition number of the forward map, over the direction angles,
-with the orientation gauge fixed (first direction pinned to +z, second to the
-phi = 0 half-plane).  The cut is the objective's alone: su2 inverts sets
-by a relative rank rule, and the objective only needs a finite logarithm.
+the negated condition number of the least-squares inverse (INFEASIBLE where
+su2 refuses it), over the direction angles, with the orientation gauge fixed
+(first direction pinned to +z, second to the phi = 0 half-plane).  The cut is
+the objective's alone: su2 inverts sets by a relative rank rule, and the
+objective only needs a finite logarithm.
 
 The optimizer is a seeded multi-restart compass search: deterministic for a
 fixed seed, monotone in the objective, and terminating once the step shrinks
 below the tolerance or the iteration budget is spent.  A sweep's trials are
-scored in stacked batches (one angle map, one stacked dot product, one
-Legendre pass and one determinant per shell for the whole batch); the first
-trial that improves is taken and the batch after it rebuilt from the new
-point, so the points visited, the returned set and its value are bitwise
-those of scoring one trial at a time.  ``objective(ds)`` is a batch of one,
-and the condition-number objective is scored row by row through the same
-search.  For three directions
-the known optimum is an orthogonal triad (unit triple product), which the
-search reproduces; for more directions no closed-form optimum is available
-and the result is validated by dominating randomized baselines.
+scored in stacked batches (one angle map, then for the whole batch either one
+stacked dot product, one Legendre pass and one determinant per shell, or one
+stacked SVD of the shell factors); the first trial that improves is taken and
+the batch after it rebuilt from the new point, so the points visited, the
+returned set and its value are bitwise those of scoring one trial at a time.
+``objective(ds)`` is a batch of one.  For three directions the known optimum
+is an orthogonal triad (unit triple product), which the search reproduces; for
+more directions no closed-form optimum is available and the result is
+validated by dominating randomized baselines.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OptimizationError
-from .linalg import condition_number
+from .linalg import LSQ_RTOL
 from .spin import Direction, Spin
-from .su2 import DirectionSet, _shell_grams, q_matrix
+from .su2 import DirectionSet, _shell_grams, _spectrum
 
 INFEASIBLE = -1e18
 _DET_CUT = 1e-12  # a gram-product set with a smaller (or NaN) det M(L) scores INFEASIBLE
@@ -46,8 +46,6 @@ _DET_CUT = 1e-12  # a gram-product set with a smaller (or NaN) det M(L) scores I
 # per-call cost more often; 16 timed best or within noise of it at two_j 1,
 # 2, 4 and 8, where 4 trials, 32 and a whole sweep were slower at two_j=8.
 _CHUNK = 16
-
-OBJECTIVES = ("gram-product", "condition-number")
 
 
 @dataclass(frozen=True)
@@ -86,20 +84,32 @@ def _log_dets(vectors: np.ndarray) -> list:
     ]
 
 
+def _neg_conds(vectors: np.ndarray) -> list:
+    """-cond of each stacked set's (k, N, 3) least-squares inverse, INFEASIBLE if refused."""
+    s = _spectrum(vectors)
+    return [
+        -hi / lo if lo > LSQ_RTOL * hi else INFEASIBLE
+        for hi, lo in zip(s[:, 0].tolist(), s[:, -1].tolist())
+    ]
+
+
+_SCORES = {"gram-product": _log_dets, "condition-number": _neg_conds}
+OBJECTIVES = tuple(_SCORES)
+
+
 def objective(ds: DirectionSet, kind: str = "gram-product") -> float:
     """Scalar figure of merit for a direction set (larger is better).
 
     ``gram-product`` returns log prod_L det M(L), with the sentinel -1e18
     standing in for -infinity below the determinant cut, so line searches
-    can step across infeasible regions.  ``condition-number`` returns the
-    negated condition number of the equal-weight forward map.
+    can step across infeasible regions.  ``condition-number`` returns
+    -s[0] / s[-1] of the singular values of su2.least_squares, INFEASIBLE
+    where it refuses the set (s[-1] <= LSQ_RTOL s[0]).  Either scores a stack
+    of sets, so a set scores the same alone or stacked.
     """
-    if kind == "gram-product":
-        return _log_dets(ds.unit_vectors()[None])[0]
-    if kind == "condition-number":
-        cond = condition_number(q_matrix(ds.spin, ds.dirs))
-        return -cond if math.isfinite(cond) else INFEASIBLE
-    raise DomainError(f"unknown objective kind {kind!r}")
+    if kind not in _SCORES:
+        raise DomainError(f"unknown objective kind {kind!r}")
+    return _SCORES[kind](ds.unit_vectors()[None])[0]
 
 
 def _n_params(spin: Spin) -> int:
@@ -195,12 +205,9 @@ def optimize(spin: Spin, config: OptimizerConfig = OptimizerConfig()):
     toward the lowest restart index, so a fixed seed fully determines the
     output.  Raises OptimizationError if no restart finds a feasible set.
     """
-    if config.objective == "gram-product":
-        def score(rows):
-            return _log_dets(_angles_to_vectors(*_params_to_angles(spin, rows)))
-    else:
-        def score(rows):
-            return (objective(_params_to_set(spin, x), config.objective) for x in rows)
+    def score(rows):
+        return _SCORES[config.objective](_angles_to_vectors(*_params_to_angles(spin, rows)))
+
     best_x = None
     best_val = -math.inf
     for restart in range(config.restarts):

@@ -33,9 +33,8 @@ import numpy as np
 from .errors import DomainError, FeasibilityError
 from .linalg import AW_RTOL, projector_coords, svd_inverse, vec_to_hermitian
 from .orthopoly import assoc_legendre, s_operator_stacks
-from .portrait import ProbVector
-from .spin import Direction, Spin, frame_matrices, unitarity_defect
-from .su2 import DirectionSet, _block_inverses, least_squares
+from .spin import Direction, Spin, frame_matrices
+from .su2 import DirectionSet, _block_inverses, reconstruct
 from .tomography import forward_matrix, tomogram_columns
 
 
@@ -53,20 +52,14 @@ class UnitaryFrameSet:
 
     def __init__(self, spin: Spin, frames: Sequence[np.ndarray]):
         object.__setattr__(self, "spin", spin)
-        frames = tuple(np.array(u, dtype=complex) for u in frames)
-        for u in frames:
-            u.flags.writeable = False
-        object.__setattr__(self, "frames", frames)
+        stack = frame_matrices(spin, frames)  # refuses a wrong shape or a non-unitary frame
+        stack.flags.writeable = False
+        object.__setattr__(self, "frames", tuple(stack))
         expected = spin.two_j + 2
-        if len(frames) != expected:
+        if len(self.frames) != expected:
             raise DomainError(
-                f"need {expected} frames for two_j={spin.two_j}, got {len(frames)}"
+                f"need {expected} frames for two_j={spin.two_j}, got {len(self.frames)}"
             )
-        for u in frames:
-            if u.shape != (spin.dim, spin.dim):
-                raise DomainError(f"frame shape {u.shape} != dim {spin.dim}")
-            if not unitarity_defect(u) <= 1e-12:
-                raise DomainError("frame is not unitary to 1e-12")
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -116,19 +109,7 @@ def mu_bound(gamma: float) -> float:
     return (1.0 + root) / (1.0 - root)
 
 
-def reconstruct_pinv(p: ProbVector, ufs: UnitaryFrameSet, weights=None) -> np.ndarray:
-    """Least-squares inverse of the unitary-frame forward map.
-
-    Solves the overdetermined system through the SVD pseudo-inverse rather
-    than the normal equations, which would square the conditioning.  The rank
-    verdict and the pseudo-inverse are memoized per (frame set, weights) by
-    :func:`su2.least_squares`, whose rule and refusal su2 shares.
-    """
-    spin = ufs.spin
-    if p.spin != spin or p.n_rotations != len(ufs.frames):
-        raise DomainError("probability vector does not match the frame set")
-    _, inverse = least_squares(ufs, weights)
-    return vec_to_hermitian(inverse @ p.values, spin.dim)
+reconstruct_pinv = reconstruct  # the least-squares inverse, with the priors ``weights``
 
 
 @dataclass(frozen=True)

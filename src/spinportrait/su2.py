@@ -13,9 +13,9 @@ and differ only in the per-shell matrix G_L:
 
 * :func:`reconstruct` takes G_L = P_L(n_i . n_k)^+ over all N directions,
   the pseudo-inverse of the map, the canonical dual frame and the linear
-  inverse of least error (A. J. Scott, J. Phys. A 39, 13507 (2006));
-  :func:`least_squares` shares its memo, rank rule (LSQ_RTOL) and refusal
-  with the sun frames.
+  inverse of least error (A. J. Scott, J. Phys. A 39, 13507 (2006)); it and
+  :func:`least_squares` (memo, rank rule LSQ_RTOL, refusal) serve the sun
+  frames too.
 * The paper's nested quantizers D(m, k) serve shell L by the first 2L+1
   directions, rho = sum_{L, k <= 2L, m} P_eq(m, n_k) D_L(m, k): G_L is the
   zero-padded inverse of the leading block M(L) = Y Y^T, Y the leading
@@ -23,8 +23,9 @@ and differ only in the per-shell matrix G_L:
   region's candidate map, and refuse a set at its first block with
   lambda_min(M(L)) <= BLOCK_RTOL lambda_max(M(L)), lambda = sigma(Y)^2.
 
-The determinants behind feasibility and the optimizer objective read M(L)
-from one Legendre recurrence (:func:`_shell_grams`).
+The determinants behind feasibility and the gram-product objective read M(L)
+from one Legendre recurrence (:func:`_shell_grams`); the condition-number
+objective reads the least-squares singular values (:func:`_spectrum`).
 """
 
 from __future__ import annotations
@@ -105,30 +106,49 @@ def _shell_grams(vectors: np.ndarray):
 
 
 def _harmonic_factors(vectors: np.ndarray, two_j: int) -> np.ndarray:
-    """Factors Y_L Y_L^T = P_L(n_i . n_k) of N = 2 two_j + 1 vectors, (two_j+1, N, N).
+    """Factors Y_L Y_L^T = P_L(n_i . n_k), (..., two_j+1, N, N), of sets (..., 2 two_j + 1, 3).
 
     The addition theorem: column 0 of Y_L is Pbar_L^0(cos theta), columns
     2M-1, 2M are sqrt(2) Pbar_L^M(cos theta) (cos M phi, sin M phi), with
     Pbar_L^M = sqrt((L-M)!/(L+M)!) P_L^M by its stable recurrence in L, and
     the columns past 2L are zero.
     """
-    cos_theta = vectors[:, 2].clip(-1.0, 1.0)
-    sin_theta = np.hypot(vectors[:, 0], vectors[:, 1])
-    pbar = np.zeros((two_j + 1, two_j + 1, len(vectors)))  # [L, M], zero for M > L
-    pbar[0, 0] = 1.0
+    n = vectors.shape[-2]
+    cos_theta = vectors[..., None, :, 2].clip(-1.0, 1.0)
+    sin_theta = np.hypot(vectors[..., 0], vectors[..., 1])
+    pbar = np.zeros(vectors.shape[:-2] + (two_j + 1, two_j + 1, n))  # [L, M], 0 for M > L
+    pbar[..., 0, 0, :] = 1.0
     for L in range(1, two_j + 1):
         m = np.arange(L)[:, None]
-        pbar[L, :L] = (
-            (2 * L - 1) * cos_theta * pbar[L - 1, :L]
-            - np.sqrt((L + m - 1) * (L - m - 1)) * pbar[max(L - 2, 0), :L]
+        pbar[..., L, :L, :] = (
+            (2 * L - 1) * cos_theta * pbar[..., L - 1, :L, :]
+            - np.sqrt((L + m - 1) * (L - m - 1)) * pbar[..., max(L - 2, 0), :L, :]
         ) / np.sqrt((L - m) * (L + m))
-        pbar[L, L] = math.sqrt((2 * L - 1) / (2 * L)) * sin_theta * pbar[L - 1, L - 1]
-    mphi = np.arange(1, two_j + 1)[:, None] * np.arctan2(vectors[:, 1], vectors[:, 0])
-    out = np.empty((two_j + 1, len(vectors), len(vectors)))
-    out[:, :, 0] = pbar[:, 0]
-    out[:, :, 1::2] = np.swapaxes(SQRT2 * pbar[:, 1:] * np.cos(mphi), 1, 2)
-    out[:, :, 2::2] = np.swapaxes(SQRT2 * pbar[:, 1:] * np.sin(mphi), 1, 2)
+        scale = math.sqrt((2 * L - 1) / (2 * L))
+        pbar[..., L, L, :] = scale * sin_theta * pbar[..., L - 1, L - 1, :]
+    phi = np.arctan2(vectors[..., None, :, 1], vectors[..., None, :, 0])
+    mphi = (np.arange(1, two_j + 1)[:, None] * phi)[..., None, :, :]
+    out = np.empty(pbar.shape[:-2] + (n, n))
+    out[..., 0] = pbar[..., 0, :]
+    out[..., 1::2] = np.swapaxes(SQRT2 * pbar[..., 1:, :] * np.cos(mphi), -1, -2)
+    out[..., 2::2] = np.swapaxes(SQRT2 * pbar[..., 1:, :] * np.sin(mphi), -1, -2)
     return out
+
+
+def _spectrum(vectors: np.ndarray, compute_uv: bool = False):
+    """Singular values s of Q, descending, for sets (..., N, 3).
+
+    They are the first 2L+1 singular values of each shell-L factor, over all
+    shells, divided by N.  With ``compute_uv``: (s, u, sv), the factors' SVD
+    with the dropped sv set to inf, so that u sv^-2 u^T = P_L(n_i . n_k)^+.
+    """
+    n = vectors.shape[-2]
+    d = (n + 1) // 2
+    svd = np.linalg.svd(_harmonic_factors(vectors, d - 1), compute_uv=compute_uv)
+    u, sv = svd[:2] if compute_uv else (None, svd)
+    sv = np.where(np.arange(n) < 2 * np.arange(d)[:, None] + 1, sv, np.inf)
+    s = np.sort(sv.reshape(sv.shape[:-2] + (d * n,)), axis=-1)[..., d * d - 1 :: -1] / n
+    return (s, u, sv) if compute_uv else s
 
 
 def gram(spin: Spin, L: int, ds) -> np.ndarray:
@@ -270,21 +290,22 @@ def quantizer_stack(ds: DirectionSet) -> np.ndarray:
     return out
 
 
-def reconstruct(p_eq: ProbVector, ds: DirectionSet) -> np.ndarray:
-    """Least-squares inverse map of the equal-weight probability vector.
+def reconstruct(p: ProbVector, frame_set, weights=None) -> np.ndarray:
+    """Least-squares inverse map (:func:`least_squares`) of a vector over a frame set.
 
-    The input must be an equal-weight vector over this direction set; vectors
-    built with other priors are rejected (renormalize them first).
+    ``p``'s block sums must be the priors to 1e-8, checked before any inverse
+    is built: 1/N for a DirectionSet (``normalize_to_eq`` others first), and
+    ``weights`` (None: equal) for a unitary frame set.
     """
-    spin = ds.spin
-    if p_eq.spin != spin or p_eq.n_rotations != ds.n_dirs:
-        raise DomainError("probability vector does not match the direction set")
-    if not np.abs(p_eq.block_sums() - 1.0 / ds.n_dirs).max() <= 1e-8:
-        raise DomainError(
-            "probability vector is not equal-weight; renormalize it first"
-        )
-    _, inverse = least_squares(ds)
-    return vec_to_hermitian(inverse @ p_eq.values, spin.dim)
+    spin = frame_set.spin
+    n = frame_set.n_dirs if isinstance(frame_set, DirectionSet) else len(frame_set.frames)
+    if p.spin != spin or p.n_rotations != n:
+        raise DomainError("probability vector does not match the frame set")
+    priors = [1.0 / n] * n if weights is None else validate_weights(weights, n).tolist()
+    if not all(abs(s - w) <= 1e-8 for s, w in zip(p.block_sums().tolist(), priors)):
+        raise DomainError("probability vector's block sums are not the priors")
+    _, inverse = least_squares(frame_set, weights)
+    return vec_to_hermitian(inverse @ p.values, spin.dim)
 
 
 def least_squares(frame_set, weights=None):
@@ -313,15 +334,11 @@ def _solver(frame_set, weights: bytes):
     if not isinstance(frame_set, DirectionSet):
         a = forward_matrix(frame_set.spin, frame_set.frames, np.frombuffer(weights))
         return svd_inverse(a, LSQ_RTOL)
-    n, d = frame_set.n_dirs, frame_set.spin.dim
-    u, sv, _ = np.linalg.svd(_harmonic_factors(frame_set.unit_vectors(), d - 1))
-    kept = np.arange(n) < 2 * np.arange(d)[:, None] + 1
-    s = np.sort(sv[kept])[::-1] / n
+    s, u, sv = _spectrum(frame_set.unit_vectors(), compute_uv=True)
     s.flags.writeable = False
-    if _rank(s, LSQ_RTOL) < d * d:
+    if _rank(s, LSQ_RTOL) < s.size:
         return s, None
-    # G_L = P_L(n_i . n_k)^+ from the factor's SVD
-    gram_pinv = (u * np.where(kept, sv, np.inf)[:, None, :] ** -2.0) @ np.swapaxes(u, 1, 2)
+    gram_pinv = (u * sv[:, None, :] ** -2.0) @ np.swapaxes(u, 1, 2)
     inverse = _shell_product(frame_set, gram_pinv)
     inverse.flags.writeable = False
     return s, inverse

@@ -6,11 +6,13 @@ import pytest
 
 from spinportrait import (
     Direction,
+    DirectionSet,
     DomainError,
     InvariantError,
     Spin,
     aw_m_matrix,
     condition_number,
+    objective,
     prob_vector,
     q_matrix,
     r_matrix,
@@ -19,6 +21,7 @@ from spinportrait import (
 from spinportrait import io as fileio
 from spinportrait.cli import main
 from spinportrait.schemes import aw_directions, default_aw_grid, haar_unitary
+from spinportrait.su2 import least_squares
 
 TRIAD = [
     {"theta": 0.0, "phi": 0.0},
@@ -313,6 +316,18 @@ class TestOptimizeDirs:
         v = np.array([d.cartesian for d in d1])
         assert abs(v[0] @ np.cross(v[1], v[2])) >= 1.0 - 1e-6
 
+    @pytest.mark.parametrize("kind", ["gram-product", "condition-number"])
+    def test_prints_the_cond_of_the_least_squares_inverse(self, tmp_path, capsys, kind):
+        out = str(tmp_path / "d.json")
+        assert main(["optimize-dirs", "--two-j", "2", "--restarts", "1", "--max-iters", "10",
+                     "--objective", kind, "--out", out]) == 0
+        ds = DirectionSet(Spin(2), fileio.load_directions(out))
+        s, _ = least_squares(ds)
+        assert capsys.readouterr().err.splitlines() == [
+            f"objective: {objective(ds, kind):.12g}",
+            f"condition number: {s[0] / s[-1]:.6e}",
+        ]
+
     @pytest.mark.parametrize(
         "flag,value,message",
         [
@@ -487,6 +502,29 @@ class TestForwardMatchesLibrary:
         assert code == 3
         assert "probabilities sum to" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_unitary_frame_without_validation_is_3_both_ways(self, tmp_path, capsys):
+        spin = Spin(1)
+        rng = np.random.default_rng(25)
+        frames = [haar_unitary(2, rng) for _ in range(3)]
+        frames[1] = 1.01 * frames[1]
+        frames_path = str(tmp_path / "frames.json")
+        fileio.save_unitary_frames(frames_path, frames)
+        prob_path = str(tmp_path / "prob.json")
+        prob = fileio.ProbFile(spin, "sun", frames, np.full(3, 1 / 3), np.full(6, 1 / 6))
+        fileio.save_prob(prob_path, prob)
+        state = write_state(tmp_path, spin, np.eye(2, dtype=complex) / 2.0)
+        out = tmp_path / "out.json"
+        commands = [
+            ["forward", "--state", state, "--frames", frames_path, "--scheme", "sun"],
+            ["invert", "--prob", prob_path],
+        ]
+        for command in commands:
+            with pytest.warns(UserWarning, match="frame 1 is not unitary"):
+                code = main(command + ["--no-validate", "--out", str(out)])
+            assert code == 3
+            assert "invariant violation: frame matrix is not unitary" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("scheme", ["su2", "sun", "aw"])
     def test_invert_prints_the_condition_number_once(self, tmp_path, capsys, scheme):

@@ -15,7 +15,7 @@ from spinportrait import (
     optimize,
     q_matrix,
 )
-from conftest import random_direction_set
+from conftest import coplanar_triad, random_direction_set
 
 INFEASIBLE = -1e18
 
@@ -35,6 +35,18 @@ class TestObjective:
         for _ in range(25):
             ds = random_direction_set(Spin(1), rng)
             assert objective(ds, "gram-product") <= 1e-12
+
+    @pytest.mark.parametrize("two_j", [1, 2, 4, 8, 16])
+    def test_condition_number_kind_is_the_forward_map_cond(self, two_j):
+        rng = np.random.default_rng(500 + two_j)
+        for _ in range(4):
+            ds = random_direction_set(Spin(two_j), rng)
+            expected = -condition_number(q_matrix(ds.spin, ds.dirs))
+            assert objective(ds, "condition-number") == pytest.approx(expected, rel=1e-10)
+
+    def test_condition_number_kind_refuses_the_coplanar_triad(self):
+        # the least-squares inverse refuses it (rank 3 < 4 at LSQ_RTOL)
+        assert objective(coplanar_triad(), "condition-number") == INFEASIBLE
 
     def test_coplanar_sentinel(self):
         ds = DirectionSet(

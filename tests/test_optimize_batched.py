@@ -150,24 +150,33 @@ def nearly_coplanar_set(spin: Spin, squash: float, rng) -> DirectionSet:
     return DirectionSet(spin, [Direction.from_cartesian(v) for v in vectors])
 
 
-@pytest.mark.parametrize("two_j", [1, 2, 4, 8])
-def test_batched_rows_score_as_single_sets(two_j):
+@pytest.mark.parametrize(
+    "two_j,kind",
+    [pytest.param(two_j, "gram-product", id=str(two_j)) for two_j in (1, 2, 4, 8)]
+    + [pytest.param(two_j, "condition-number", id=f"{two_j}-cond") for two_j in (1, 2, 4, 8)],
+)
+def test_batched_rows_score_as_single_sets(two_j, kind):
     spin = Spin(two_j)
     rng = np.random.default_rng(two_j)
     sets = [random_direction_set(spin, rng) for _ in range(12)]
     sets += [nearly_coplanar_set(spin, squash, rng) for squash in np.logspace(-1, -9, 12)]
     vectors = np.array([ds.unit_vectors() for ds in sets])
-    vectors[5] = np.nan
-    vectors[17, -1] = np.nan
-    with np.errstate(invalid="ignore"):
-        values = opt._log_dets(vectors)
-        expected = [oracle_log_dets(v) for v in vectors]
-    assert values == expected
-    assert values[5] == values[17] == INFEASIBLE
-    assert values.count(INFEASIBLE) > 2 and any(v > INFEASIBLE for v in values)
+    if kind == "gram-product":
+        vectors[5] = np.nan
+        vectors[17, -1] = np.nan
+        with np.errstate(invalid="ignore"):
+            values = opt._log_dets(vectors)
+            expected = [oracle_log_dets(v) for v in vectors]
+        assert values == expected
+        assert values[5] == values[17] == INFEASIBLE
+        assert values.count(INFEASIBLE) > 2
+    else:
+        values = opt._neg_conds(vectors)
+        assert values[-1] == INFEASIBLE  # squashed to 1e-9, below LSQ_RTOL
+    assert any(v > INFEASIBLE for v in values)
     for i, ds in enumerate(sets):
-        if i not in (5, 17):
-            assert objective(ds) == values[i]
+        if not np.isnan(vectors[i]).any():
+            assert objective(ds, kind) == values[i]
 
 
 @pytest.mark.parametrize("two_j", [0, 1, 2, 4, 8])

@@ -9,6 +9,7 @@ from spinportrait import (
     DirectionSet,
     DomainError,
     FeasibilityError,
+    InvariantError,
     ProbVector,
     Spin,
     UnitaryFrameSet,
@@ -35,6 +36,7 @@ from spinportrait import (
     reconstruct_pinv,
     sun_gram,
 )
+from spinportrait import su2
 
 # frozen regression value: gamma_prime(random_frame_set(Spin(1), default_rng(5)))
 GAMMA_PRIME_J_HALF_SEED_5 = 0.09150362733837276
@@ -143,6 +145,25 @@ class TestReconstructPinv:
         rec = reconstruct_pinv(p, ufs, weights)
         assert np.abs(rec - rho).max() < 1e-9
 
+    def test_is_the_one_least_squares_reconstruction(self):
+        assert reconstruct_pinv is su2.reconstruct
+
+    @pytest.mark.parametrize(
+        "stacked,passed", [((0.4, 0.3, 0.2, 0.1), None), (None, (0.4, 0.3, 0.2, 0.1))]
+    )
+    def test_mismatched_priors_are_refused_before_the_inverse(self, stacked, passed):
+        # either way the pseudo-inverse would return a trace-one state far from rho
+        spin = Spin(2)
+        rng = np.random.default_rng(31)
+        ufs = random_frame_set(spin, rng)
+        rho = random_density_matrix(spin, rng)
+        p = prob_vector(spin, rho, ufs.frames, stacked)
+        before = su2._solver.cache_info()
+        with pytest.raises(DomainError, match="block sums are not the priors"):
+            reconstruct_pinv(p, ufs, passed)
+        assert su2._solver.cache_info() == before
+        assert np.abs(reconstruct_pinv(p, ufs, stacked) - rho).max() < 1e-9
+
     def test_rank_deficient_rejected(self):
         spin = Spin(1)
         u = haar_unitary(2, np.random.default_rng(0))
@@ -185,7 +206,7 @@ class TestFrameSetValidation:
             UnitaryFrameSet(Spin(1), [np.eye(2, dtype=complex)] * 4)
 
     def test_non_unitary(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvariantError):
             UnitaryFrameSet(Spin(1), [np.eye(2, dtype=complex) * 2] * 3)
 
     def test_equality_and_hash_by_identity(self):

@@ -208,7 +208,7 @@ class TestNanFrames:
 
     def test_unitary_frame_set_raises(self):
         frames = [np.eye(2), np.eye(2), np.array([[math.nan, 0.0], [0.0, 1.0]])]
-        with pytest.raises(DomainError, match="not unitary"):
+        with pytest.raises(InvariantError, match="not unitary"):
             UnitaryFrameSet(Spin(1), frames)
 
 

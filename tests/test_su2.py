@@ -416,6 +416,15 @@ class TestLeastSquares:
             assert np.abs(factors[L] @ factors[L].T - legendre(L, dots)).max() < 1e-12
             assert not factors[L][:, 2 * L + 1 :].any()
 
+    @pytest.mark.parametrize("two_j", range(17))
+    def test_stacked_harmonic_factors_are_the_per_set_factors(self, two_j):
+        vectors = np.random.default_rng(400 + two_j).normal(size=(2, 3, 2 * two_j + 1, 3))
+        vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
+        stacked = su2._harmonic_factors(vectors, two_j)
+        assert stacked.shape == (2, 3, two_j + 1, 2 * two_j + 1, 2 * two_j + 1)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(stacked[idx], su2._harmonic_factors(vectors[idx], two_j))
+
     @pytest.mark.parametrize("two_j", [2, 4])
     def test_least_error_among_the_two_inverses(self, two_j):
         # both maps invert Q exactly; the pseudo-inverse has the smaller
