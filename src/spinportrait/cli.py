@@ -27,7 +27,7 @@ from .kernels import kernel_p_to_w, kernel_w_to_p, star_kernel
 from .linalg import validate_weights
 from .optimize import OBJECTIVES, OptimizerConfig, optimize
 from .portrait import ProbVector, normalize_to_eq, prob_vector
-from .region import SliceEntry, SliceSpec, sample_region, write_region_csv
+from .region import DEFAULT_TOL, SliceEntry, SliceSpec, sample_region, write_region_csv
 from .schemes import (
     AWGrid,
     UnitaryFrameSet,
@@ -216,12 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("optimize-dirs", help="search for well-conditioned directions")
+    config = OptimizerConfig()  # the library's defaults
     p.add_argument("--two-j", type=int, required=True, dest="two_j")
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--max-iters", type=int, default=400, dest="max_iters")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--objective", choices=OBJECTIVES, default="gram-product")
+    p.add_argument("--restarts", type=int, default=config.restarts)
+    p.add_argument("--max-iters", type=int, default=config.max_iters, dest="max_iters")
+    p.add_argument("--seed", type=int, default=config.seed)
+    p.add_argument("--tol", type=float, default=config.tolerance)
+    p.add_argument("--objective", choices=OBJECTIVES, default=config.objective)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_optimize)
 
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True)
     p.add_argument("--slice", required=True)
     p.add_argument("--resolution", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_region)
 

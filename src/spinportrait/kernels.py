@@ -4,50 +4,35 @@ The symbol of an operator A over a direction set is
 s(m, k) = (4j+1)^-1 Tr(A U(m, n_k)); for a density matrix it coincides with
 the equal-weight probability vector, and contracting a symbol with the
 quantizers D(m, k) gives its operator back.  Every derived operation is a
-round trip through the operator over the two memoized stacks, the quantizers
-(``su2.quantizer_stack``) and the scaled dequantizers
-Uhat(m, k) = (4j+1)^-1 U(m, n_k) (``dequantizer_stack``):
+round trip through the operator: the memoized quantizers
+(``su2.quantizer_stack``) make the operator, and the one trace evaluator of
+``tomography``, over the memoized measured kets, reads its symbol or tomogram:
 
     p1 * p2 = symbol(A1 A2),   w(m, n) = Re Tr(A U(m, n)),
     P = Re symbol(rho from the sphere inversion of w).
 
-The star product is therefore the contraction of both symbols with the
-three-point kernel
-
-    K(m3,k3, m2,k2, m1,k1) = Tr[ D(m1,k1) D(m2,k2) Uhat(m3,k3) ],
-
-whose ((2j+1)(4j+1))^3 entries are never materialized.  Intertwining kernels
-connect the continuous tomogram representation with the discrete symbols in
-both directions: integrating K_{w->P} against a tomogram over the sphere
-yields the discrete symbol, and contracting K_{P->w} with the symbol
-evaluates the tomogram at an arbitrary direction.
+So the star-product kernel K(m3,k3, m2,k2, m1,k1), whose
+((2j+1)(4j+1))^3 entries are never materialized, is entry (m3, k3) of
+symbol(D(m1,k1) D(m2,k2)).  The intertwining kernels connect the continuous
+tomogram with the discrete symbol: K_{w->P} is the symbol of a continuous
+quantizer, and K_{P->w} the tomogram of a discrete one.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
 from .portrait import ProbVector, _layout_index
-from .spin import Direction, Spin, frame_matrices
+from .spin import Direction, Spin
 from .su2 import DirectionSet, _check_spin, apply_quantizer, quantizer
-from .tomography import dequantizer, quantizer_continuous, reconstruct_from_sphere
-
-
-@lru_cache(maxsize=16)
-def dequantizer_stack(ds: DirectionSet) -> np.ndarray:
-    """Scaled dequantizers Uhat(m, k) in probability-vector layout.
-
-    Memoized per direction set; the cached array is read-only.
-    """
-    d = ds.spin.dim
-    kets = np.swapaxes(frame_matrices(ds.spin, ds.dirs), 1, 2)
-    out = kets[:, :, :, None] * kets[:, :, None, :].conj() / ds.n_dirs
-    out = out.reshape(-1, d, d)
-    out.flags.writeable = False
-    return out
+from .tomography import (
+    _traces,
+    measured_kets,
+    quantizer_continuous,
+    reconstruct_from_sphere,
+    tomogram,
+)
 
 
 def symbol(spin: Spin, op: np.ndarray, ds: DirectionSet) -> np.ndarray:
@@ -60,10 +45,7 @@ def symbol(spin: Spin, op: np.ndarray, ds: DirectionSet) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if op.shape != (spin.dim, spin.dim):
         raise DomainError(f"operator shape {op.shape} != dim {spin.dim}")
-    stack = dequantizer_stack(ds)
-    n, d, _ = stack.shape
-    # Tr(Uhat op) for every entry, as one matrix-vector product
-    return stack.reshape(n, d * d) @ op.T.reshape(d * d)
+    return _traces(measured_kets(spin, ds.dirs), op).ravel() / ds.n_dirs
 
 
 def symbol_to_operator(p, ds: DirectionSet) -> np.ndarray:
@@ -78,11 +60,9 @@ def star_kernel(
     two_m2: int, k2: int,
     two_m1: int, k1: int,
 ) -> complex:
-    """Star-product kernel by its defining trace form."""
-    d1 = quantizer(spin, k1, two_m1, ds)
-    d2 = quantizer(spin, k2, two_m2, ds)
-    u3 = dequantizer_stack(ds)[_layout_index(ds.spin, ds.n_dirs, k3, two_m3)]
-    return complex(np.trace(d1 @ d2 @ u3))
+    """Star-product kernel, entry (m3, k3) of the symbol of D(m1, k1) D(m2, k2)."""
+    product = quantizer(spin, k1, two_m1, ds) @ quantizer(spin, k2, two_m2, ds)
+    return complex(symbol(spin, product, ds)[_layout_index(ds.spin, ds.n_dirs, k3, two_m3)])
 
 
 def star_apply(spin: Spin, p1, p2, ds: DirectionSet) -> np.ndarray:
@@ -107,10 +87,8 @@ def kernel_w_to_p(
     Equals (4j+1)^-1 sum_L (2L+1) f_L(m') f_L(m) P_L(n' . n_k); for spin 1/2
     it reduces to 1/6 + 2 m' m (n' . n_k).
     """
-    _check_spin(spin, ds)
-    u_disc = dequantizer_stack(ds)[_layout_index(ds.spin, ds.n_dirs, k, two_m)]
     d_cont = quantizer_continuous(spin, two_m_prime, n_prime)
-    return float(np.real(np.trace(d_cont @ u_disc)))
+    return float(symbol(spin, d_cont, ds)[_layout_index(ds.spin, ds.n_dirs, k, two_m)].real)
 
 
 def kernel_p_to_w(
@@ -122,9 +100,7 @@ def kernel_p_to_w(
     k_prime: int,
 ) -> float:
     """Symbol-to-tomogram kernel, Tr(D(m', k') U(m, n))."""
-    d_disc = quantizer(spin, k_prime, two_m_prime, ds)
-    u_cont = dequantizer(spin, two_m, n)
-    return float(np.real(np.trace(d_disc @ u_cont)))
+    return tomogram(spin, quantizer(spin, k_prime, two_m_prime, ds), two_m, n)
 
 
 def w_to_p(
@@ -146,5 +122,4 @@ def w_to_p(
 def p_to_w(spin: Spin, ds: DirectionSet, p_eq, two_m: int, n: Direction) -> float:
     """Tomogram value at an arbitrary direction from the discrete symbol."""
     _check_spin(spin, ds)
-    op = symbol_to_operator(p_eq, ds)
-    return float(np.real(np.trace(op @ dequantizer(spin, two_m, n))))
+    return tomogram(spin, symbol_to_operator(p_eq, ds), two_m, n)

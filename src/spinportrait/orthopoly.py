@@ -17,6 +17,8 @@ leading coefficient, hence f_L(+j) > 0, and reproduces the closed forms
 The operator basis S_L(frame) applies the same polynomial to the rotated
 projection operator; overlaps of two frames obey
 Tr(S_L(n) S_L'(n')) = delta_LL' * P_L(n . n') with P_L the Legendre polynomial.
+It is built once, as isometric real coordinates (:func:`s_operator_coords`),
+so those overlaps are dot products of coordinate rows.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
+from .linalg import projector_coords, vec_to_hermitian
 from .spin import Frame, Spin, frame_matrices
 
 # Largest two_j the test suite validates; the table itself is orthonormal to
@@ -72,14 +75,17 @@ def s_operator(spin: Spin, L: int, frame: Frame) -> np.ndarray:
 
 def s_operator_stack(spin: Spin, frame: Frame) -> np.ndarray:
     """All S_L(frame) for L = 0..2j as one (2j+1, d, d) array."""
-    return s_operator_stacks(spin, [frame])[0]
+    return vec_to_hermitian(s_operator_coords(spin, [frame])[0], spin.dim)
 
 
-def s_operator_stacks(spin: Spin, frames: Sequence[Frame]) -> np.ndarray:
-    """S_L(frame_k) for every frame and L = 0..2j, shape (N, 2j+1, d, d)."""
-    v = frame_matrices(spin, frames)[:, None]
-    table = coeff_table(spin)[None, :, None, :]
-    return (v * table) @ np.swapaxes(v, -1, -2).conj()
+def s_operator_coords(spin: Spin, frames: Sequence[Frame]) -> np.ndarray:
+    """Coordinates of S_L(frame_k) = sum_m f_L(m) U(m, frame_k), shape (N, 2j+1, d*d).
+
+    The one builder of S_L: the isometric coordinates of the measured
+    projectors combined by the coefficient table, so the dot product of two
+    rows is Tr(S_L(frame) S_L'(frame')).
+    """
+    return coeff_table(spin) @ projector_coords(np.swapaxes(frame_matrices(spin, frames), 1, 2))
 
 
 def legendre_series(L_max: int, x, m: int = 0):

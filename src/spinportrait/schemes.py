@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, FeasibilityError
 from .linalg import AW_RTOL, projector_coords, svd_inverse, vec_to_hermitian
-from .orthopoly import assoc_legendre, s_operator_stacks
+from .orthopoly import assoc_legendre, s_operator_coords
 from .spin import Direction, Spin, frame_matrices
 from .su2 import DirectionSet, _block_inverses, reconstruct
 from .tomography import forward_matrix, tomogram_columns
@@ -84,12 +84,11 @@ def sun_gram(ufs: UnitaryFrameSet) -> np.ndarray:
 
     Block (k, k') is the 2j x 2j matrix Tr(S_L(u_k) S_L'(u_k')); diagonal
     blocks are the identity because each frame's operators are orthonormal.
+    The coordinates are isometric, so the traces are their dot products.
     """
     spin = ufs.spin
-    d = spin.dim
-    ops = s_operator_stacks(spin, ufs.frames)[:, 1:].reshape(-1, d, d)
-    # Tr(A B) = sum_ij A_ij B_ji, one product over all (frame, L) pairs
-    return (ops.reshape(-1, d * d) @ np.swapaxes(ops, 1, 2).reshape(-1, d * d).T).real
+    coords = s_operator_coords(spin, ufs.frames)[:, 1:].reshape(-1, spin.dim ** 2)
+    return coords @ coords.T
 
 
 def gamma_prime(ufs: UnitaryFrameSet) -> float:

@@ -44,14 +44,13 @@ from .linalg import (
     LSQ_RTOL,
     SQRT2,
     _rank,
-    projector_coords,
     svd_inverse,
     validate_weights,
     vec_to_hermitian,
 )
-from .orthopoly import coeff_table, legendre_series, s_operator_stack
+from .orthopoly import coeff_table, legendre_series, s_operator_coords, s_operator_stack
 from .portrait import ProbVector, _layout_index
-from .spin import Direction, Spin, frame_matrices
+from .spin import Direction, Spin
 from .tomography import forward_matrix
 
 
@@ -228,11 +227,8 @@ def _shell_product(ds: DirectionSet, grams: np.ndarray) -> np.ndarray:
     dual of U(m, n_k): an inverse of the equal-weight forward map.
     """
     spin, n, d = ds.spin, ds.n_dirs, ds.spin.dim
-    table = coeff_table(spin)
-    # shells[k, L]: coordinates of S_L(n_k) = sum_m f_L(m) U(m, n_k)
-    shells = table @ projector_coords(np.swapaxes(frame_matrices(spin, ds.dirs), 1, 2))
-    shell_g = np.transpose(shells, (1, 2, 0)) @ grams
-    return np.tensordot(shell_g, n * table, axes=(0, 0)).reshape(d * d, n * d)
+    shell_g = np.transpose(s_operator_coords(spin, ds.dirs), (1, 2, 0)) @ grams
+    return np.tensordot(shell_g, n * coeff_table(spin), axes=(0, 0)).reshape(d * d, n * d)
 
 
 def l_dequantizer(spin: Spin, L: int, k: int, two_m: int, ds: DirectionSet) -> np.ndarray:
@@ -255,12 +251,13 @@ def l_quantizer(spin: Spin, L: int, k: int, two_m: int, ds: DirectionSet) -> np.
         Tr(U_L(m, n_k) D_L'(m', k')) = f_L(m) f_L(m') delta_LL' delta_kk'.
     """
     _check_spin(spin, ds)
-    if not (0 <= k < len(ds.shell(L))):
+    shell = ds.shell(L)
+    if not (0 <= k < len(shell)):
         raise DomainError(f"direction {k} outside shell L={L}")
-    grams = np.zeros((spin.dim, ds.n_dirs, ds.n_dirs))
-    grams[L] = next(islice(_block_inverses(ds.unit_vectors()), L, None))
-    column = _shell_product(ds, grams)[:, _layout_index(spin, ds.n_dirs, k, two_m)]
-    return vec_to_hermitian(column, spin.dim)
+    block = next(islice(_block_inverses(ds.unit_vectors()), L, None))
+    f_lm = coeff_table(spin)[L, spin.m_index(two_m)]
+    coords = block[k, : len(shell)] @ s_operator_coords(spin, shell)[:, L]
+    return vec_to_hermitian(ds.n_dirs * f_lm * coords, spin.dim)
 
 
 def quantizer(spin: Spin, k: int, two_m: int, ds: DirectionSet) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Continuous-frame tomography: dequantizer, quantizer, and sphere inversion.
 
 The dequantizer U(m, frame) = V |j m><j m| V^dag turns a state into the fair
-probability w(m, frame) = Tr(rho U); the quantizer D(m, n), built from the
+probability w(m, frame) = Tr(rho U), the real part of the one trace evaluator
+v^dag A v over the measured kets (``_traces``), which the symbol calculus of
+``kernels`` reads for any operator A.  The quantizer D(m, n), built from the
 orthogonal operator expansion, inverts the map through
 
     rho = sum_m (4 pi)^-1  integral  w(m, n) D(m, n) dOmega.
@@ -49,14 +51,14 @@ def tomogram(spin: Spin, rho: np.ndarray, two_m: int, frame: Frame) -> float:
 
 def tomogram_column(spin: Spin, rho: np.ndarray, frame: Frame) -> np.ndarray:
     """All 2j+1 probabilities of one frame, ordered by descending m."""
-    return _probabilities(frame_matrix(spin, frame), _state(spin, rho))
+    return _traces(frame_matrix(spin, frame), _state(spin, rho)).real
 
 
 def tomogram_columns(
     spin: Spin, rho: np.ndarray, frames: Sequence[Frame], highest_only: bool = False
 ) -> np.ndarray:
     """Probabilities of every frame, shape (N, 2j+1), or (N, 1) with only m = j."""
-    return _probabilities(measured_kets(spin, frames, highest_only), _state(spin, rho))
+    return _traces(measured_kets(spin, frames, highest_only), _state(spin, rho)).real
 
 
 def measured_kets(
@@ -105,9 +107,9 @@ def _state(spin: Spin, rho) -> np.ndarray:
     return rho
 
 
-def _probabilities(kets: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Tr(rho |v><v|) = Re v^dag rho v for the kets stored as columns of ``kets``."""
-    return np.sum(kets.conj() * (rho @ kets), axis=-2).real
+def _traces(kets: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Tr(a |v><v|) = v^dag a v, complex, for the kets stored as columns of ``kets``."""
+    return np.sum(kets.conj() * (a @ kets), axis=-2)
 
 
 def _shell_sum(spin: Spin) -> np.ndarray:

@@ -150,10 +150,12 @@ class TestForwardBuilder:
             [loop_quantizer(spin, k, two_m, ds) for k in range(ds.n_dirs) for two_m in spin.two_m_values()]
         )
         assert np.abs(stack - loop).max() < 1e-9 * max(1.0, np.abs(loop).max())
-        deq = np.array(
-            [dequantizer(spin, two_m, n) / ds.n_dirs for n in ds.dirs for two_m in spin.two_m_values()]
-        )
-        assert np.abs(kernels.dequantizer_stack(ds) - deq).max() < 1e-15
+        op = rng.normal(size=(spin.dim, spin.dim)) + 1j * rng.normal(size=(spin.dim, spin.dim))
+        loop = [
+            np.trace(op @ dequantizer(spin, two_m, n)) / ds.n_dirs
+            for n in ds.dirs for two_m in spin.two_m_values()
+        ]
+        assert np.abs(kernels.symbol(spin, op, ds) - loop).max() < 1e-14
 
 
 def _assert_read_only(arr):
@@ -175,7 +177,6 @@ class TestCaches:
         grid = aw_directions(default_aw_grid(spin))
         _assert_read_only(tomography.measured_kets(spin, grid, highest_only=True))
         _assert_read_only(su2.quantizer_stack(qutrit_set))
-        _assert_read_only(kernels.dequantizer_stack(qutrit_set))
         aw_reconstruct(spin, aw_normalized_forward(spin, rho, grid), grid, normalized=True)
         _assert_read_only(schemes._aw_solver(spin, tuple(grid))[1])
         ufs = random_frame_set(spin, rng)
@@ -311,7 +312,7 @@ class TestRefusals:
         def no_rows(*args, **kwargs):
             raise AssertionError("a refused set built forward-map rows")
 
-        monkeypatch.setattr(su2, "projector_coords", no_rows)
+        monkeypatch.setattr(su2, "s_operator_coords", no_rows)
         su2.quantizer_stack.cache_clear()
         messages = {_message(lambda: su2.quantizer_stack(ds)) for _ in range(3)}
         assert len(messages) == 1 and messages.pop().startswith("shell L=1 Gram eigenvalue ratio")

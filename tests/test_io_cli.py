@@ -9,6 +9,7 @@ from spinportrait import (
     DirectionSet,
     DomainError,
     InvariantError,
+    OptimizerConfig,
     Spin,
     aw_m_matrix,
     condition_number,
@@ -19,7 +20,8 @@ from spinportrait import (
     random_density_matrix,
 )
 from spinportrait import io as fileio
-from spinportrait.cli import main
+from spinportrait import region
+from spinportrait.cli import build_parser, main
 from spinportrait.schemes import aw_directions, default_aw_grid, haar_unitary
 from spinportrait.su2 import least_squares
 
@@ -343,6 +345,21 @@ class TestOptimizeDirs:
         assert code == 2
         assert capsys.readouterr().err.strip() == "error: " + message
         assert not out.exists()
+
+
+class TestDefaults:
+    def test_optimize_dirs_defaults_are_the_optimizer_config(self):
+        args = build_parser().parse_args(["optimize-dirs", "--two-j", "1", "--out", "d.json"])
+        config = OptimizerConfig()
+        assert (args.objective, args.restarts, args.max_iters, args.seed, args.tol) == (
+            config.objective, config.restarts, config.max_iters, config.seed, config.tolerance
+        )
+
+    def test_region_tol_is_the_library_default(self):
+        args = build_parser().parse_args(
+            ["region", "--two-j", "1", "--frames", "d.json", "--slice", "s.json", "--resolution", "3"]
+        )
+        assert args.tol == region.DEFAULT_TOL
 
 
 class TestRegionCommand:

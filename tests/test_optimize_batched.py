@@ -2,7 +2,9 @@
 
 The oracle is the search as it ran before sweeps were scored in stacked
 batches: a Python loop from parameters to angles, one trial scored per call,
-and the per-set log product summed over the checked shells.  The batched
+and the per-set log product summed over the checked shells (the
+condition-number oracle scores the same numpy-built unit vectors through the
+stacked scorer, one set per call, so no libm sin/cos enters).  The batched
 search must visit the same points, so its direction sets and values must be
 bitwise the oracle's, and every row of a batch must score exactly as the set
 scores alone.
@@ -90,12 +92,11 @@ def oracle_compass_search(fun, x0, step, tolerance, max_iters):
 
 
 def oracle_optimize(spin: Spin, config: OptimizerConfig):
-    if config.objective == "gram-product":
-        def fun(x):
-            return oracle_log_dets(oracle_angles_to_vectors(*oracle_params_to_angles(spin, x)))
-    else:
-        def fun(x):
-            return objective(oracle_params_to_set(spin, x), config.objective)
+    def fun(x):
+        vectors = oracle_angles_to_vectors(*oracle_params_to_angles(spin, x))
+        if config.objective == "gram-product":
+            return oracle_log_dets(vectors)
+        return opt._neg_conds(vectors[None])[0]
     best_x = None
     best_val = -math.inf
     for restart in range(config.restarts):

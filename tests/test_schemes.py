@@ -37,6 +37,7 @@ from spinportrait import (
     sun_gram,
 )
 from spinportrait import su2
+from spinportrait.orthopoly import coeff_table
 
 # frozen regression value: gamma_prime(random_frame_set(Spin(1), default_rng(5)))
 GAMMA_PRIME_J_HALF_SEED_5 = 0.09150362733837276
@@ -108,6 +109,18 @@ class TestGammaPrime:
         value = gamma_prime(ufs)
         assert 0.0 < value < 1.0
         assert value == pytest.approx(GAMMA_PRIME_J_HALF_SEED_5, abs=1e-12)
+
+    @pytest.mark.parametrize("two_j", [1, 2, 4, 8, 16])
+    def test_gram_is_the_operator_traces(self, two_j):
+        spin = Spin(two_j)
+        ufs = random_frame_set(spin, np.random.default_rng(70 + two_j))
+        # S_L(u) = u f_L(Jz) u^dag as complex matrices, rows (frame, L >= 1)
+        u = np.array(ufs.frames)[:, None]
+        ops = (u * coeff_table(spin)[None, 1:, None, :]) @ np.swapaxes(u, -1, -2).conj()
+        ops = ops.reshape(-1, spin.dim, spin.dim)
+        traces = np.einsum("aij,bji->ab", ops, ops)
+        assert np.abs(traces.imag).max() < 1e-12
+        assert np.abs(sun_gram(ufs) - traces.real).max() < 1e-12
 
     @pytest.mark.parametrize("two_j", [1, 2])
     def test_bounded_by_one(self, two_j):

@@ -31,7 +31,8 @@ from spinportrait import (
     shell_determinants,
 )
 from spinportrait import su2
-from spinportrait.orthopoly import coeff_table, s_operator_stacks
+from spinportrait.orthopoly import coeff_table
+from spinportrait.spin import frame_matrices
 from conftest import coplanar_triad, random_direction_set
 
 
@@ -55,7 +56,9 @@ def operator_oracle(ds: DirectionSet):
     """
     spin, n, d = ds.spin, ds.n_dirs, ds.spin.dim
     table = coeff_table(spin)
-    ops = s_operator_stacks(spin, ds.dirs)
+    # ops[k, L] = S_L(n_k) = V f_L(Jz) V^dag, as complex matrices
+    v = frame_matrices(spin, ds.dirs)[:, None]
+    ops = (v * table[None, :, None, :]) @ np.swapaxes(v, -1, -2).conj()
     out = np.zeros((n, d, d, d), dtype=complex)
     cond = 1.0
     for L in range(d):
