@@ -13,6 +13,8 @@ the boundary.  (q equals (|r|/12)^2 for a state with orientation vector r.)
 The three closed-form residuals for an arbitrary feasible triad are the
 leading minors rho_11, det(rho), rho_22 of the candidate, which together are
 equivalent to positive semidefiniteness for 2x2 Hermitian matrices.
+Every verdict takes a qubit candidate [[a, b], [conj(b), c]]'s smallest
+eigenvalue from the closed form (a + c)/2 - hypot((a - c)/2, |b|).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .portrait import ProbVector
 from .spin import Spin
-from .su2 import DirectionSet, apply_quantizer, dual_vectors, quantizer_stack
+from .su2 import DirectionSet, dual_vectors, quantizer_stack
 
 DEFAULT_TOL = 1e-10
 TRACE_TOL_FLOOR = 1e-9  # the unit-trace check never gets tighter than this
@@ -50,23 +52,72 @@ class RegionVerdict:
     margin: float
 
 
+def _candidates(points: np.ndarray, ds: DirectionSet) -> np.ndarray:
+    """Candidate operators sum_I p_I Q_I of a batch of rows, shape (m, d, d).
+
+    The points are real and the quantizers exactly Hermitian, so every
+    candidate comes from a real product against the quantizers viewed as
+    (re, im) pairs, and is exactly Hermitian.  Each row is its own
+    vector-matrix product: a row's candidate does not depend on the batch it
+    arrives in, so the scalar and batched verdicts agree bit for bit.
+    """
+    points = np.ascontiguousarray(points, dtype=float)
+    stack = quantizer_stack(ds)
+    n, d, _ = stack.shape
+    if points.ndim != 2 or points.shape[1] != n:
+        raise DomainError(
+            f"expected rows of n_dirs*dim = {n} coordinates, got shape {points.shape}"
+        )
+    if not np.isfinite(points).all():
+        raise DomainError("simplex points must have finite coordinates")
+    pairs = stack.reshape(n, d * d).view(float)
+    return np.matmul(points[:, None, :], pairs).view(complex).reshape(-1, d, d)
+
+
+def _min_eigenvalues(candidates: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix in a (m, d, d) stack.
+
+    A 2x2 [[a, b], [conj(b), c]] takes the closed form
+    (a + c)/2 - hypot((a - c)/2, |b|), within 4 eps max(|a|, |c|, |b|) of the
+    exact value.  Larger candidates go to LAPACK: the trigonometric 3x3 form
+    loses about sqrt(eps) when the two smallest eigenvalues coincide.
+    """
+    if candidates.shape[-1] == 2:
+        a = candidates[:, 0, 0].real
+        c = candidates[:, 1, 1].real
+        return (a + c) / 2.0 - np.hypot((a - c) / 2.0, np.abs(candidates[:, 0, 1]))
+    return np.linalg.eigvalsh(candidates)[:, 0]
+
+
+def _verdicts(points: np.ndarray, ds: DirectionSet, tol: float):
+    """Trace-and-spectrum flags and smallest eigenvalues of a batch of rows."""
+    candidates = _candidates(points, ds)
+    min_eigs = _min_eigenvalues(candidates)
+    traces = sum(candidates[:, i, i].real for i in range(candidates.shape[-1]))
+    return trace_ok(traces, tol) & (min_eigs >= -tol), min_eigs
+
+
+def _values(p) -> np.ndarray:
+    return p.values if isinstance(p, ProbVector) else np.asarray(p, dtype=float)
+
+
 def candidate_operator(p, ds: DirectionSet) -> np.ndarray:
     """Hermitian candidate assembled from any layout-ordered simplex point."""
-    values = p.values if isinstance(p, ProbVector) else np.asarray(p, dtype=float)
-    rho = apply_quantizer(values, ds)
-    return (rho + rho.conj().T) / 2.0
+    return _candidates(_values(p)[None, :], ds)[0]
 
 
 def is_quantum(p, ds: DirectionSet, tol: float = DEFAULT_TOL) -> RegionVerdict:
     """Eigenvalue test of the candidate operator.
 
     The verdict is quantum iff the smallest eigenvalue is >= -tol and the
-    candidate has unit trace (within a matching tolerance).
+    candidate has unit trace (within a matching tolerance).  It is bitwise
+    the verdict :func:`classify_points` gives the same point, before the
+    simplex test; a non-finite coordinate raises DomainError.
     """
-    rho = candidate_operator(p, ds)
-    min_eig = float(np.linalg.eigvalsh(rho).min())
+    flags, min_eigs = _verdicts(_values(p)[None, :], ds, tol)
+    min_eig = float(min_eigs[0])
     return RegionVerdict(
-        is_quantum=bool(trace_ok(np.trace(rho).real, tol) and min_eig >= -tol),
+        is_quantum=bool(flags[0]),
         min_eigenvalue=min_eig,
         margin=min_eig + tol,
     )
@@ -91,7 +142,7 @@ def qubit_ball_statistic(p, ds: DirectionSet) -> float:
             f"triad is not orthonormal (Gram defect {gram_defect:.2e}); "
             "the ball criterion does not apply"
         )
-    values = p.values if isinstance(p, ProbVector) else np.asarray(p, dtype=float)
+    values = _values(p)
     plus = values[0::2]
     return float(np.sum(((plus - 1.0 / 6.0) / 2.0) ** 2))
 
@@ -111,7 +162,7 @@ def qubit_region_inequalities(p, ds: DirectionSet) -> np.ndarray:
     candidate trace.
     """
     _require_qubit_triad(ds)
-    values = p.values if isinstance(p, ProbVector) else np.asarray(p, dtype=float)
+    values = _values(p)
     if values.shape != (6,):
         raise DomainError(f"expected 6 entries, got shape {values.shape}")
     duals = dual_vectors(ds)
@@ -180,6 +231,8 @@ def _slice_layout(spin: Spin, ds: DirectionSet, spec: SliceSpec):
     unknown = [e.kind for e in spec.entries if e.kind not in ("const", "free", "balance")]
     if unknown:
         raise ConfigError(f"unknown slice entry kinds: {unknown}")
+    if not np.isfinite([(e.value, e.lo, e.hi) for e in spec.entries]).all():
+        raise DomainError("slice entries must have finite values and bounds")
     return free_idx
 
 
@@ -193,11 +246,12 @@ def _slice_points(ds: DirectionSet, spec: SliceSpec, free_idx, grid) -> np.ndarr
             points[:, i] = entry.value
     points[:, free_idx] = grid
     blocks = points.reshape(-1, n_u, d)
+    ones = np.ones(d)
     for i, entry in enumerate(spec.entries):
         if entry.kind == "balance":
             # the balance column is still zero, so the block sum is the others' sum
             block, slot = divmod(i, d)
-            blocks[:, block, slot] = 1.0 / n_u - blocks[:, block].sum(axis=1)
+            blocks[:, block, slot] = 1.0 / n_u - blocks[:, block] @ ones
     return points
 
 
@@ -232,32 +286,23 @@ def classify_points(points: np.ndarray, ds: DirectionSet, tol: float = DEFAULT_T
     """Vectorized verdicts for a batch of layout-ordered simplex points.
 
     Returns (is_quantum bool array, min eigenvalue array); points leaving the
-    simplex or breaking the candidate trace are never quantum, matching the
-    scalar :func:`is_quantum` on every row.  The points are real and the
-    quantizers exactly Hermitian, so all candidates sum_I p_I Q_I come from
-    one real matrix product against the quantizers viewed as (re, im) pairs.
+    simplex or breaking the candidate trace are never quantum, and on every
+    row the rest of the verdict and the eigenvalue are bitwise those of the
+    scalar :func:`is_quantum`.  A non-finite coordinate raises DomainError.
     """
     points = np.asarray(points, dtype=float)
-    stack = quantizer_stack(ds)
-    n, d, _ = stack.shape
-    if points.ndim != 2 or points.shape[1] != n:
-        raise DomainError(
-            f"expected rows of n_dirs*dim = {n} coordinates, got shape {points.shape}"
-        )
-    pairs = stack.reshape(n, d * d).view(float)
-    candidates = (points @ pairs).view(complex).reshape(-1, d, d)
-    min_eigs = np.linalg.eigvalsh(candidates)[:, 0]
-    traces = points @ np.trace(stack, axis1=1, axis2=2).real
-    on_simplex = points.min(axis=1) >= -tol
-    flags = on_simplex & trace_ok(traces, tol) & (min_eigs >= -tol)
-    return flags, min_eigs
+    flags, min_eigs = _verdicts(points, ds, tol)
+    return flags & (points >= -tol).all(axis=1), min_eigs
 
 
 def write_region_csv(rows: np.ndarray, n_free: int, fh):
     """CSV dump: coord1,coord2[,coord3],is_quantum,min_eig with 17-digit floats."""
     header = [f"coord{i + 1}" for i in range(n_free)] + ["is_quantum", "min_eig"]
     fh.write(",".join(header) + "\n")
-    for row in rows:
-        coords = [repr(float(c)) for c in row[:n_free]]
-        flag = str(int(row[n_free]))
-        fh.write(",".join(coords + [flag, repr(float(row[n_free + 1]))]) + "\n")
+    coords = rows[:, :n_free].tolist()
+    flags = rows[:, n_free].astype(int).tolist()
+    min_eigs = rows[:, n_free + 1].tolist()
+    fh.writelines(
+        ",".join([*map(repr, c), str(f), repr(e)]) + "\n"
+        for c, f, e in zip(coords, flags, min_eigs)
+    )

@@ -1,9 +1,12 @@
+import decimal
 import io
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_direction_set
 from spinportrait import (
@@ -27,6 +30,7 @@ from spinportrait import (
 )
 from spinportrait.region import (
     DEFAULT_TOL,
+    _min_eigenvalues,
     _slice_points,
     candidate_operator,
     trace_ok,
@@ -320,6 +324,35 @@ class TestSampleRegion:
         assert len(first) == 5
         assert first[3] in ("0", "1")
 
+    @pytest.mark.parametrize("n_free", [1, 2, 3])
+    def test_csv_bytes_match_per_row_writer(self, orthogonal_triad, n_free):
+        # the first axis starts at -1e-05, printed in exponent notation, and
+        # the cube's corners have negative smallest eigenvalues
+        entries = [SliceEntry.free(-1e-5, 1.0 / 3.0), SliceEntry.balance()]
+        for block in range(1, 3):
+            if block < n_free:
+                entries += [SliceEntry.free(0.0, 1.0 / 3.0), SliceEntry.balance()]
+            else:
+                entries += [SliceEntry.const(1.0 / 6.0), SliceEntry.balance()]
+        rows = sample_region(Spin(1), orthogonal_triad, SliceSpec(entries), 7)
+        buf = io.StringIO()
+        write_region_csv(rows, n_free, buf)
+        expected = io.StringIO()
+        _per_row_csv(rows, n_free, expected)
+        assert buf.getvalue() == expected.getvalue()
+        assert (rows[:, n_free + 1] < 0.0).any()
+        assert "e-05," in buf.getvalue()
+
+
+def _per_row_csv(rows: np.ndarray, n_free: int, fh):
+    """Reference writer: one formatted line per row."""
+    header = [f"coord{i + 1}" for i in range(n_free)] + ["is_quantum", "min_eig"]
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        coords = [repr(float(c)) for c in row[:n_free]]
+        flag = str(int(row[n_free]))
+        fh.write(",".join(coords + [flag, repr(float(row[n_free + 1]))]) + "\n")
+
 
 def _qutrit_point(free_vals) -> np.ndarray:
     values = []
@@ -472,7 +505,7 @@ class TestClassifyPoints:
             flags, min_eigs = classify_points(points, ds)
             for point, flag, min_eig in zip(points, flags, min_eigs):
                 verdict = is_quantum(point, ds)
-                assert abs(min_eig - verdict.min_eigenvalue) <= 1e-12
+                assert min_eig == verdict.min_eigenvalue
                 on_simplex = point.min() >= -DEFAULT_TOL
                 assert flag == (verdict.is_quantum and on_simplex)
             seen[kind] = flags
@@ -490,3 +523,98 @@ class TestClassifyPoints:
     def test_wrong_shape_rejected(self, orthogonal_triad, points):
         with pytest.raises(DomainError, match=r"n_dirs\*dim = 6"):
             classify_points(points, orthogonal_triad)
+
+    @pytest.mark.parametrize("two_j", [1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_raises(self, request, two_j, bad):
+        ds = _region_set(request, two_j)
+        n_u, d = ds.n_dirs, ds.spin.dim
+        points = np.full((4, n_u * d), 1.0 / (n_u * d))
+        points[2, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            classify_points(points, ds)
+        with pytest.raises(DomainError, match="finite"):
+            is_quantum(points[2], ds)
+        entries = [SliceEntry.free(0.0, 2.0 / (n_u * d)), SliceEntry.balance()]
+        entries += [SliceEntry.const(1.0 / (n_u * d))] * (n_u * d - 2)
+        for broken in (SliceEntry.const(bad), SliceEntry.free(0.0, bad)):
+            spec = SliceSpec(entries[:-1] + [broken])
+            with pytest.raises(DomainError, match="finite"):
+                sample_region(ds.spin, ds, spec, 3)
+
+    def test_boundary_row_keeps_its_verdict(self, orthogonal_triad):
+        # rows whose candidate's smallest eigenvalue is -tol to 1e-15: the
+        # batched and scalar verdicts read the same eigenvalue, so neither flips
+        rng = np.random.default_rng(12)
+        u = rng.normal(size=(200, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        # at up-probabilities 1/6 + r u the smallest eigenvalue is 1/2 - 3 r
+        r = (1.0 + 2.0 * DEFAULT_TOL) / 6.0
+        rows = np.vstack([cube_point(*(1.0 / 6.0 + r * v)) for v in u])
+        flags, min_eigs = classify_points(rows, orthogonal_triad)
+        assert np.abs(min_eigs + DEFAULT_TOL).max() < 1e-15
+        assert flags.any() and not flags.all()
+        for row, flag, min_eig in zip(rows, flags, min_eigs):
+            verdict = is_quantum(row, orthogonal_triad)
+            assert verdict.min_eigenvalue == min_eig
+            assert verdict.is_quantum == flag
+
+
+_EPS = np.finfo(float).eps
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+def _hermitian_2x2(a, c, b) -> np.ndarray:
+    return np.array([[[a, b], [np.conj(b), c]]], dtype=complex)
+
+
+def _exact_min_eig(a: float, c: float, b: complex) -> float:
+    """Smallest eigenvalue of the stored entries, in 50-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, c, br, bi = (decimal.Decimal(float(v)) for v in (a, c, b.real, b.imag))
+        return float((a + c) / 2 - (((a - c) / 2) ** 2 + br * br + bi * bi).sqrt())
+
+
+def _check_closed_form(m: np.ndarray):
+    """The qubit closed form against the exact eigenvalue and against LAPACK.
+
+    The closed form stays within 4 eps max(|a|, |c|, |b|) of the exact value
+    (2.4 at worst over 3e5 random draws); eigvalsh itself strays up to 5.6,
+    so the two are held to the sum of both.
+    """
+    a, c, b = m[0, 0, 0].real, m[0, 1, 1].real, m[0, 0, 1]
+    scale = max(abs(a), abs(c), abs(b))
+    got = _min_eigenvalues(m)[0]
+    assert abs(got - _exact_min_eig(a, c, b)) <= 4.0 * _EPS * scale
+    assert abs(got - np.linalg.eigvalsh(m)[0, 0]) <= 10.0 * _EPS * scale
+
+
+class TestQubitClosedForm:
+    @settings(max_examples=300)
+    @given(_FINITE, _FINITE, _FINITE, _FINITE)
+    def test_random_hermitian(self, a, c, re_b, im_b):
+        _check_closed_form(_hermitian_2x2(a, c, complex(re_b, im_b)))
+
+    @given(st.floats(1e-6, 1e6))
+    def test_maximally_mixed(self, trace):
+        m = _hermitian_2x2(trace / 2.0, trace / 2.0, 0.0)
+        assert _min_eigenvalues(m)[0] == trace / 2.0
+        _check_closed_form(m)
+
+    @given(
+        st.floats(0.0, math.pi),
+        st.floats(0.0, 2.0 * math.pi),
+        st.floats(1e-6, 1e6),
+    )
+    def test_pure_states_on_the_ball(self, theta, phi, trace):
+        # trace * |psi><psi|: eigenvalues 0 and trace, so lambda_min ~ 0
+        psi = np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)])
+        m = trace * np.outer(psi, psi.conj())[None]
+        _check_closed_form(m)
+        assert abs(_min_eigenvalues(m)[0]) <= 8.0 * _EPS * trace
+
+    @given(_FINITE, _FINITE)
+    def test_diagonal_either_order(self, a, c):
+        _check_closed_form(_hermitian_2x2(a, c, 0.0))
+        _check_closed_form(_hermitian_2x2(c, a, 0.0))
