@@ -58,20 +58,41 @@ def projector_coords(kets) -> np.ndarray:
     return np.concatenate([diag, SQRT2 * upper.real, SQRT2 * upper.imag], axis=-1)
 
 
+@lru_cache(maxsize=16)
+def _hermitian_index(dim: int) -> np.ndarray:
+    """Gather map of :func:`vec_to_hermitian` (read-only): item r * dim + c is the
+    position of matrix entry (r, c) in the packed row [diagonal, upper, conj(upper)]."""
+    rows, cols = _upper(dim)
+    n_off = rows.size
+    index = np.empty((dim, dim), dtype=np.intp)
+    index[range(dim), range(dim)] = np.arange(dim)
+    index[rows, cols] = dim + np.arange(n_off)
+    index[cols, rows] = dim + n_off + np.arange(n_off)
+    index = index.ravel()
+    index.flags.writeable = False
+    return index
+
+
 def vec_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`hermitian_to_vec`, over the last axis of a stack (..., d*d)."""
+    """Inverse of :func:`hermitian_to_vec`, over the last axis of a stack (..., d*d).
+
+    The diagonal, the upper triangle (a + ib) / sqrt(2) and its conjugate are
+    written into one packed row, which one complex gather (``take``, so the
+    result is C-contiguous whatever the layout of ``v``) through the memoized
+    :func:`_hermitian_index` turns into the matrix.
+    """
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (dim * dim,):
         raise ValueError(f"coordinate vector shape {v.shape} does not end in {dim * dim}")
-    out = np.zeros(v.shape[:-1] + (dim, dim), dtype=complex)
-    diag = np.arange(dim)
-    out[..., diag, diag] = v[..., :dim]
-    rows, cols = _upper(dim)
-    n_off = rows.size
-    upper = (v[..., dim : dim + n_off] + 1j * v[..., dim + n_off :]) / SQRT2
-    out[..., rows, cols] = upper
-    out[..., cols, rows] = upper.conj()
-    return out
+    n_off = dim * (dim - 1) // 2
+    packed = np.empty(v.shape, dtype=complex)
+    packed[..., :dim] = v[..., :dim]
+    upper = packed[..., dim : dim + n_off]
+    np.multiply(1j, v[..., dim + n_off :], out=upper)
+    np.add(v[..., dim : dim + n_off], upper, out=upper)
+    np.divide(upper, SQRT2, out=upper)
+    np.conjugate(upper, out=packed[..., dim + n_off :])
+    return packed.take(_hermitian_index(dim), axis=-1).reshape(v.shape[:-1] + (dim, dim))
 
 
 def validate_weights(weights, n: int) -> np.ndarray:

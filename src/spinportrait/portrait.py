@@ -89,15 +89,28 @@ class ProbVector:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).copy()
-        if values.shape != (self.n_rotations * self.spin.dim,):
+        object.__setattr__(self, "values", np.array(self.values, dtype=float))
+        self._freeze()
+
+    @classmethod
+    def _adopt(cls, spin: Spin, n_rotations: int, values: np.ndarray) -> "ProbVector":
+        """A vector over ``values``, a fresh float array no caller holds: checked, not copied."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "spin", spin)
+        object.__setattr__(p, "n_rotations", n_rotations)
+        object.__setattr__(p, "values", values)
+        p._freeze()
+        return p
+
+    def _freeze(self):
+        """Check the layout and the probabilities of ``values``, then make it read-only."""
+        if self.values.shape != (self.n_rotations * self.spin.dim,):
             raise DomainError(
                 f"expected {self.n_rotations * self.spin.dim} entries, "
-                f"got shape {values.shape}"
+                f"got shape {self.values.shape}"
             )
-        _check_probabilities(values)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        _check_probabilities(self.values)
+        self.values.flags.writeable = False
 
     def index(self, k: int, two_m: int) -> int:
         return _layout_index(self.spin, self.n_rotations, k, two_m)
@@ -128,17 +141,25 @@ def portrait(w_column: Sequence[float], partition: Partition) -> np.ndarray:
     )
 
 
-def stack(portraits: Sequence[Sequence[float]], weights) -> ProbVector:
-    """Stack portraits scaled by prior weights (None: equal) into one vector."""
-    arrays = [np.asarray(p, dtype=float) for p in portraits]
-    if not arrays:
-        raise DomainError("nothing to stack")
-    length = arrays[0].size
-    if any(a.size != length for a in arrays):
-        raise DomainError("portraits have mismatched lengths")
-    w = validate_weights(weights, len(arrays))
-    values = np.concatenate([wk * a for wk, a in zip(w, arrays)])
-    return ProbVector(Spin(length - 1), len(arrays), values)
+def stack(portraits: np.ndarray | Sequence[Sequence[float]], weights) -> ProbVector:
+    """Stack portraits scaled by prior weights (None: equal) into one vector.
+
+    ``portraits`` is an (N, L) array, one portrait per row, or a sequence of
+    N portraits of one length L.
+    """
+    if isinstance(portraits, np.ndarray):
+        rows = np.asarray(portraits, dtype=float)
+    else:
+        arrays = [np.asarray(p, dtype=float) for p in portraits]
+        if not arrays:
+            raise DomainError("nothing to stack")
+        if any(a.size != arrays[0].size for a in arrays):
+            raise DomainError("portraits have mismatched lengths")
+        rows = np.array(arrays)
+    if rows.ndim != 2 or rows.size == 0:
+        raise DomainError(f"expected an (N, L) stack of portraits, got shape {rows.shape}")
+    w = validate_weights(weights, rows.shape[0])
+    return ProbVector._adopt(Spin(rows.shape[1] - 1), rows.shape[0], (w[:, None] * rows).ravel())
 
 
 def prob_vector(
@@ -161,4 +182,4 @@ def normalize_to_eq(p: ProbVector) -> ProbVector:
             "prune it before renormalizing"
         )
     columns = p.values.reshape(p.n_rotations, p.spin.dim) / sums[:, None]
-    return ProbVector(p.spin, p.n_rotations, columns.ravel() / p.n_rotations)
+    return ProbVector._adopt(p.spin, p.n_rotations, columns.ravel() / p.n_rotations)

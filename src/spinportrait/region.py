@@ -295,14 +295,23 @@ def classify_points(points: np.ndarray, ds: DirectionSet, tol: float = DEFAULT_T
     return flags & (points >= -tol).all(axis=1), min_eigs
 
 
+def _distinct_text(values: np.ndarray, fmt) -> list:
+    """``fmt`` of each value, called once per distinct bit pattern (-0.0 apart from 0.0)."""
+    values = np.ascontiguousarray(values)
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([fmt(x) for x in bits.view(values.dtype).tolist()], dtype=object)
+    return text[where].tolist()
+
+
 def write_region_csv(rows: np.ndarray, n_free: int, fh):
-    """CSV dump: coord1,coord2[,coord3],is_quantum,min_eig with 17-digit floats."""
+    """CSV dump: coord1,coord2[,coord3],is_quantum,min_eig with 17-digit floats.
+
+    A grid axis holds few distinct values, so the coordinate and flag columns
+    format each distinct value once and index the strings.
+    """
     header = [f"coord{i + 1}" for i in range(n_free)] + ["is_quantum", "min_eig"]
     fh.write(",".join(header) + "\n")
-    coords = rows[:, :n_free].tolist()
-    flags = rows[:, n_free].astype(int).tolist()
-    min_eigs = rows[:, n_free + 1].tolist()
-    fh.writelines(
-        ",".join([*map(repr, c), str(f), repr(e)]) + "\n"
-        for c, f, e in zip(coords, flags, min_eigs)
-    )
+    columns = [_distinct_text(rows[:, i], repr) for i in range(n_free)]
+    columns.append(_distinct_text(rows[:, n_free].astype(np.int64), str))
+    columns.append([f"{e!r}\n" for e in rows[:, n_free + 1].tolist()])
+    fh.writelines(map(",".join, zip(*columns)))

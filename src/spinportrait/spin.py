@@ -176,26 +176,39 @@ def frame_matrix(spin: Spin, frame: Frame) -> np.ndarray:
 def frame_matrices(spin: Spin, frames: Sequence[Frame]) -> np.ndarray:
     """Unitaries of a frame sequence, shape (N, d, d).
 
-    Directions are rotated all at once; arrays are validated as in
-    :func:`frame_matrix`.
+    Directions are rotated all at once; array frames are validated and
+    stacked all together by :func:`_unitaries`.
     """
     frames = tuple(frames)
-    out = np.empty((len(frames), spin.dim, spin.dim), dtype=complex)
     rot = [k for k, f in enumerate(frames) if isinstance(f, Direction)]
-    if rot:
-        out[rot] = rotations(
-            spin, [frames[k].theta for k in rot], [frames[k].phi for k in rot]
-        )
-    for k, frame in enumerate(frames):
-        if isinstance(frame, Direction):
-            continue
-        u = np.asarray(frame, dtype=complex)
-        if u.shape != (spin.dim, spin.dim):
-            raise DomainError(f"frame shape {u.shape} does not match dim {spin.dim}")
-        if not unitarity_defect(u) <= 1e-12:
-            raise InvariantError("frame matrix is not unitary to 1e-12")
-        out[k] = u
+    arr = [k for k, f in enumerate(frames) if not isinstance(f, Direction)]
+    if not rot:
+        return _unitaries(spin.dim, frames)
+    out = np.empty((len(frames), spin.dim, spin.dim), dtype=complex)
+    out[rot] = rotations(
+        spin, [frames[k].theta for k in rot], [frames[k].phi for k in rot]
+    )
+    if arr:
+        out[arr] = _unitaries(spin.dim, [frames[k] for k in arr])
     return out
+
+
+def _unitaries(d: int, frames) -> np.ndarray:
+    """Array frames stacked, (N, d, d), after one shape test each and one batched U^dag U - I test.
+
+    The first bad frame in order decides the error: DomainError for a wrong
+    shape, InvariantError for a frame off unitarity by more than 1e-12 in
+    some entry (NaN included).
+    """
+    mats = [np.asarray(f, dtype=complex) for f in frames]
+    n_good = next((i for i, u in enumerate(mats) if u.shape != (d, d)), len(mats))
+    good = np.stack(mats[:n_good]) if n_good else np.empty((0, d, d), dtype=complex)
+    defect = np.swapaxes(good.conj(), 1, 2) @ good - np.eye(d)
+    if not (np.abs(defect) <= 1e-12).all():
+        raise InvariantError("frame matrix is not unitary to 1e-12")
+    if n_good < len(mats):
+        raise DomainError(f"frame shape {mats[n_good].shape} does not match dim {d}")
+    return good
 
 
 def basis_ket(spin: Spin, two_m: int) -> np.ndarray:

@@ -298,10 +298,10 @@ def reconstruct(p: ProbVector, frame_set, weights=None) -> np.ndarray:
     n = frame_set.n_dirs if isinstance(frame_set, DirectionSet) else len(frame_set.frames)
     if p.spin != spin or p.n_rotations != n:
         raise DomainError("probability vector does not match the frame set")
-    priors = [1.0 / n] * n if weights is None else validate_weights(weights, n).tolist()
-    if not all(abs(s - w) <= 1e-8 for s, w in zip(p.block_sums().tolist(), priors)):
+    priors, key = _priors(frame_set, weights)
+    if not np.abs(p.block_sums() - priors).max() <= 1e-8:  # a NaN max fails too
         raise DomainError("probability vector's block sums are not the priors")
-    _, inverse = least_squares(frame_set, weights)
+    _, inverse = _inverse(frame_set, key)
     return vec_to_hermitian(inverse @ p.values, spin.dim)
 
 
@@ -312,12 +312,25 @@ def least_squares(frame_set, weights=None):
     ``frames``) with the priors ``weights``; both share one memo of 16 sets.
     A map of rank below (2j+1)^2 at LSQ_RTOL raises FeasibilityError.
     """
+    return _inverse(frame_set, _priors(frame_set, weights)[1])
+
+
+def _priors(frame_set, weights):
+    """The priors a vector's block sums must match, and the :func:`_solver` key.
+
+    The weights are validated here, once per call; a DirectionSet takes none,
+    and its priors are the one value 1/N.
+    """
     if isinstance(frame_set, DirectionSet):
         if weights is not None:
             raise DomainError("a direction set is inverted in its equal-weight form")
-        key = b""
-    else:
-        key = validate_weights(weights, len(frame_set.frames)).tobytes()
+        return 1.0 / frame_set.n_dirs, b""
+    w = validate_weights(weights, len(frame_set.frames))
+    return w, w.tobytes()
+
+
+def _inverse(frame_set, key: bytes):
+    """The memoized (s, inverse) of :func:`_solver`, refusing a rank-deficient map."""
     s, inverse = _solver(frame_set, key)
     if inverse is None:
         full = frame_set.spin.dim ** 2

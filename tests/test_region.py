@@ -343,6 +343,23 @@ class TestSampleRegion:
         assert (rows[:, n_free + 1] < 0.0).any()
         assert "e-05," in buf.getvalue()
 
+    def test_csv_keeps_negative_zero_apart(self, orthogonal_triad):
+        # -0.0 == 0.0, so a writer that merged equal values would print one for both
+        entries = [SliceEntry.free(0.0, 1.0 / 3.0), SliceEntry.balance()] * 2
+        entries += [SliceEntry.const(1.0 / 6.0), SliceEntry.balance()]
+        rows = sample_region(Spin(1), orthogonal_triad, SliceSpec(entries), 5)
+        zeros = np.flatnonzero(rows[:, 1] == 0.0)
+        rows[zeros[::2], 1] = -0.0
+        rows[zeros[1::2], 0] = -0.0
+        buf = io.StringIO()
+        write_region_csv(rows, 2, buf)
+        expected = io.StringIO()
+        _per_row_csv(rows, 2, expected)
+        assert buf.getvalue() == expected.getvalue()
+        lines = buf.getvalue().splitlines()[1:]
+        assert sum(line.split(",")[1] == "-0.0" for line in lines) == len(zeros[::2])
+        assert any(line.split(",")[1] == "0.0" for line in lines)
+
 
 def _per_row_csv(rows: np.ndarray, n_free: int, fh):
     """Reference writer: one formatted line per row."""
