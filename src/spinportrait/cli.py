@@ -83,17 +83,14 @@ def cmd_invert(args) -> int:
         rho = aw_reconstruct(spin, prob.values, frames, normalized=True)
         s, _ = _aw_solver(spin, tuple(frames))
     else:
+        frame_set = (UnitaryFrameSet if prob.scheme == "sun" else DirectionSet)(spin, frames)
         p = ProbVector(spin, len(frames), prob.values)
-        if prob.scheme == "sun":
-            frame_set, weights = UnitaryFrameSet(spin, frames), prob.weights
-        else:
-            frame_set, weights = DirectionSet(spin, frames), None
-            if not np.abs(p.block_sums() - 1.0 / len(frames)).max() <= 1e-12:
-                print("notice: probabilities carry non-equal priors; renormalizing "
-                      "to the equal-weight form", file=sys.stderr)
-                p = normalize_to_eq(p)
-        rho = reconstruct(p, frame_set, weights)
-        s, _ = least_squares(frame_set, weights)
+        if not np.abs(p.block_sums() - 1.0 / len(frames)).max() <= 1e-12:
+            print("notice: probabilities carry non-equal priors; renormalizing "
+                  "to the equal-weight form", file=sys.stderr)
+            p = normalize_to_eq(p)
+        rho = reconstruct(p, frame_set)
+        s, _ = least_squares(frame_set)
     # the conditioning of the inverse just applied, from its memoized singular values
     print(f"condition number: {s[0] / s[-1]:.6e}", file=sys.stderr)
     if not args.no_validate:

@@ -10,8 +10,9 @@ Probability file: {"two_j": int, "scheme": "su2"|"sun"|"aw",
                    "frames": [...], "weights": [...], "values": [...]}
 with direction records for su2/aw frames and {"re": [...], "im": [...]}
 row-major unitary records for sun frames.  Values follow the rotation-major,
-descending-m layout; for the aw scheme they are the unit-sum variant of the
-highest-projection probabilities, one per direction.
+descending-m layout, each su2 or sun block summing to its weight to 1e-8;
+for the aw scheme they are the unit-sum variant of the highest-projection
+probabilities, one per direction.
 """
 
 from __future__ import annotations
@@ -221,6 +222,10 @@ def load_prob(path: str, validate: bool = True) -> ProbFile:
                 f"probability file has {values.size} values, expected {expected}"
             )
         _check_probabilities(values)
+        if scheme != "aw":
+            sums = values.reshape(len(frames), spin.dim).sum(axis=1)
+            if not np.abs(sums - weights).max() <= 1e-8:  # a NaN max fails too
+                raise DomainError("probability file's block sums miss its weights by more than 1e-8")
     except (InvariantError, DomainError) as exc:
         if validate:
             raise

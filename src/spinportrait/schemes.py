@@ -42,9 +42,10 @@ from .tomography import forward_matrix, tomogram_columns
 class UnitaryFrameSet:
     """2j+2 unitary frames of dimension 2j+1, the minimal injective count.
 
-    Compared and hashed by identity, since the frames are arrays.  The inverse
-    maps of ``reconstruct_pinv`` are memoized per (set, prior weights) in the
-    one cache of ``su2.least_squares``.
+    Compared and hashed by identity, since the frames are arrays.  The
+    equal-weight inverse of ``reconstruct_pinv`` is memoized per set in the
+    one cache of ``su2.least_squares``; a vector stacked with other priors is
+    inverted through ``normalize_to_eq``.
     """
 
     spin: Spin
@@ -108,7 +109,7 @@ def mu_bound(gamma: float) -> float:
     return (1.0 + root) / (1.0 - root)
 
 
-reconstruct_pinv = reconstruct  # the least-squares inverse, with the priors ``weights``
+reconstruct_pinv = reconstruct  # the least-squares inverse of an equal-weight vector
 
 
 @dataclass(frozen=True)
@@ -185,11 +186,17 @@ def aw_reconstruct(
 
     With ``normalized=True`` the input is taken as the unit-sum variant of the
     probability vector and the overall scale is restored by dividing out the
-    trace of the solution.  The grid's rank verdict and inverse are memoized
+    trace of the solution.  ``w`` must hold one finite value per direction
+    (DomainError otherwise).  The grid's rank verdict and inverse are memoized
     per (spin, directions).
     """
+    dirs = tuple(dirs)
     w = np.asarray(w, dtype=float)
-    _, inverse = _aw_solver(spin, tuple(dirs))
+    if w.shape != (len(dirs),):
+        raise DomainError(f"expected {len(dirs)} values, one per direction, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise DomainError("highest-projection values must be finite")
+    _, inverse = _aw_solver(spin, dirs)
     if inverse is None:
         raise FeasibilityError("direction matrix is numerically singular")
     rho = vec_to_hermitian(inverse @ w, spin.dim)

@@ -13,9 +13,10 @@ and differ only in the per-shell matrix G_L:
 
 * :func:`reconstruct` takes G_L = P_L(n_i . n_k)^+ over all N directions,
   the pseudo-inverse of the map, the canonical dual frame and the linear
-  inverse of least error (A. J. Scott, J. Phys. A 39, 13507 (2006)); it and
+  inverse of least error (A. J. Scott, J. Phys. A 39, 13507 (2006)), applied
+  in factored form so its error grows as cond(Q); it and
   :func:`least_squares` (memo, rank rule LSQ_RTOL, refusal) serve the sun
-  frames too.
+  frames too, equal-weight vectors only.
 * The paper's nested quantizers D(m, k) serve shell L by the first 2L+1
   directions, rho = sum_{L, k <= 2L, m} P_eq(m, n_k) D_L(m, k): G_L is the
   zero-padded inverse of the leading block M(L) = Y Y^T, Y the leading
@@ -45,7 +46,6 @@ from .linalg import (
     SQRT2,
     _rank,
     svd_inverse,
-    validate_weights,
     vec_to_hermitian,
 )
 from .orthopoly import coeff_table, legendre_series, s_operator_coords, s_operator_stack
@@ -220,14 +220,17 @@ def _block_inverses(vectors: np.ndarray):
         yield inverse
 
 
-def _shell_product(ds: DirectionSet, grams: np.ndarray) -> np.ndarray:
-    """N sum_L S_L^T G_L (x) f_L(m) for the per-shell G_L, grams (2j+1, N, N).
+def _shell_product(ds: DirectionSet, *factors: np.ndarray) -> np.ndarray:
+    """N sum_L S_L^T G_L (x) f_L(m), G_L the product of the per-shell factors (2j+1, N, N).
 
-    The (d*d, N*d) matrix whose column (k, m) holds the coordinates of the
-    dual of U(m, n_k): an inverse of the equal-weight forward map.
+    The factors multiply S_L^T one by one from the left.  The result is the
+    (d*d, N*d) matrix whose column (k, m) holds the coordinates of the dual of
+    U(m, n_k): an inverse of the equal-weight forward map.
     """
     spin, n, d = ds.spin, ds.n_dirs, ds.spin.dim
-    shell_g = np.transpose(s_operator_coords(spin, ds.dirs), (1, 2, 0)) @ grams
+    shell_g = np.transpose(s_operator_coords(spin, ds.dirs), (1, 2, 0))
+    for factor in factors:
+        shell_g = shell_g @ factor
     return np.tensordot(shell_g, n * coeff_table(spin), axes=(0, 0)).reshape(d * d, n * d)
 
 
@@ -287,51 +290,31 @@ def quantizer_stack(ds: DirectionSet) -> np.ndarray:
     return out
 
 
-def reconstruct(p: ProbVector, frame_set, weights=None) -> np.ndarray:
-    """Least-squares inverse map (:func:`least_squares`) of a vector over a frame set.
+def reconstruct(p: ProbVector, frame_set) -> np.ndarray:
+    """Least-squares inverse map (:func:`least_squares`) of an equal-weight vector.
 
-    ``p``'s block sums must be the priors to 1e-8, checked before any inverse
-    is built: 1/N for a DirectionSet (``normalize_to_eq`` others first), and
-    ``weights`` (None: equal) for a unitary frame set.
+    ``p``'s block sums must be 1/N to 1e-8 for a DirectionSet and a unitary
+    frame set alike, checked before any inverse is built; a vector stacked
+    with other priors is inverted as ``reconstruct(normalize_to_eq(p), frame_set)``.
     """
     spin = frame_set.spin
     n = frame_set.n_dirs if isinstance(frame_set, DirectionSet) else len(frame_set.frames)
     if p.spin != spin or p.n_rotations != n:
         raise DomainError("probability vector does not match the frame set")
-    priors, key = _priors(frame_set, weights)
-    if not np.abs(p.block_sums() - priors).max() <= 1e-8:  # a NaN max fails too
-        raise DomainError("probability vector's block sums are not the priors")
-    _, inverse = _inverse(frame_set, key)
+    if not np.abs(p.block_sums() - 1.0 / n).max() <= 1e-8:  # a NaN max fails too
+        raise DomainError("probability vector's block sums are not the priors 1/N")
+    _, inverse = least_squares(frame_set)
     return vec_to_hermitian(inverse @ p.values, spin.dim)
 
 
-def least_squares(frame_set, weights=None):
-    """Singular values and pseudo-inverse of a frame set's forward map, read-only.
+def least_squares(frame_set):
+    """Singular values and pseudo-inverse of a frame set's equal-weight forward map, read-only.
 
-    A DirectionSet is taken with equal weights, a unitary frame set (``spin``,
-    ``frames``) with the priors ``weights``; both share one memo of 16 sets.
-    A map of rank below (2j+1)^2 at LSQ_RTOL raises FeasibilityError.
+    A DirectionSet and a unitary frame set (``spin``, ``frames``) share one
+    memo of 16 sets, keyed by the set alone.  A map of rank below (2j+1)^2 at
+    LSQ_RTOL raises FeasibilityError.
     """
-    return _inverse(frame_set, _priors(frame_set, weights)[1])
-
-
-def _priors(frame_set, weights):
-    """The priors a vector's block sums must match, and the :func:`_solver` key.
-
-    The weights are validated here, once per call; a DirectionSet takes none,
-    and its priors are the one value 1/N.
-    """
-    if isinstance(frame_set, DirectionSet):
-        if weights is not None:
-            raise DomainError("a direction set is inverted in its equal-weight form")
-        return 1.0 / frame_set.n_dirs, b""
-    w = validate_weights(weights, len(frame_set.frames))
-    return w, w.tobytes()
-
-
-def _inverse(frame_set, key: bytes):
-    """The memoized (s, inverse) of :func:`_solver`, refusing a rank-deficient map."""
-    s, inverse = _solver(frame_set, key)
+    s, inverse = _solver(frame_set)
     if inverse is None:
         full = frame_set.spin.dim ** 2
         raise FeasibilityError(f"frame forward map has rank {_rank(s, LSQ_RTOL)} < {full}")
@@ -339,17 +322,20 @@ def _inverse(frame_set, key: bytes):
 
 
 @lru_cache(maxsize=16)
-def _solver(frame_set, weights: bytes):
-    """(s, inverse) of :func:`least_squares`: shell by shell for a direction set."""
+def _solver(frame_set):
+    """(s, inverse) of :func:`least_squares`, inverse None below full rank.
+
+    For a direction set, shell by shell from the SVD u sv v^T of each harmonic
+    factor: G_L = u sv^-2 u^T is applied as (S_L^T u) sv^-2 u^T, never formed,
+    so the error grows as cond(Q) and not as cond(Q)^2.
+    """
     if not isinstance(frame_set, DirectionSet):
-        a = forward_matrix(frame_set.spin, frame_set.frames, np.frombuffer(weights))
-        return svd_inverse(a, LSQ_RTOL)
+        return svd_inverse(forward_matrix(frame_set.spin, frame_set.frames), LSQ_RTOL)
     s, u, sv = _spectrum(frame_set.unit_vectors(), compute_uv=True)
     s.flags.writeable = False
     if _rank(s, LSQ_RTOL) < s.size:
         return s, None
-    gram_pinv = (u * sv[:, None, :] ** -2.0) @ np.swapaxes(u, 1, 2)
-    inverse = _shell_product(frame_set, gram_pinv)
+    inverse = _shell_product(frame_set, u, sv[:, :, None] ** -2.0 * np.swapaxes(u, 1, 2))
     inverse.flags.writeable = False
     return s, inverse
 

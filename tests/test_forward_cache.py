@@ -26,6 +26,7 @@ from spinportrait import (
     dequantizer,
     gram,
     hermitian_to_vec,
+    normalize_to_eq,
     prob_vector,
     q_matrix,
     r_matrix,
@@ -184,8 +185,7 @@ class TestCaches:
         for u in ufs.frames:
             _assert_read_only(u)
         hits = su2._solver.cache_info().hits
-        key = linalg.validate_weights(None, len(ufs.frames)).tobytes()
-        for arr in su2._solver(ufs, key):
+        for arr in su2._solver(ufs):
             _assert_read_only(arr)
         assert su2._solver.cache_info().hits == hits + 1
         reconstruct(prob_vector(spin, rho, qutrit_set.dirs), qutrit_set)
@@ -201,17 +201,17 @@ class TestCaches:
         assert orthopoly.coeff_table.cache_info().maxsize == 16
         spin = Spin(1)
         rng = np.random.default_rng(12)
-        ufs = random_frame_set(spin, rng)
         rho = random_density_matrix(spin, rng)
         su2._solver.cache_clear()
         for _ in range(20):
+            ufs = random_frame_set(spin, rng)
             w = rng.uniform(0.5, 1.5, 3)
-            w /= w.sum()
-            p = prob_vector(spin, rho, ufs.frames, w)
-            assert np.abs(reconstruct_pinv(p, ufs, w) - rho).max() < 1e-12
+            p = normalize_to_eq(prob_vector(spin, rho, ufs.frames, w / w.sum()))
+            assert np.abs(reconstruct_pinv(p, ufs) - rho).max() < 1e-12
         assert su2._solver.cache_info().currsize == 16
 
     def test_one_frame_set_two_weight_vectors(self):
+        # priors come off through normalize_to_eq, so both vectors share one inverse
         spin = Spin(3)
         rng = np.random.default_rng(13)
         ufs = random_frame_set(spin, rng)
@@ -221,15 +221,13 @@ class TestCaches:
         su2._solver.cache_clear()
         answers = []
         for w in (uniform, skewed, uniform, skewed):
-            p = prob_vector(spin, rho, ufs.frames, w)
-            answers.append(reconstruct_pinv(p, ufs, w))
+            p = normalize_to_eq(prob_vector(spin, rho, ufs.frames, w))
+            answers.append(reconstruct_pinv(p, ufs))
             assert np.abs(answers[-1] - rho).max() < 1e-12
         assert np.array_equal(answers[0], answers[2])
         assert np.array_equal(answers[1], answers[3])
-        p = prob_vector(spin, rho, ufs.frames)
-        assert np.abs(reconstruct_pinv(p, ufs) - rho).max() < 1e-12
         info = su2._solver.cache_info()
-        assert (info.currsize, info.misses) == (2, 2)
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
 
     def test_su2_and_sun_share_one_memo(self, qutrit_set):
         spin = qutrit_set.spin

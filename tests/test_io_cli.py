@@ -25,6 +25,8 @@ from spinportrait.cli import build_parser, main
 from spinportrait.schemes import aw_directions, default_aw_grid, haar_unitary
 from spinportrait.su2 import least_squares
 
+from conftest import random_direction_set
+
 TRIAD = [
     {"theta": 0.0, "phi": 0.0},
     {"theta": math.pi / 2, "phi": 0.0},
@@ -237,17 +239,17 @@ class TestForwardInvert:
         spin = Spin(1)
         rho = random_density_matrix(spin, np.random.default_rng(9))
         state = write_state(tmp_path, spin, rho)
-        dirs = write_triad(tmp_path)
         prob_path = str(tmp_path / "prob.json")
         back_path = str(tmp_path / "back.json")
-        assert main(
-            ["forward", "--state", state, "--frames", dirs,
-             "--weights", "0.5,0.3,0.2", "--out", prob_path]
-        ) == 0
-        assert main(["invert", "--prob", prob_path, "--out", back_path]) == 0
-        assert "renormalizing" in capsys.readouterr().err
-        _, rho2 = fileio.load_state(back_path)
-        assert np.abs(rho2 - rho).max() < 1e-9
+        for scheme, frames in [("su2", write_triad(tmp_path)), ("sun", write_sun_frames(tmp_path, spin, 10))]:
+            assert main(
+                ["forward", "--state", state, "--frames", frames, "--scheme", scheme,
+                 "--weights", "0.5,0.3,0.2", "--out", prob_path]
+            ) == 0
+            assert main(["invert", "--prob", prob_path, "--out", back_path]) == 0
+            assert "renormalizing" in capsys.readouterr().err
+            _, rho2 = fileio.load_state(back_path)
+            assert np.abs(rho2 - rho).max() < 1e-9
 
 
 class TestExitCodes:
@@ -699,6 +701,53 @@ class TestMalformedInput:
         with pytest.warns(UserWarning, match="equal priors"):
             code = main(["invert", "--prob", path, "--no-validate", "--out", str(out)])
         assert code == 0 and out.exists()
+
+    @pytest.mark.parametrize("edit", ["short", "nan"])
+    def test_malformed_aw_values_without_validation_are_2(self, tmp_path, capsys, edit):
+        path = self._aw_prob_with_weights(tmp_path, [0.25] * 4)
+        with open(path) as fh:
+            raw = json.load(fh)
+        if edit == "short":
+            raw["values"] = raw["values"][:-1]
+        else:
+            raw["values"][1] = math.nan
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        out = tmp_path / "back.json"
+        with pytest.warns(UserWarning, match="failed validation"):
+            code = main(["invert", "--prob", path, "--no-validate", "--out", str(out)])
+        assert code == 2
+        message = "one per direction, got shape (3,)" if edit == "short" else "must be finite"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["su2", "sun"])
+    @pytest.mark.parametrize("shift,code", [(2e-8, 2), (5e-9, 0)])
+    def test_block_sums_off_the_weights_beyond_1e_8_are_2(self, tmp_path, capsys, scheme, shift, code):
+        spin = Spin(2)
+        rho = random_density_matrix(spin, np.random.default_rng(26))
+        state = write_state(tmp_path, spin, rho)
+        if scheme == "sun":
+            frames_path = write_sun_frames(tmp_path, spin, 27)
+        else:
+            frames_path = str(tmp_path / "dirs.json")
+            fileio.save_directions(frames_path, random_direction_set(spin, np.random.default_rng(28)).dirs)
+        path = tmp_path / "prob.json"
+        assert main(["forward", "--state", state, "--frames", frames_path, "--scheme", scheme,
+                     "--out", str(path)]) == 0
+        raw = json.loads(path.read_text())
+        raw["weights"][0] += shift
+        raw["weights"][1] -= shift
+        write_json(path, raw)
+        out = tmp_path / "back.json"
+        capsys.readouterr()
+        assert main(["invert", "--prob", str(path), "--out", str(out)]) == code
+        if code == 2:
+            assert "block sums miss its weights by more than 1e-8" in capsys.readouterr().err
+            assert not out.exists()
+            with pytest.warns(UserWarning, match="block sums miss its weights"):
+                assert main(["invert", "--prob", str(path), "--no-validate", "--out", str(out)]) == 0
+        assert np.abs(fileio.load_state(str(out))[1] - rho).max() < 1e-9
 
     @pytest.mark.parametrize("two_j", [1.7, True, 1.0, "1"])
     def test_non_integer_two_j_is_refused(self, tmp_path, capsys, two_j):

@@ -26,6 +26,7 @@ from spinportrait import (
     hermitian_to_vec,
     mu_bound,
     newton_young_directions,
+    normalize_to_eq,
     numerical_rank,
     prob_vector,
     q_matrix,
@@ -35,6 +36,7 @@ from spinportrait import (
     reconstruct,
     reconstruct_pinv,
     sun_gram,
+    vec_to_hermitian,
 )
 from spinportrait import su2
 from spinportrait.orthopoly import coeff_table
@@ -155,27 +157,39 @@ class TestReconstructPinv:
         rho = random_density_matrix(spin, rng)
         weights = np.array([0.5, 0.3, 0.2])
         p = prob_vector(spin, rho, list(ufs.frames), weights)
-        rec = reconstruct_pinv(p, ufs, weights)
+        rec = reconstruct_pinv(normalize_to_eq(p), ufs)
         assert np.abs(rec - rho).max() < 1e-9
 
     def test_is_the_one_least_squares_reconstruction(self):
         assert reconstruct_pinv is su2.reconstruct
 
-    @pytest.mark.parametrize(
-        "stacked,passed", [((0.4, 0.3, 0.2, 0.1), None), (None, (0.4, 0.3, 0.2, 0.1))]
-    )
-    def test_mismatched_priors_are_refused_before_the_inverse(self, stacked, passed):
-        # either way the pseudo-inverse would return a trace-one state far from rho
+    def test_mismatched_priors_are_refused_before_the_inverse(self):
+        # the pseudo-inverse would return a trace-one state far from rho
         spin = Spin(2)
         rng = np.random.default_rng(31)
         ufs = random_frame_set(spin, rng)
         rho = random_density_matrix(spin, rng)
-        p = prob_vector(spin, rho, ufs.frames, stacked)
+        p = prob_vector(spin, rho, ufs.frames, (0.4, 0.3, 0.2, 0.1))
         before = su2._solver.cache_info()
         with pytest.raises(DomainError, match="block sums are not the priors"):
-            reconstruct_pinv(p, ufs, passed)
+            reconstruct_pinv(p, ufs)
         assert su2._solver.cache_info() == before
-        assert np.abs(reconstruct_pinv(p, ufs, stacked) - rho).max() < 1e-9
+        assert np.abs(reconstruct_pinv(normalize_to_eq(p), ufs) - rho).max() < 1e-9
+
+    @pytest.mark.parametrize("two_j", [1, 2, 4, 8, 16])
+    def test_prior_stacked_vectors_invert_through_normalize_to_eq(self, two_j):
+        # the oracle is the least-squares inverse of the map with the priors
+        spin = Spin(two_j)
+        rng = np.random.default_rng((two_j, 32))
+        ufs = random_frame_set(spin, rng)
+        rho = random_density_matrix(spin, rng)
+        w = rng.uniform(0.5, 1.5, two_j + 2)
+        w /= w.sum()
+        p = prob_vector(spin, rho, ufs.frames, w)
+        x = np.linalg.lstsq(r_matrix(spin, ufs.frames, w), p.values, rcond=None)[0]
+        rec = reconstruct_pinv(normalize_to_eq(p), ufs)
+        assert np.abs(rec - vec_to_hermitian(x, spin.dim)).max() <= 1e-12
+        assert np.abs(rec - rho).max() <= 1e-12
 
     def test_rank_deficient_rejected(self):
         spin = Spin(1)
@@ -195,11 +209,11 @@ class TestReconstructPinv:
         ],
     )
     def test_non_finite_weights_rejected(self, weights, message):
+        # the forward map is the one place priors are taken
         spin = Spin(1)
         ufs = random_frame_set(spin, np.random.default_rng(7))
-        p = ProbVector(spin, 3, np.full(6, 1.0 / 6.0))
         with pytest.raises(DomainError, match=message):
-            reconstruct_pinv(p, ufs, weights)
+            r_matrix(spin, ufs.frames, weights)
         dirs = [Direction(0.0, 0.0), Direction(1.5, 0.0), Direction(1.5, 1.5)]
         with pytest.raises(DomainError, match=message):
             q_matrix(spin, dirs, weights)
@@ -297,6 +311,22 @@ class TestAWReconstruction:
         dirs = [Direction(0.5, 0.0)] * 4
         with pytest.raises(FeasibilityError):
             aw_reconstruct(spin, np.full(4, 0.25), dirs)
+
+    @pytest.mark.parametrize(
+        "w,message",
+        [
+            ([0.25, 0.25, 0.5], r"expected 4 values, one per direction, got shape \(3,\)"),
+            (np.full((2, 2), 0.25), r"expected 4 values, one per direction, got shape \(2, 2\)"),
+            ([0.25, math.nan, 0.25, 0.5], "must be finite"),
+            ([0.25, math.inf, 0.25, 0.5], "must be finite"),
+        ],
+    )
+    def test_malformed_values_are_refused(self, w, message):
+        spin = Spin(1)
+        dirs = aw_directions(default_aw_grid(spin))
+        for normalized in (False, True):
+            with pytest.raises(DomainError, match=message):
+                aw_reconstruct(spin, w, dirs, normalized=normalized)
 
 
 class TestNewtonYoung:

@@ -405,10 +405,6 @@ class TestLeastSquares:
         with pytest.raises(FeasibilityError, match=r"^frame forward map has rank 3 < 4$"):
             su2.least_squares(ds)
 
-    def test_direction_sets_take_no_weights(self, orthogonal_triad):
-        with pytest.raises(DomainError, match="equal-weight"):
-            su2.least_squares(orthogonal_triad, [0.5, 0.3, 0.2])
-
     @pytest.mark.parametrize("two_j", [0, 1, 4, 16, 24])
     def test_harmonic_factors_are_the_addition_theorem(self, two_j):
         vectors = random_direction_set(Spin(two_j), np.random.default_rng(two_j)).unit_vectors()
