@@ -80,7 +80,7 @@ def main(argv=None) -> int:
         rows = sample_region(Spin(1), ds, qubit_slice(), args.resolution)
         path = os.path.join(args.out_dir, f"qubit_triple_{triple:.2f}.csv")
         with open(path, "w") as fh:
-            write_region_csv(rows, 3, fh)
+            write_region_csv(rows, fh)
         fraction = rows[:, 3].mean()
         print(f"qubit triple={triple:.2f}: quantum fraction {fraction:.4f} -> {path}")
 
@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     rows = sample_region(Spin(2), ds, qutrit_slice(), max(args.resolution // 2, 9))
     path = os.path.join(args.out_dir, "qutrit_slice.csv")
     with open(path, "w") as fh:
-        write_region_csv(rows, 3, fh)
+        write_region_csv(rows, fh)
     print(f"qutrit slice: quantum fraction {rows[:, 3].mean():.4f} -> {path}")
     return 0
 

@@ -43,7 +43,7 @@ from .tomography import (
     tomogram,
     tomogram_column,
 )
-from .portrait import (
+from .portraits import (
     Partition,
     ProbVector,
     normalize_to_eq,
@@ -85,7 +85,7 @@ from .schemes import (
     reconstruct_pinv,
     sun_gram,
 )
-from .optimize import OptimizerConfig, objective, optimize
+from .optimizer import OptimizerConfig, objective, optimize
 from .kernels import (
     kernel_p_to_w,
     kernel_w_to_p,

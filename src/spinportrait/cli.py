@@ -24,10 +24,10 @@ from .errors import (
     OptimizationError,
 )
 from .kernels import kernel_p_to_w, kernel_w_to_p, star_kernel
-from .linalg import validate_weights
-from .optimize import OBJECTIVES, OptimizerConfig, optimize
-from .portrait import ProbVector, normalize_to_eq, prob_vector
-from .region import DEFAULT_TOL, SliceEntry, SliceSpec, sample_region, write_region_csv
+from .linalg import EIG_TOL, INPUT_TOL, TRACE_TOL, validate_weights
+from .optimizer import OBJECTIVES, OptimizerConfig, optimize
+from .portraits import ProbVector, normalize_to_eq, prob_vector
+from .region import DEFAULT_TOL, sample_region, write_region_csv
 from .schemes import (
     AWGrid,
     UnitaryFrameSet,
@@ -85,7 +85,7 @@ def cmd_invert(args) -> int:
     else:
         frame_set = (UnitaryFrameSet if prob.scheme == "sun" else DirectionSet)(spin, frames)
         p = ProbVector(spin, len(frames), prob.values)
-        if not np.abs(p.block_sums() - 1.0 / len(frames)).max() <= 1e-12:
+        if not np.abs(p.block_sums() - 1.0 / len(frames)).max() <= INPUT_TOL:
             print("notice: probabilities carry non-equal priors; renormalizing "
                   "to the equal-weight form", file=sys.stderr)
             p = normalize_to_eq(p)
@@ -94,7 +94,7 @@ def cmd_invert(args) -> int:
     # the conditioning of the inverse just applied, from its memoized singular values
     print(f"condition number: {s[0] / s[-1]:.6e}", file=sys.stderr)
     if not args.no_validate:
-        validate_density_matrix(spin, rho, trace_tol=1e-9, eig_tol=1e-8)
+        validate_density_matrix(spin, rho, trace_tol=TRACE_TOL, eig_tol=EIG_TOL)
     fileio.save_state(args.out, spin, rho)
     return 0
 
@@ -116,36 +116,18 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _load_slice(path: str) -> SliceSpec:
-    with open(path) as fh:
-        raw = json.load(fh)
-    entries = []
-    for rec in raw["entries"]:
-        kind = rec["kind"]
-        if kind == "const":
-            entries.append(SliceEntry.const(rec["value"]))
-        elif kind == "free":
-            entries.append(SliceEntry.free(rec["lo"], rec["hi"]))
-        elif kind == "balance":
-            entries.append(SliceEntry.balance())
-        else:
-            raise ConfigError(f"unknown slice entry kind {kind!r}")
-    return SliceSpec(entries)
-
-
 def cmd_region(args) -> int:
     spin = Spin(args.two_j)
     dirs = fileio.load_directions(args.frames)
     ds = DirectionSet(spin, dirs)
-    spec = _load_slice(args.slice)
+    spec = fileio.load_slice(args.slice)
     rows = sample_region(spin, ds, spec, args.resolution, tol=args.tol)
-    n_free = rows.shape[1] - 2
     if args.out:
         buf = StringIO()
-        write_region_csv(rows, n_free, buf)
+        write_region_csv(rows, buf)
         fileio._atomic_write_text(args.out, buf.getvalue())
     else:
-        write_region_csv(rows, n_free, sys.stdout)
+        write_region_csv(rows, sys.stdout)
     return 0
 
 

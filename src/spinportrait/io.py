@@ -10,9 +10,15 @@ Probability file: {"two_j": int, "scheme": "su2"|"sun"|"aw",
                    "frames": [...], "weights": [...], "values": [...]}
 with direction records for su2/aw frames and {"re": [...], "im": [...]}
 row-major unitary records for sun frames.  Values follow the rotation-major,
-descending-m layout, each su2 or sun block summing to its weight to 1e-8;
-for the aw scheme they are the unit-sum variant of the highest-projection
-probabilities, one per direction.
+descending-m layout, each su2 or sun block summing to its weight to
+``linalg.PRIOR_TOL``; for the aw scheme they are the unit-sum variant of the
+highest-projection probabilities, one per direction.
+Slice file:      {"entries": [{"kind": "const", "value": v} |
+                              {"kind": "free", "lo": a, "hi": b} |
+                              {"kind": "balance"}, ...]}, one per coordinate.
+
+A malformed file raises DomainError, or KeyError for a missing key (the CLI
+exits 2 on both), never a bare TypeError or ValueError.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantError
-from .portrait import _check_probabilities, validate_weights
-from .spin import Direction, Spin, unitarity_defect, validate_density_matrix
+from .linalg import PRIOR_TOL
+from .portraits import _check_probabilities, validate_weights
+from .region import SliceEntry, SliceSpec
+from .spin import Direction, Spin, _unitaries, validate_density_matrix
 
 SCHEMES = ("su2", "sun", "aw")
 
@@ -71,6 +79,8 @@ def _matrix_from_parts(re, im, dim: int, what: str) -> np.ndarray:
 
 def _read_spin(raw) -> Spin:
     """The spin of a state or probability file; two_j must be a JSON integer."""
+    if not isinstance(raw, dict):
+        raise DomainError("state and probability files must be JSON objects")
     two_j = raw["two_j"]
     if isinstance(two_j, bool) or not isinstance(two_j, int):
         raise DomainError(f"two_j must be a JSON integer, got {two_j!r}")
@@ -145,8 +155,8 @@ def _frame_records(frames) -> list:
 def _read_frames(records, dim: int, validate: bool, what: str) -> list:
     """Unitary frames from row-major {"re", "im"} records.
 
-    A malformed record raises DomainError; a frame that is not unitary to
-    1e-12 raises InvariantError, or only warns when ``validate`` is false.
+    A malformed record raises DomainError; :func:`spin._unitaries` judges
+    unitarity, and its InvariantError only warns when ``validate`` is false.
     """
     if not isinstance(records, list):
         raise DomainError(f"{what}s must be a JSON list")
@@ -157,12 +167,12 @@ def _read_frames(records, dim: int, validate: bool, what: str) -> list:
         except (TypeError, KeyError):
             raise DomainError(f"{what} {i} is not an re/im record: {rec!r}") from None
         frames.append(_matrix_from_parts(re, im, dim, f"{what} {i}"))
-    bad = [i for i, u in enumerate(frames) if unitarity_defect(u) > 1e-12]
-    if bad:
-        message = f"{what} {bad[0]} is not unitary to 1e-12"
+    try:
+        _unitaries(dim, frames)
+    except InvariantError as exc:
         if validate:
-            raise InvariantError(message)
-        warnings.warn(message)
+            raise
+        warnings.warn(f"{what}s failed validation: {exc}")
     return frames
 
 
@@ -209,8 +219,11 @@ def load_prob(path: str, validate: bool = True) -> ProbFile:
         frames = _read_frames(raw["frames"], spin.dim, validate, "probability file frame")
     else:
         frames = _read_directions(raw["frames"], "probability file frames")
-    weights = np.asarray(raw["weights"], dtype=float)
-    values = np.asarray(raw["values"], dtype=float)
+    try:
+        weights = np.asarray(raw["weights"], dtype=float)
+        values = np.asarray(raw["values"], dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("probability file weights/values are not lists of numbers") from None
     try:
         validate_weights(weights, len(frames))
         equal = validate_weights(None, len(frames))
@@ -224,10 +237,30 @@ def load_prob(path: str, validate: bool = True) -> ProbFile:
         _check_probabilities(values)
         if scheme != "aw":
             sums = values.reshape(len(frames), spin.dim).sum(axis=1)
-            if not np.abs(sums - weights).max() <= 1e-8:  # a NaN max fails too
-                raise DomainError("probability file's block sums miss its weights by more than 1e-8")
+            if not np.abs(sums - weights).max() <= PRIOR_TOL:  # a NaN max fails too
+                raise DomainError(f"probability file's block sums miss its weights by more than {PRIOR_TOL:g}")
     except (InvariantError, DomainError) as exc:
         if validate:
             raise
         warnings.warn(f"probability file failed validation: {exc}")
     return ProbFile(spin, scheme, frames, weights, values)
+
+
+def load_slice(path: str) -> SliceSpec:
+    raw = _load_json(path)
+    records = raw.get("entries") if isinstance(raw, dict) else None
+    if not isinstance(records, list):
+        raise DomainError('slice file must be an object with an "entries" list')
+    entries = []
+    for i, rec in enumerate(records):
+        try:
+            kind = rec["kind"]
+            if kind == "const":
+                entries.append(SliceEntry.const(rec["value"]))
+            elif kind == "free":
+                entries.append(SliceEntry.free(rec["lo"], rec["hi"]))
+            else:  # sample_region refuses a kind other than "balance"
+                entries.append(SliceEntry(kind))
+        except (KeyError, TypeError, ValueError):
+            raise DomainError(f"slice file entry {i} is not a slice record: {rec!r}") from None
+    return SliceSpec(entries)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .portrait import ProbVector, _layout_index
+from .portraits import ProbVector, _layout_index
 from .spin import Direction, Spin
 from .su2 import DirectionSet, _check_spin, apply_quantizer, quantizer
 from .tomography import (

@@ -11,11 +11,18 @@ from .errors import DomainError
 
 SQRT2 = math.sqrt(2.0)
 
-# The relative rank rules, each a fraction of the largest singular value or
-# eigenvalue below which a map counts as singular:
+# The tolerance table: each tolerance that several modules apply, and each CLI
+# threshold, written once (messages print them).  The relative rank rules, each
+# a fraction of the largest singular value or eigenvalue below which a map
+# counts as singular:
 LSQ_RTOL = 1e-8  # the least-squares inverse of the su2 and sun forward maps
 AW_RTOL = 1e-10  # the highest-projection grid matrix
 BLOCK_RTOL = 1e-12  # each nested shell Gram block M(L) behind the su2 quantizers
+# Absolute tolerances:
+INPUT_TOL = 1e-12  # input rounding: U^dag U - I, rho - rho^dag, theta, traces and sums
+PRIOR_TOL = 1e-8  # block sums of a probability vector against its priors
+TRACE_TOL = 1e-9  # unit trace of an assembled state: CLI invert, region candidates
+EIG_TOL = 1e-8  # the most negative eigenvalue CLI invert accepts in its state
 
 
 @lru_cache(maxsize=16)
@@ -108,7 +115,7 @@ def validate_weights(weights, n: int) -> np.ndarray:
         raise DomainError(f"expected {n} weights, got shape {w.shape}")
     if not w.min(initial=0.0) >= 0.0:
         raise DomainError(f"negative or NaN prior weight {w.min()}")
-    if not abs(w.sum() - 1.0) <= 1e-12:
+    if not abs(w.sum() - 1.0) <= INPUT_TOL:
         raise DomainError(f"prior weights sum to {w.sum()}, not 1")
     return w
 

@@ -20,11 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegeneratePriorError, DomainError, InvariantError
-from .linalg import validate_weights
+from .linalg import INPUT_TOL, validate_weights
 from .spin import Frame, Spin
 from .tomography import tomogram_columns
 
-VALUE_TOL = 1e-12
 SUM_TOL = 1e-11
 
 
@@ -67,7 +66,7 @@ def top_vs_rest_partition(spin: Spin) -> Partition:
 
 def _check_probabilities(values: np.ndarray):
     """Refuse a negative or NaN entry and a total away from 1 (an infinite one too)."""
-    if not values.min(initial=0.0) >= -VALUE_TOL:
+    if not values.min(initial=0.0) >= -INPUT_TOL:
         raise InvariantError(f"negative or NaN probability {values.min()}")
     if not abs(values.sum() - 1.0) <= SUM_TOL:
         raise InvariantError(f"probabilities sum to {values.sum()}, not 1")
@@ -144,19 +143,17 @@ def portrait(w_column: Sequence[float], partition: Partition) -> np.ndarray:
 def stack(portraits: np.ndarray | Sequence[Sequence[float]], weights) -> ProbVector:
     """Stack portraits scaled by prior weights (None: equal) into one vector.
 
-    ``portraits`` is an (N, L) array, one portrait per row, or a sequence of
-    N portraits of one length L.
+    ``portraits`` is an (N, L) array, one portrait per row, or anything
+    ``np.asarray`` turns into one, such as a sequence of N portraits of one
+    length L.
     """
-    if isinstance(portraits, np.ndarray):
+    try:
         rows = np.asarray(portraits, dtype=float)
-    else:
-        arrays = [np.asarray(p, dtype=float) for p in portraits]
-        if not arrays:
-            raise DomainError("nothing to stack")
-        if any(a.size != arrays[0].size for a in arrays):
-            raise DomainError("portraits have mismatched lengths")
-        rows = np.array(arrays)
-    if rows.ndim != 2 or rows.size == 0:
+    except (TypeError, ValueError):
+        raise DomainError("portraits are not an (N, L) array of numbers") from None
+    if rows.size == 0:
+        raise DomainError("nothing to stack")
+    if rows.ndim != 2:
         raise DomainError(f"expected an (N, L) stack of portraits, got shape {rows.shape}")
     w = validate_weights(weights, rows.shape[0])
     return ProbVector._adopt(Spin(rows.shape[1] - 1), rows.shape[0], (w[:, None] * rows).ravel())

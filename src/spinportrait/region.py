@@ -25,17 +25,17 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .portrait import ProbVector
+from .linalg import TRACE_TOL
+from .portraits import ProbVector
 from .spin import Spin
 from .su2 import DirectionSet, dual_vectors, quantizer_stack
 
 DEFAULT_TOL = 1e-10
-TRACE_TOL_FLOOR = 1e-9  # the unit-trace check never gets tighter than this
 
 
 def trace_ok(trace, tol: float):
-    """Unit-trace check shared by every verdict, scalar or batched."""
-    return np.abs(trace - 1.0) <= max(tol, TRACE_TOL_FLOOR)
+    """Unit-trace check shared by every verdict, scalar or batched; never tighter than TRACE_TOL."""
+    return np.abs(trace - 1.0) <= max(tol, TRACE_TOL)
 
 
 @dataclass(frozen=True)
@@ -303,12 +303,15 @@ def _distinct_text(values: np.ndarray, fmt) -> list:
     return text[where].tolist()
 
 
-def write_region_csv(rows: np.ndarray, n_free: int, fh):
-    """CSV dump: coord1,coord2[,coord3],is_quantum,min_eig with 17-digit floats.
+def write_region_csv(rows: np.ndarray, fh):
+    """CSV dump of :func:`sample_region` rows with 17-digit floats.
 
-    A grid axis holds few distinct values, so the coordinate and flag columns
-    format each distinct value once and index the strings.
+    Columns coord1[,coord2[,coord3]],is_quantum,min_eig: every column but the
+    last two is a coordinate.  A grid axis holds few distinct values, so the
+    coordinate and flag columns format each distinct value once and index the
+    strings.
     """
+    n_free = rows.shape[1] - 2
     header = [f"coord{i + 1}" for i in range(n_free)] + ["is_quantum", "min_eig"]
     fh.write(",".join(header) + "\n")
     columns = [_distinct_text(rows[:, i], repr) for i in range(n_free)]

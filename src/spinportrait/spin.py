@@ -25,6 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InvariantError
+from .linalg import INPUT_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,7 +79,7 @@ class Direction:
 
     def __post_init__(self):
         theta, phi = float(self.theta), float(self.phi)
-        if not (-1e-12 <= theta <= math.pi + 1e-12):
+        if not (-INPUT_TOL <= theta <= math.pi + INPUT_TOL):
             raise DomainError(f"theta must lie in [0, pi], got {theta}")
         if not math.isfinite(phi):
             raise DomainError(f"phi must be finite, got {phi}")
@@ -189,23 +190,25 @@ def frame_matrices(spin: Spin, frames: Sequence[Frame]) -> np.ndarray:
         spin, [frames[k].theta for k in rot], [frames[k].phi for k in rot]
     )
     if arr:
-        out[arr] = _unitaries(spin.dim, [frames[k] for k in arr])
+        out[arr] = _unitaries(spin.dim, [frames[k] for k in arr], arr)
     return out
 
 
-def _unitaries(d: int, frames) -> np.ndarray:
+def _unitaries(d: int, frames, positions=None) -> np.ndarray:
     """Array frames stacked, (N, d, d), after one shape test each and one batched U^dag U - I test.
 
     The first bad frame in order decides the error: DomainError for a wrong
-    shape, InvariantError for a frame off unitarity by more than 1e-12 in
-    some entry (NaN included).
+    shape, InvariantError for a frame off unitarity by more than INPUT_TOL in
+    some entry (NaN included), named by its position ``positions[k]`` (default k).
     """
     mats = [np.asarray(f, dtype=complex) for f in frames]
     n_good = next((i for i, u in enumerate(mats) if u.shape != (d, d)), len(mats))
     good = np.stack(mats[:n_good]) if n_good else np.empty((0, d, d), dtype=complex)
-    defect = np.swapaxes(good.conj(), 1, 2) @ good - np.eye(d)
-    if not (np.abs(defect) <= 1e-12).all():
-        raise InvariantError("frame matrix is not unitary to 1e-12")
+    within = np.abs(np.swapaxes(good.conj(), 1, 2) @ good - np.eye(d)) <= INPUT_TOL
+    if not within.all():
+        k = int(np.argmin(within.all(axis=(1, 2))))
+        position = k if positions is None else positions[k]
+        raise InvariantError(f"frame {position} is not unitary to {INPUT_TOL:g}")
     if n_good < len(mats):
         raise DomainError(f"frame shape {mats[n_good].shape} does not match dim {d}")
     return good
@@ -217,17 +220,7 @@ def basis_ket(spin: Spin, two_m: int) -> np.ndarray:
     return ket
 
 
-def hermiticity_defect(a) -> float:
-    a = np.asarray(a)
-    return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-
-
-def unitarity_defect(u) -> float:
-    u = np.asarray(u)
-    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-
-
-def validate_density_matrix(spin: Spin, rho, trace_tol=1e-12, eig_tol=1e-10):
+def validate_density_matrix(spin: Spin, rho, trace_tol=INPUT_TOL, eig_tol=1e-10):
     """Check Hermiticity, unit trace, and positive semidefiniteness.
 
     Raises InvariantError on violation; returns the matrix as a complex array.
@@ -236,8 +229,8 @@ def validate_density_matrix(spin: Spin, rho, trace_tol=1e-12, eig_tol=1e-10):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (spin.dim, spin.dim):
         raise DomainError(f"density matrix shape {rho.shape} != dim {spin.dim}")
-    if not hermiticity_defect(rho) <= 1e-12:
-        raise InvariantError("density matrix is not Hermitian to 1e-12")
+    if not np.abs(rho - rho.conj().T).max() <= INPUT_TOL:
+        raise InvariantError(f"density matrix is not Hermitian to {INPUT_TOL:g}")
     trace = np.trace(rho)
     if not (abs(trace.real - 1.0) <= trace_tol and abs(trace.imag) <= trace_tol):
         raise InvariantError(f"density matrix trace {trace} != 1")

@@ -43,13 +43,14 @@ from .errors import DomainError, FeasibilityError
 from .linalg import (
     BLOCK_RTOL,
     LSQ_RTOL,
+    PRIOR_TOL,
     SQRT2,
     _rank,
     svd_inverse,
     vec_to_hermitian,
 )
 from .orthopoly import coeff_table, legendre_series, s_operator_coords, s_operator_stack
-from .portrait import ProbVector, _layout_index
+from .portraits import ProbVector, _layout_index
 from .spin import Direction, Spin
 from .tomography import forward_matrix
 
@@ -293,7 +294,7 @@ def quantizer_stack(ds: DirectionSet) -> np.ndarray:
 def reconstruct(p: ProbVector, frame_set) -> np.ndarray:
     """Least-squares inverse map (:func:`least_squares`) of an equal-weight vector.
 
-    ``p``'s block sums must be 1/N to 1e-8 for a DirectionSet and a unitary
+    ``p``'s block sums must be 1/N to PRIOR_TOL for a DirectionSet and a unitary
     frame set alike, checked before any inverse is built; a vector stacked
     with other priors is inverted as ``reconstruct(normalize_to_eq(p), frame_set)``.
     """
@@ -301,8 +302,8 @@ def reconstruct(p: ProbVector, frame_set) -> np.ndarray:
     n = frame_set.n_dirs if isinstance(frame_set, DirectionSet) else len(frame_set.frames)
     if p.spin != spin or p.n_rotations != n:
         raise DomainError("probability vector does not match the frame set")
-    if not np.abs(p.block_sums() - 1.0 / n).max() <= 1e-8:  # a NaN max fails too
-        raise DomainError("probability vector's block sums are not the priors 1/N")
+    if not np.abs(p.block_sums() - 1.0 / n).max() <= PRIOR_TOL:  # a NaN max fails too
+        raise DomainError(f"probability vector's block sums are not the priors 1/N to {PRIOR_TOL:g}")
     _, inverse = least_squares(frame_set)
     return vec_to_hermitian(inverse @ p.values, spin.dim)
 

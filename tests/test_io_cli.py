@@ -19,9 +19,10 @@ from spinportrait import (
     r_matrix,
     random_density_matrix,
 )
+from spinportrait import cli, region
 from spinportrait import io as fileio
-from spinportrait import region
 from spinportrait.cli import build_parser, main
+from spinportrait.linalg import EIG_TOL, TRACE_TOL
 from spinportrait.schemes import aw_directions, default_aw_grid, haar_unitary
 from spinportrait.su2 import least_squares
 
@@ -303,6 +304,30 @@ class TestExitCodes:
              "--resolution", "5"]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "trace_shift, min_eig, code",
+        [(0.5 * TRACE_TOL, 0.0, 0), (2.0 * TRACE_TOL, 0.0, 3),
+         (0.0, -0.5 * EIG_TOL, 0), (0.0, -2.0 * EIG_TOL, 3)],
+    )
+    def test_invert_state_checks_read_the_tolerance_table(
+        self, tmp_path, capsys, monkeypatch, trace_shift, min_eig, code
+    ):
+        state = write_state(tmp_path, Spin(1), np.eye(2, dtype=complex) / 2.0)
+        prob = str(tmp_path / "prob.json")
+        assert main(["forward", "--state", state, "--frames", write_triad(tmp_path),
+                     "--out", prob]) == 0
+        rho = np.diag([1.0 - min_eig + trace_shift, min_eig]).astype(complex)
+        monkeypatch.setattr(cli, "reconstruct", lambda p, frame_set: rho)
+        out = tmp_path / "back.json"
+        capsys.readouterr()
+        assert main(["invert", "--prob", prob, "--out", str(out)]) == code
+        if code == 0:
+            assert json.loads(out.read_text())["re"] == rho.real.ravel().tolist()
+        else:
+            message = "trace" if trace_shift else "eigenvalue"
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestOptimizeDirs:
     def test_spin_half_optimum_and_reproducibility(self, tmp_path, capsys):
@@ -542,7 +567,7 @@ class TestForwardMatchesLibrary:
             with pytest.warns(UserWarning, match="frame 1 is not unitary"):
                 code = main(command + ["--no-validate", "--out", str(out)])
             assert code == 3
-            assert "invariant violation: frame matrix is not unitary" in capsys.readouterr().err
+            assert "invariant violation: frame 1 is not unitary to 1e-12" in capsys.readouterr().err
             assert not out.exists()
 
     @pytest.mark.parametrize("scheme", ["su2", "sun", "aw"])
@@ -743,11 +768,25 @@ class TestMalformedInput:
         capsys.readouterr()
         assert main(["invert", "--prob", str(path), "--out", str(out)]) == code
         if code == 2:
-            assert "block sums miss its weights by more than 1e-8" in capsys.readouterr().err
+            assert "block sums miss its weights by more than 1e-08" in capsys.readouterr().err
             assert not out.exists()
             with pytest.warns(UserWarning, match="block sums miss its weights"):
                 assert main(["invert", "--prob", str(path), "--no-validate", "--out", str(out)]) == 0
         assert np.abs(fileio.load_state(str(out))[1] - rho).max() < 1e-9
+
+    @pytest.mark.parametrize("raw", [[1, 2], "state", None])
+    def test_state_or_prob_file_that_is_not_an_object_is_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "file.json"
+        write_json(path, raw)
+        out = tmp_path / "o.json"
+        commands = [
+            ["forward", "--state", str(path), "--frames", write_triad(tmp_path)],
+            ["invert", "--prob", str(path)],
+        ]
+        for command in commands:
+            assert main(command + ["--out", str(out)]) == 2
+            assert "files must be JSON objects" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("two_j", [1.7, True, 1.0, "1"])
     def test_non_integer_two_j_is_refused(self, tmp_path, capsys, two_j):
@@ -768,3 +807,40 @@ class TestMalformedInput:
         with pytest.raises(DomainError, match="two_j must be a JSON integer"):
             fileio.load_prob(str(prob_path))
         assert main(["invert", "--prob", str(prob_path), "--out", str(tmp_path / "o.json")]) == 2
+
+    @pytest.mark.parametrize("key", ["values", "weights"])
+    def test_non_numeric_prob_entries_are_2(self, tmp_path, capsys, key):
+        raw = {"two_j": 1, "scheme": "su2", "frames": TRIAD,
+               "weights": [1 / 3] * 3, "values": [1 / 6] * 6}
+        raw[key][1] = "x"
+        path = tmp_path / "prob.json"
+        write_json(path, raw)
+        with pytest.raises(DomainError, match="weights/values are not lists of numbers"):
+            fileio.load_prob(str(path))
+        out = tmp_path / "o.json"
+        for extra in ([], ["--no-validate"]):
+            assert main(["invert", "--prob", str(path), "--out", str(out)] + extra) == 2
+            assert "weights/values are not lists of numbers" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda entries: entries,  # a top-level list
+            lambda entries: {"entries": "free"},
+            lambda entries: {"entries": entries[:2] + [7] + entries[3:]},
+            lambda entries: {"entries": [dict(entries[0], lo="x")] + entries[1:]},
+            lambda entries: {"entries": [dict(entries[0], lo=None)] + entries[1:]},
+        ],
+        ids=["list", "entries-string", "entry-number", "lo-string", "lo-null"],
+    )
+    def test_malformed_slice_file_is_2(self, tmp_path, capsys, spoil):
+        entries = [{"kind": "free", "lo": 0.0, "hi": 1 / 3}, {"kind": "balance"}]
+        entries += [{"kind": "const", "value": 1 / 6}, {"kind": "balance"}] * 2
+        slice_path = tmp_path / "slice.json"
+        write_json(slice_path, spoil(entries))
+        out = tmp_path / "region.csv"
+        assert main(["region", "--two-j", "1", "--frames", write_triad(tmp_path), "--slice",
+                     str(slice_path), "--resolution", "3", "--out", str(out)]) == 2
+        assert "error: slice file" in capsys.readouterr().err
+        assert not out.exists()

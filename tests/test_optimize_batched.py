@@ -10,7 +10,6 @@ bitwise the oracle's, and every row of a batch must score exactly as the set
 scores alone.
 """
 
-import importlib
 import math
 
 import numpy as np
@@ -25,11 +24,9 @@ from spinportrait import (
     optimize,
 )
 from spinportrait import su2
-from spinportrait.optimize import INFEASIBLE
+from spinportrait import optimizer as opt
+from spinportrait.optimizer import INFEASIBLE
 from conftest import random_direction_set
-
-# the package exports the function optimize under the module's name
-opt = importlib.import_module("spinportrait.optimize")
 
 SEEDS = (0, 7, 23)
 

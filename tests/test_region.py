@@ -316,7 +316,7 @@ class TestSampleRegion:
     def test_csv_output_format(self, orthogonal_triad):
         rows = sample_region(Spin(1), orthogonal_triad, qubit_cube_slice(), 3)
         buf = io.StringIO()
-        write_region_csv(rows, 3, buf)
+        write_region_csv(rows, buf)
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "coord1,coord2,coord3,is_quantum,min_eig"
         assert len(lines) == 1 + 27
@@ -336,7 +336,7 @@ class TestSampleRegion:
                 entries += [SliceEntry.const(1.0 / 6.0), SliceEntry.balance()]
         rows = sample_region(Spin(1), orthogonal_triad, SliceSpec(entries), 7)
         buf = io.StringIO()
-        write_region_csv(rows, n_free, buf)
+        write_region_csv(rows, buf)
         expected = io.StringIO()
         _per_row_csv(rows, n_free, expected)
         assert buf.getvalue() == expected.getvalue()
@@ -352,7 +352,7 @@ class TestSampleRegion:
         rows[zeros[::2], 1] = -0.0
         rows[zeros[1::2], 0] = -0.0
         buf = io.StringIO()
-        write_region_csv(rows, 2, buf)
+        write_region_csv(rows, buf)
         expected = io.StringIO()
         _per_row_csv(rows, 2, expected)
         assert buf.getvalue() == expected.getvalue()

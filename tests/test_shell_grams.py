@@ -12,7 +12,6 @@ near 1e-12.  The gram-product objective keeps its own cut,
 det M(L) < 1e-12, and must match the log product under that cut.
 """
 
-import importlib
 import math
 import re
 
@@ -43,12 +42,10 @@ from spinportrait import (
 from spinportrait import io as fileio
 from spinportrait import su2
 from spinportrait.cli import main
-from spinportrait.optimize import INFEASIBLE
+from spinportrait import optimizer as opt
+from spinportrait.optimizer import INFEASIBLE
 from spinportrait.orthopoly import legendre_series
 from conftest import random_direction_set
-
-# the package exports the function optimize under the module's name
-opt = importlib.import_module("spinportrait.optimize")
 
 ORACLE_BLOCK_RTOL = 1e-12
 ORACLE_LSQ_RTOL = 1e-8
