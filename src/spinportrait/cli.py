@@ -198,9 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     config = OptimizerConfig()  # the library's defaults
     p.add_argument("--two-j", type=int, required=True, dest="two_j")
     p.add_argument("--restarts", type=int, default=config.restarts)
-    p.add_argument("--max-iters", type=int, default=config.max_iters, dest="max_iters")
+    p.add_argument("--max-iters", type=int, default=config.max_iters, dest="max_iters",
+                   help="accepted BFGS steps per restart, at most")
     p.add_argument("--seed", type=int, default=config.seed)
-    p.add_argument("--tol", type=float, default=config.tolerance)
+    p.add_argument("--tol", type=float, default=config.tolerance,
+                   help="a restart stops once its accepted or backtracked step is shorter "
+                        "than this in max-norm (radians)")
     p.add_argument("--objective", choices=OBJECTIVES, default=config.objective)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_optimize)

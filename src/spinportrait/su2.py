@@ -72,6 +72,11 @@ class DirectionSet:
             )
         if not all(isinstance(d, Direction) for d in self.dirs):
             raise DomainError("directions must be Direction instances")
+        # the inverse memos key on the set: hash its directions once, not per lookup
+        object.__setattr__(self, "_hash", hash((spin, self.dirs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_dirs(self) -> int:
@@ -105,33 +110,78 @@ def _shell_grams(vectors: np.ndarray):
         yield gram_l, (np.linalg.det(gram_l) if L else 1.0)
 
 
-def _harmonic_factors(vectors: np.ndarray, two_j: int) -> np.ndarray:
+def _harmonic_factors(vectors: np.ndarray, two_j: int, derivatives: bool = False):
     """Factors Y_L Y_L^T = P_L(n_i . n_k), (..., two_j+1, N, N), of sets (..., 2 two_j + 1, 3).
 
     The addition theorem: column 0 of Y_L is Pbar_L^0(cos theta), columns
     2M-1, 2M are sqrt(2) Pbar_L^M(cos theta) (cos M phi, sin M phi), with
     Pbar_L^M = sqrt((L-M)!/(L+M)!) P_L^M by its stable recurrence in L, and
     the columns past 2L are zero.
+
+    With ``derivatives``: (Y, dY), dY (2, ..., two_j+1, N, N) holding in row k
+    the derivatives of row k of Y by direction k's own theta, then phi (no
+    other row depends on them).  d/dphi turns cos M phi into -M sin M phi and
+    sin M phi into M cos M phi; d/dtheta of Pbar_L^M is
+    (sqrt((L+M)(L-M+1)) Pbar_L^{M-1} - sqrt((L-M)(L+M+1)) Pbar_L^{M+1}) / 2,
+    and -sqrt(L(L+1)) Pbar_L^1 at M = 0.
     """
     n = vectors.shape[-2]
     cos_theta = vectors[..., None, :, 2].clip(-1.0, 1.0)
     sin_theta = np.hypot(vectors[..., 0], vectors[..., 1])
     pbar = np.zeros(vectors.shape[:-2] + (two_j + 1, two_j + 1, n))  # [L, M], 0 for M > L
     pbar[..., 0, 0, :] = 1.0
-    for L in range(1, two_j + 1):
-        m = np.arange(L)[:, None]
+    recurrence, up, down, m = _pbar_weights(two_j)
+    for L, (lower, denominator, scale) in enumerate(recurrence, start=1):
         pbar[..., L, :L, :] = (
             (2 * L - 1) * cos_theta * pbar[..., L - 1, :L, :]
-            - np.sqrt((L + m - 1) * (L - m - 1)) * pbar[..., max(L - 2, 0), :L, :]
-        ) / np.sqrt((L - m) * (L + m))
-        scale = math.sqrt((2 * L - 1) / (2 * L))
+            - lower * pbar[..., max(L - 2, 0), :L, :]
+        ) / denominator
         pbar[..., L, L, :] = scale * sin_theta * pbar[..., L - 1, L - 1, :]
     phi = np.arctan2(vectors[..., None, :, 1], vectors[..., None, :, 0])
     mphi = (np.arange(1, two_j + 1)[:, None] * phi)[..., None, :, :]
-    out = np.empty(pbar.shape[:-2] + (n, n))
-    out[..., 0] = pbar[..., 0, :]
-    out[..., 1::2] = np.swapaxes(SQRT2 * pbar[..., 1:, :] * np.cos(mphi), -1, -2)
-    out[..., 2::2] = np.swapaxes(SQRT2 * pbar[..., 1:, :] * np.sin(mphi), -1, -2)
+    cos_mphi, sin_mphi = np.cos(mphi), np.sin(mphi)
+
+    def columns(table, cos_part, sin_part):
+        out = np.empty(table.shape[:-2] + (n, n))
+        out[..., 0] = table[..., 0, :]
+        out[..., 1::2] = np.swapaxes(SQRT2 * table[..., 1:, :] * cos_part, -1, -2)
+        out[..., 2::2] = np.swapaxes(SQRT2 * table[..., 1:, :] * sin_part, -1, -2)
+        return out
+
+    if not derivatives:
+        return columns(pbar, cos_mphi, sin_mphi)
+    d_pbar = np.zeros_like(pbar)
+    d_pbar[..., 1:, :] = down * pbar[..., :-1, :]
+    d_pbar[..., :-1, :] -= up * pbar[..., 1:, :]
+    out = columns(
+        np.stack((pbar, d_pbar, m * pbar)),
+        np.stack((cos_mphi, cos_mphi, -sin_mphi)),
+        np.stack((sin_mphi, sin_mphi, cos_mphi)),
+    )
+    return out[0], out[1:]
+
+
+@lru_cache(maxsize=32)
+def _pbar_weights(two_j: int):
+    """The weights of :func:`_harmonic_factors`, built once per spin, read-only.
+
+    (recurrence, up, down, m): for each L >= 1 the recurrence's
+    sqrt((L+m-1)(L-m-1)) and sqrt((L-m)(L+m)) over m < L and
+    sqrt((2L-1)/(2L)); the weights of Pbar_L^{M+1} over M < two_j and of
+    Pbar_L^{M-1} over M >= 1 in d Pbar_L^M / d theta; and M.
+    """
+    recurrence = []
+    for L in range(1, two_j + 1):
+        m = np.arange(L)[:, None]
+        recurrence.append(
+            (np.sqrt((L + m - 1) * (L - m - 1)), np.sqrt((L - m) * (L + m)), math.sqrt((2 * L - 1) / (2 * L)))
+        )
+    ell, m = np.arange(two_j + 1)[:, None], np.arange(two_j + 1)
+    up = np.where(m > 0, 0.5, 1.0) * np.sqrt(np.maximum((ell - m) * (ell + m + 1), 0))
+    down = 0.5 * np.sqrt(np.maximum((ell + m) * (ell - m + 1), 0))
+    out = (recurrence, up[:, :-1, None], down[:, 1:, None], m[:, None])
+    for a in [*(w for row in recurrence for w in row[:2]), *out[1:]]:
+        a.flags.writeable = False
     return out
 
 
@@ -297,6 +347,10 @@ def reconstruct(p: ProbVector, frame_set) -> np.ndarray:
     ``p``'s block sums must be 1/N to PRIOR_TOL for a DirectionSet and a unitary
     frame set alike, checked before any inverse is built; a vector stacked
     with other priors is inverted as ``reconstruct(normalize_to_eq(p), frame_set)``.
+    The inverse maps each block's ones to the identity's coordinates, so the
+    trace is the sum of p, 1 to the checked block sums, but rounding in the
+    other shells, of order eps cond(Q), leaks into it.  One shift of the
+    diagonal, the least change that sets the trace to 1, removes both.
     """
     spin = frame_set.spin
     n = frame_set.n_dirs if isinstance(frame_set, DirectionSet) else len(frame_set.frames)
@@ -305,7 +359,10 @@ def reconstruct(p: ProbVector, frame_set) -> np.ndarray:
     if not np.abs(p.block_sums() - 1.0 / n).max() <= PRIOR_TOL:  # a NaN max fails too
         raise DomainError(f"probability vector's block sums are not the priors 1/N to {PRIOR_TOL:g}")
     _, inverse = least_squares(frame_set)
-    return vec_to_hermitian(inverse @ p.values, spin.dim)
+    y = inverse @ p.values
+    diagonal = y[: spin.dim]
+    diagonal += (1.0 - sum(diagonal.tolist())) / spin.dim
+    return vec_to_hermitian(y, spin.dim)
 
 
 def least_squares(frame_set):

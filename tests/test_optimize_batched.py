@@ -1,13 +1,14 @@
-"""The batched compass search, pinned against the one-trial-at-a-time search.
+"""The BFGS direction search: its gradient, its stacked trials and its scorers.
 
-The oracle is the search as it ran before sweeps were scored in stacked
-batches: a Python loop from parameters to angles, one trial scored per call,
-and the per-set log product summed over the checked shells (the
-condition-number oracle scores the same numpy-built unit vectors through the
-stacked scorer, one set per call, so no libm sin/cos enters).  The batched
-search must visit the same points, so its direction sets and values must be
-bitwise the oracle's, and every row of a batch must score exactly as the set
-scores alone.
+The gradient is held to central differences of the scorers.  The search is
+pinned against a one-trial-at-a-time oracle: one-row start draws each scored
+alone, the line search's halvings each scored alone until the first that
+passes, a Python loop from parameters to angles, and the per-set log product
+summed over the checked shells (the condition-number oracle scores the same
+numpy-built unit vectors through the stacked scorer, one set per call, so no
+libm sin/cos enters).  The stacked search must visit the same points, so its
+direction sets and values must be bitwise the oracle's, and every row of a
+batch must score exactly as the set scores alone.
 """
 
 import math
@@ -18,6 +19,7 @@ import pytest
 from spinportrait import (
     Direction,
     DirectionSet,
+    OptimizationError,
     OptimizerConfig,
     Spin,
     objective,
@@ -25,6 +27,7 @@ from spinportrait import (
 )
 from spinportrait import su2
 from spinportrait import optimizer as opt
+from spinportrait.cli import main
 from spinportrait.optimizer import INFEASIBLE
 from conftest import random_direction_set
 
@@ -68,23 +71,55 @@ def oracle_params_to_set(spin: Spin, x: np.ndarray) -> DirectionSet:
     return DirectionSet(spin, [Direction(float(t), float(p)) for t, p in zip(thetas, phis)])
 
 
-def oracle_compass_search(fun, x0, step, tolerance, max_iters):
+def oracle_random_params(spin: Spin, rng) -> np.ndarray:
+    """One start row, drawn one uniform at a time."""
+    n = opt._n_params(spin)
+    x = np.empty(n)
+    if n:
+        x[0] = math.acos(rng.uniform(-1.0, 1.0))
+    for i in range(1, (n + 1) // 2):
+        x[2 * i - 1] = math.acos(rng.uniform(-1.0, 1.0))
+        x[2 * i] = rng.uniform(0.0, 2.0 * math.pi)
+    return x
+
+
+def oracle_bfgs_ascent(fun, gradient, x0, tolerance, max_iters):
+    """BFGS ascent whose line search scores one halving per call."""
     x = x0.copy()
     best = fun(x)
+    g = gradient(x)
+    h = None
     for _ in range(max_iters):
-        improved = False
-        for i in range(x.size):
-            for sign in (1.0, -1.0):
-                trial = x.copy()
-                trial[i] += sign * step
-                val = fun(trial)
-                if val > best:
-                    x, best = trial, val
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < tolerance:
+        p = g if h is None else h @ g
+        length = np.abs(p).max(initial=0.0)
+        if length > 0.4:
+            p = p * (0.4 / length)
+            length = 0.4
+        slope = g @ p
+        if not slope > 0.0 or length < tolerance:
+            break
+        step = 1.0
+        while step * length >= tolerance:
+            trial = x + step * p
+            val = fun(trial)
+            if val - best > 1e-4 * slope * step:
                 break
+            step *= 0.5
+        else:
+            break
+        s = trial - x
+        x, best = trial, val
+        g_new = gradient(x)
+        y = g - g_new
+        sy = s @ y
+        if sy > 0.0:
+            if h is None:
+                h = np.eye(x.size) * (sy / (y @ y))
+            v = np.eye(x.size) - np.outer(y, s) / sy
+            h = v.T @ h @ v + np.outer(s, s) / sy
+        g = g_new
+        if np.abs(s).max() < tolerance:
+            break
     return x, best
 
 
@@ -94,19 +129,23 @@ def oracle_optimize(spin: Spin, config: OptimizerConfig):
         if config.objective == "gram-product":
             return oracle_log_dets(vectors)
         return opt._neg_conds(vectors[None])[0]
+
+    def gradient(x):
+        return opt._gradient(spin, config.objective, x)
+
     best_x = None
     best_val = -math.inf
     for restart in range(config.restarts):
         rng = np.random.default_rng((config.seed, restart))
         x0 = None
         for _ in range(64):
-            candidate = opt._random_params(spin, rng)
+            candidate = oracle_random_params(spin, rng)
             if fun(candidate) > INFEASIBLE:
                 x0 = candidate
                 break
         if x0 is None:
             continue
-        x, val = oracle_compass_search(fun, x0, 0.4, config.tolerance, config.max_iters)
+        x, val = oracle_bfgs_ascent(fun, gradient, x0, config.tolerance, config.max_iters)
         if val > best_val:
             best_x, best_val = x, val
     return oracle_params_to_set(spin, best_x), best_val
@@ -141,6 +180,107 @@ def test_condition_number_search_is_bitwise_the_oracle(two_j, seed):
     assert_same_search(
         two_j, OptimizerConfig(objective="condition-number", restarts=2, max_iters=30, seed=seed)
     )
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 2, 4, 8, 16])
+def test_start_draws_are_the_one_row_draws(two_j):
+    spin = Spin(two_j)
+    for seed in range(5):
+        rng = np.random.default_rng((seed, 1))
+        expected = np.array([oracle_random_params(spin, rng) for _ in range(64)])
+        got = opt._random_params(spin, np.random.default_rng((seed, 1)), 64)
+        assert got.shape == (64, opt._n_params(spin))
+        assert got.tobytes() == expected.tobytes()
+
+
+def stacked_score(spin: Spin, kind: str):
+    def score(rows):
+        return opt._SCORES[kind](opt._angles_to_vectors(*opt._params_to_angles(spin, rows)))
+    return score
+
+
+def feasible_start(spin: Spin, kind: str, seed: int) -> np.ndarray:
+    starts = opt._random_params(spin, np.random.default_rng(seed), 64)
+    values = stacked_score(spin, kind)(starts)
+    return starts[next(i for i, v in enumerate(values) if v > INFEASIBLE)]
+
+
+def folded_copies(x: np.ndarray) -> np.ndarray:
+    """x with its theta entries moved to 2 pi - theta, -theta and theta + 2 pi in turn."""
+    out = x.copy()
+    for j, col in enumerate(opt._theta_params(x.size)):
+        out[col] = (2.0 * math.pi - x[col], -x[col], x[col] + 2.0 * math.pi)[j % 3]
+    return out
+
+
+@pytest.mark.parametrize("kind", opt.OBJECTIVES)
+@pytest.mark.parametrize("two_j", [1, 2, 4, 8])
+def test_gradient_is_the_central_difference(kind, two_j):
+    spin = Spin(two_j)
+    score = stacked_score(spin, kind)
+    columns = opt._theta_params(opt._n_params(spin))
+    flipped = np.zeros(opt._n_params(spin), dtype=bool)
+    flipped[columns] = [j % 3 < 2 for j in range(len(columns))]
+    for seed in range(3):
+        x = feasible_start(spin, kind, 100 * two_j + seed)
+        g = opt._gradient(spin, kind, x)
+        moved = folded_copies(x)
+        assert score(moved[None])[0] == pytest.approx(score(x[None])[0], rel=1e-12)  # the same directions
+        g_moved = opt._gradient(spin, kind, moved)
+        assert np.allclose(g_moved, np.where(flipped, -g, g), rtol=1e-12, atol=1e-12)
+        assert (moved[columns] < 0).any() and (moved[columns] > math.pi).any()
+        for row, grad in ((x, g), (moved, g_moved)):
+            h = 1e-6
+            shifts = h * np.eye(row.size)
+            values = np.array(score(np.concatenate((row + shifts, row - shifts))))
+            assert (values > INFEASIBLE).all()
+            central = (values[: row.size] - values[row.size :]) / (2 * h)
+            assert np.abs(grad - central).max() <= 1e-6 * max(1.0, np.abs(grad).max())
+
+
+@pytest.mark.parametrize("kind", opt.OBJECTIVES)
+@pytest.mark.parametrize("two_j", [1, 2, 4])
+def test_every_accepted_step_raises_the_score(kind, two_j):
+    spin = Spin(two_j)
+    score = stacked_score(spin, kind)
+    accepted = []
+
+    def gradient(x):  # called at the start and at each accepted point only
+        accepted.append(x.copy())
+        return opt._gradient(spin, kind, x)
+
+    x, best = opt._bfgs_ascent(score, gradient, feasible_start(spin, kind, two_j), 1e-8, 60)
+    values = score(np.array(accepted))
+    assert len(values) > 5
+    assert all(later > earlier for earlier, later in zip(values, values[1:]))
+    assert np.array_equal(accepted[-1], x) and values[-1] == best
+
+
+@pytest.mark.parametrize("kind", opt.OBJECTIVES)
+@pytest.mark.parametrize("two_j", [2, 4])
+def test_a_fixed_seed_gives_the_same_set_and_value(kind, two_j):
+    config = OptimizerConfig(objective=kind, restarts=2, max_iters=30, seed=5)
+    ds, value = optimize(Spin(two_j), config)
+    again, value_again = optimize(Spin(two_j), config)
+    assert ds.dirs == again.dirs and value == value_again
+    other, _ = optimize(Spin(two_j), OptimizerConfig(objective=kind, restarts=2, max_iters=30, seed=6))
+    assert other.dirs != ds.dirs
+
+
+def test_infeasible_start_draws_are_reported(tmp_path, capsys):
+    # no isotropic draw of 33 directions keeps every det M(L) >= 1e-12
+    message = (
+        "every restart remained infeasible: each of 1 restart(s) tried 64 start draws, and every "
+        "draw had a shell Gram determinant det M(L) below _DET_CUT = 1e-12"
+    )
+    with pytest.raises(OptimizationError) as info:
+        optimize(Spin(16), OptimizerConfig(restarts=1, max_iters=5))
+    assert str(info.value) == message
+    out = tmp_path / "dirs.json"
+    code = main(["optimize-dirs", "--two-j", "16", "--restarts", "1", "--max-iters", "5", "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err.strip() == "infeasible: " + message
+    assert not out.exists()
 
 
 def nearly_coplanar_set(spin: Spin, squash: float, rng) -> DirectionSet:
@@ -190,42 +330,39 @@ def test_batched_parameter_rows_score_as_single_trials(two_j):
 
 
 class RecordingScore:
-    """A score of -|x - target|^2 that keeps every batch it was given."""
+    """A score of -|x - target|^2 that keeps every batch it was given.
 
-    def __init__(self, target):
+    Its ``gradient`` is the fixed direction ``e``, the slope the line search
+    reads, so the accepted halving is set by the target alone.
+    """
+
+    def __init__(self, target, e):
         self.target = np.asarray(target, dtype=float)
+        self.e = e
         self.batches = []
 
     def __call__(self, rows):
         self.batches.append(rows.copy())
         return [-float(np.sum((x - self.target) ** 2)) for x in rows]
 
-    def one(self, x):
-        return self(x[None])[0]
+    def gradient(self, x):
+        return self.e
 
 
-def compass_trial(x, t, step=0.4):
-    """Trial t of a sweep from x: coordinate t // 2, +step for even t, -step for odd."""
-    out = x.copy()
-    out[t // 2] += step if t % 2 == 0 else -step
-    return out
-
-
-@pytest.mark.parametrize("accepted", [0, opt._CHUNK - 1])
+@pytest.mark.parametrize("accepted", [0, 15])
 def test_acceptance_at_the_edges_of_a_chunk(accepted):
-    n = opt._CHUNK
-    target = np.zeros(n)
-    target[accepted // 2] = -1.0 if accepted % 2 else 1.0
-    score = RecordingScore(target)
-    x, best = opt._compass_search(score, np.zeros(n), 0.4, 1e-3, 1)
-    ref_x, ref_best = oracle_compass_search(RecordingScore(target).one, np.zeros(n), 0.4, 1e-3, 1)
-    assert np.array_equal(x, ref_x) and best == ref_best
-
-    start, first, second = score.batches[:3]
-    assert len(start) == 1 and len(first) == opt._CHUNK
-    assert np.array_equal(first, [compass_trial(np.zeros(n), t) for t in range(opt._CHUNK)])
-    # the next batch resumes at the trial after the accepted one, from the new point
-    assert len(second) == opt._CHUNK
-    assert np.array_equal(
-        second, [compass_trial(first[accepted], t) for t in range(accepted + 1, accepted + 1 + opt._CHUNK)]
-    )
+    # From 0 the first trial is 0.4 e, and with target = tau e halving k
+    # passes the Armijo test iff 2^-k < 5 tau - 2.5e-4; the tolerance leaves
+    # exactly 16 trials, so halving 15 is the last of the stacked batch.
+    e = np.array([1.0, -0.5, 0.25, 0.0])
+    tau = (1.5 * 2.0 ** -accepted + 2.5e-4) / 5.0
+    score = RecordingScore(tau * e, e)
+    x, best = opt._bfgs_ascent(score, score.gradient, np.zeros(4), 0.4 * 2.0 ** -15.5, 1)
+    trials = [2.0 ** -k * 0.4 * e for k in range(16)]
+    assert np.array_equal(x, trials[accepted]) and best == score(x[None])[0]
+    start, first, *rest = score.batches[:-1]
+    assert np.array_equal(start, [np.zeros(4)]) and np.array_equal(first, trials[:1])
+    # the first trial is scored alone; the other halvings only if it fails, in one batch
+    assert len(rest) == (accepted > 0)
+    if rest:
+        assert np.array_equal(rest[0], trials[1:])
