@@ -24,7 +24,7 @@ from .errors import (
     OptimizationError,
 )
 from .kernels import kernel_p_to_w, kernel_w_to_p, star_kernel
-from .linalg import EIG_TOL, INPUT_TOL, TRACE_TOL, validate_weights
+from .linalg import INPUT_TOL, validate_weights
 from .optimizer import OBJECTIVES, OptimizerConfig, optimize
 from .portraits import ProbVector, normalize_to_eq, prob_vector
 from .region import DEFAULT_TOL, sample_region, write_region_csv
@@ -93,8 +93,8 @@ def cmd_invert(args) -> int:
         s, _ = least_squares(frame_set)
     # the conditioning of the inverse just applied, from its memoized singular values
     print(f"condition number: {s[0] / s[-1]:.6e}", file=sys.stderr)
-    if not args.no_validate:
-        validate_density_matrix(spin, rho, trace_tol=TRACE_TOL, eig_tol=EIG_TOL)
+    if not args.no_validate:  # the checks io.load_state applies, so every state written loads
+        validate_density_matrix(spin, rho)
     fileio.save_state(args.out, spin, rho)
     return 0
 

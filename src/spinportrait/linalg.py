@@ -21,8 +21,8 @@ BLOCK_RTOL = 1e-12  # each nested shell Gram block M(L) behind the su2 quantizer
 # Absolute tolerances:
 INPUT_TOL = 1e-12  # input rounding: U^dag U - I, rho - rho^dag, theta, traces and sums
 PRIOR_TOL = 1e-8  # block sums of a probability vector against its priors
-TRACE_TOL = 1e-9  # unit trace of an assembled state: CLI invert, region candidates
-EIG_TOL = 1e-8  # the most negative eigenvalue CLI invert accepts in its state
+TRACE_TOL = 1e-9  # unit trace of the region's assembled candidates
+EIG_TOL = 1e-8  # the most negative eigenvalue of a state: CLI invert's output and every state file
 
 
 @lru_cache(maxsize=16)

@@ -3,40 +3,56 @@
 Noise in the measured probabilities propagates into the reconstructed state
 with a factor controlled by the conditioning of the forward map, and the
 larger the product of the nested shell Gram determinants, the better
-conditioned the inversion.  The search maximizes either that log-product
-(D-optimal design over the leading blocks M(L)), INFEASIBLE for a set with a
-block of det M(L) below the objective's own cut _DET_CUT = 1e-12 (or NaN), or
-the negated condition number of the least-squares inverse (INFEASIBLE where
-su2 refuses it), over the direction angles, with the orientation gauge fixed
-(first direction pinned to +z, second to the phi = 0 half-plane).  The cut is
-the objective's alone: su2 inverts sets by a relative rank rule, and the
-objective only needs a finite logarithm.
+conditioned the inversion.  The search maximizes one of three scores over
+the direction angles, with the orientation gauge fixed (first direction
+pinned to +z, second to the phi = 0 half-plane):
+
+* ``gram-product``: that log-product (D-optimal design over the leading
+  blocks M(L)), INFEASIBLE for a set with a block of det M(L) below the
+  objective's own cut _DET_CUT = 1e-12 (or NaN).  The cut is the
+  objective's alone: su2 inverts sets by a relative rank rule, and the
+  objective only needs a finite logarithm.
+* ``condition-number``: the negated condition number of the least-squares
+  inverse.
+* ``a-optimal``: -||Q^+||_F^2 = -sum 1/s^2 over the singular values s of
+  the forward map Q, the paper's optimum reconstruction.  Averaged over
+  Haar-pure states, the squared Hilbert-Schmidt error of the reconstructed
+  state is c1 ||Q^+||_F^2 - c2 N d (Pukelsheim, Optimal Design of
+  Experiments (1993)).
+
+The last two are INFEASIBLE where su2 refuses the set (s_min <= LSQ_RTOL s_max).
 
 The optimizer is a seeded multi-restart BFGS ascent (Nocedal & Wright,
-Numerical Optimization, ch. 6).  Its gradients are closed-form: only row k of
-each shell's harmonic factor Y_L depends on direction k, and
-``su2._harmonic_factors`` differentiates that row by the direction's angles.
-The gram-product gradient is d log det M(L) = 2 tr(Y_s^-1 dY_s), Y_s the
-leading (2L+1)-square block of Y_L; the condition-number gradient takes
-d sigma = u^T dY v for the extreme singular values and the quotient rule, a
-gradient almost everywhere of a nonsmooth objective, on which BFGS still
-makes progress (Lewis & Overton, Math. Program. 141, 135 (2013)).  Each
-iteration backtracks by halves along the quasi-Newton direction, its first
-trial capped at a max-norm step of 0.4, and accepts the first trial that
-passes the Armijo test, so every accepted step strictly raises the score.
-The trials are scored by the value-only stacked scorers, so the returned
-value is exactly the scorer's, and an INFEASIBLE trial is rejected like any
-other.  A restart stops after ``max_iters`` accepted steps, or once an
-accepted step, or the last backtracked trial, is shorter than ``tolerance``
-in max-norm.  For three directions the known optimum is an orthogonal triad
-(unit triple product), which the search reproduces; for more directions no
-closed-form optimum is available and the result is validated by dominating
-randomized baselines.
+Numerical Optimization, ch. 6) whose restarts climb in lockstep: each
+iteration scores the first trials of every climbing restart in one stacked
+call and takes one stacked gradient at all the accepted points.  Its
+gradients are closed-form: only row k of each shell's harmonic factor Y_L
+depends on direction k, and ``su2._harmonic_factors`` differentiates that
+row by the direction's angles.  The gram-product gradient is
+d log det M(L) = 2 tr(Y_s^-1 dY_s), Y_s the leading (2L+1)-square block of
+Y_L; the other two take d sigma = u^T dY v: the condition number for the
+extreme singular values with the quotient rule, a gradient almost everywhere
+of a nonsmooth objective, on which BFGS still makes progress (Lewis &
+Overton, Math. Program. 141, 135 (2013)), and a-optimal for all kept ones,
+d sum s^-2 = -2 sum s^-3 d s.  Each iteration backtracks by halves along the
+quasi-Newton direction, its first trial capped at a max-norm step of 0.4,
+and accepts the first trial that passes the Armijo test, so every accepted
+step strictly raises the score.  The trials are scored by the value-only
+stacked scorers, so the returned value is exactly the scorer's, and an
+INFEASIBLE trial is rejected like any other.  A restart stops after
+``max_iters`` accepted steps, or once an accepted step, or the last
+backtracked trial, is shorter than ``tolerance`` in max-norm.  Every row of
+a stacked call is computed as it would be alone, so each restart follows,
+bit for bit, the path it takes on its own.  For three directions the known
+optimum is an orthogonal triad (unit triple product), which the search
+reproduces; for more directions no closed-form optimum is available and the
+result is validated by dominating randomized baselines.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +67,18 @@ _DET_CUT = 1e-12  # a gram-product set with a smaller (or NaN) det M(L) scores I
 _START_DRAWS = 64  # isotropic start candidates per restart
 _FIRST_STEP = 0.4  # max-norm cap on each iteration's first trial step
 _ARMIJO = 1e-4  # sufficient-increase fraction of the directional slope
+
+
+def _debug(message: str, *args):
+    """A DEBUG record to the ``spinportrait`` logger, formatted only if a handler takes it.
+
+    The library does not import ``logging`` for it: until some code has
+    loaded the module, no level or handler can be set, so the record would
+    be dropped anyway.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("spinportrait").debug(message, *args)
 
 
 @dataclass(frozen=True)
@@ -98,39 +126,68 @@ def _neg_conds(vectors: np.ndarray) -> list:
     ]
 
 
+def _neg_inverse_sums(vectors: np.ndarray) -> list:
+    """-sum 1/s^2 = -||Q^+||_F^2 of each stacked set's (k, N, 3) least-squares inverse, INFEASIBLE if refused."""
+    s = _spectrum(vectors)
+    with np.errstate(divide="ignore"):
+        sums = (s**-2.0).sum(axis=-1)
+    return [
+        -total if lo > LSQ_RTOL * hi else INFEASIBLE
+        for total, hi, lo in zip(sums.tolist(), s[:, 0].tolist(), s[:, -1].tolist())
+    ]
+
+
 def _log_det_slopes(factors: np.ndarray, d_factors: np.ndarray) -> np.ndarray:
-    """d/dtheta_k and d/dphi_k, (2, N), of sum_L log det M(L) for one set.
+    """d/dtheta_k and d/dphi_k, (2, R, N), of sum_L log det M(L) for R stacked sets.
 
     d log det M(L) = 2 tr(Y_s^-1 dY_s) with Y_s the leading (2L+1)-square block
-    of Y_L.  Each Y_s is padded to N x N by an identity, so every shell
-    inverts in one call, and the padding is masked out of the trace.
+    of Y_L.  Each Y_s is padded to N x N by an identity, so every shell of
+    every set inverts in one call, and the padding is masked out of the trace.
     """
     n = factors.shape[-1]
-    inside = np.arange(n) < 2 * np.arange(len(factors))[:, None, None] + 1
+    inside = np.arange(n) < 2 * np.arange(factors.shape[-3])[:, None, None] + 1
     block = inside & np.swapaxes(inside, -1, -2)
     inverse = np.linalg.inv(np.where(block, factors, np.eye(n)))
-    return 2.0 * (d_factors * np.where(block, np.swapaxes(inverse, -1, -2), 0.0)).sum(axis=(1, 3))
+    return 2.0 * (d_factors * np.where(block, np.swapaxes(inverse, -1, -2), 0.0)).sum(axis=(-3, -1))
 
 
 def _neg_cond_slopes(factors: np.ndarray, d_factors: np.ndarray) -> np.ndarray:
-    """d/dtheta_k and d/dphi_k, (2, N), of -sigma_max / sigma_min for one set.
+    """d/dtheta_k and d/dphi_k, (2, R, N), of -sigma_max / sigma_min for R stacked sets.
 
-    sigma_max is the largest singular value of any shell factor and sigma_min
-    the smallest of the first 2L+1 of each; d sigma = u^T dY v from their
-    singular vectors.
+    sigma_max is the largest singular value of any shell factor of a set and
+    sigma_min the smallest of the first 2L+1 of each, picked per set by index
+    arrays from one stacked SVD; d sigma = u^T dY v from their singular vectors.
     """
     u, sv, vh = np.linalg.svd(factors)
-    shells = np.arange(len(factors))
-    a = int(np.argmax(sv[:, 0]))
-    b = int(np.argmin(sv[shells, 2 * shells]))
-    hi, lo = sv[a, 0], sv[b, 2 * b]
-    d_hi = u[a, :, 0] * (d_factors[:, a] @ vh[a, 0])
-    d_lo = u[b, :, 2 * b] * (d_factors[:, b] @ vh[b, 2 * b])
+    rows, shells = np.arange(len(factors)), np.arange(factors.shape[-3])
+    a = sv[:, :, 0].argmax(axis=1)
+    b = sv[:, shells, 2 * shells].argmin(axis=1)
+    hi, lo = sv[rows, a, 0, None], sv[rows, b, 2 * b, None]
+    d_hi = u[rows, a, :, 0] * (d_factors[:, rows, a] @ vh[rows, a, 0, :, None])[..., 0]
+    d_lo = u[rows, b, :, 2 * b] * (d_factors[:, rows, b] @ vh[rows, b, 2 * b, :, None])[..., 0]
     return (hi * d_lo / lo - d_hi) / lo
 
 
-_SCORES = {"gram-product": _log_dets, "condition-number": _neg_conds}
-_SLOPES = {"gram-product": _log_det_slopes, "condition-number": _neg_cond_slopes}
+def _neg_inverse_sum_slopes(factors: np.ndarray, d_factors: np.ndarray) -> np.ndarray:
+    """d/dtheta_k and d/dphi_k, (2, R, N), of -sum 1/s^2 for R stacked sets.
+
+    s = sigma / N over the first 2L+1 singular values sigma of each shell
+    factor, so the slope is 2 N^2 sum sigma^-3 d sigma with d sigma = u^T dY v,
+    from one stacked SVD.
+    """
+    u, sv, vh = np.linalg.svd(factors)
+    n = factors.shape[-1]
+    kept = np.arange(n) < 2 * np.arange(factors.shape[-3])[:, None] + 1
+    weights = np.divide(2.0 * n * n, sv**3, out=np.zeros_like(sv), where=kept)
+    return (u * weights[..., None, :] * (d_factors @ np.swapaxes(vh, -1, -2))).sum(axis=(-3, -1))
+
+
+_SCORES = {"gram-product": _log_dets, "condition-number": _neg_conds, "a-optimal": _neg_inverse_sums}
+_SLOPES = {
+    "gram-product": _log_det_slopes,
+    "condition-number": _neg_cond_slopes,
+    "a-optimal": _neg_inverse_sum_slopes,
+}
 OBJECTIVES = tuple(_SCORES)
 
 
@@ -140,9 +197,10 @@ def objective(ds: DirectionSet, kind: str = "gram-product") -> float:
     ``gram-product`` returns log prod_L det M(L), with the sentinel -1e18
     standing in for -infinity below the determinant cut, so line searches
     can step across infeasible regions.  ``condition-number`` returns
-    -s[0] / s[-1] of the singular values of su2.least_squares, INFEASIBLE
-    where it refuses the set (s[-1] <= LSQ_RTOL s[0]).  Either scores a stack
-    of sets, so a set scores the same alone or stacked.
+    -s[0] / s[-1] of the singular values of su2.least_squares and
+    ``a-optimal`` -sum 1/s^2, the squared Frobenius norm of its inverse,
+    each INFEASIBLE where it refuses the set (s[-1] <= LSQ_RTOL s[0]).  Each
+    scores a stack of sets, so a set scores the same alone or stacked.
     """
     if kind not in _SCORES:
         raise DomainError(f"unknown objective kind {kind!r}")
@@ -188,20 +246,21 @@ def _fold_theta(t: np.ndarray) -> np.ndarray:
 
 
 def _gradient(spin: Spin, kind: str, x: np.ndarray) -> np.ndarray:
-    """Gradient of the ``kind`` score at one parameter row x (n_params,).
+    """Gradient of the ``kind`` score at parameter rows x (R, n_params), or one row (n_params,).
 
-    The angle slopes of the set's harmonic factors, chained through the
-    parametrization: the theta fold flips the sign where x mod 2 pi > pi.
+    The angle slopes of the sets' harmonic factors, all from one stacked
+    call, chained through the parametrization: the theta fold flips the sign
+    where x mod 2 pi > pi.  A single row is the stack of one.
     """
-    thetas, phis = _params_to_angles(spin, x)
-    vectors = _angles_to_vectors(thetas, phis)
+    rows = np.atleast_2d(x)
+    vectors = _angles_to_vectors(*_params_to_angles(spin, rows))
     factors, d_factors = _harmonic_factors(vectors, spin.two_j, derivatives=True)
     d_theta, d_phi = _SLOPES[kind](factors, d_factors)
-    columns = _theta_params(x.size)
-    g = np.empty_like(x)
-    g[columns] = np.where(x[columns] % (2.0 * math.pi) > math.pi, -d_theta[1:], d_theta[1:])
-    g[2::2] = d_phi[2:]
-    return g
+    columns = _theta_params(rows.shape[1])
+    g = np.empty_like(rows)
+    g[:, columns] = np.where(rows[:, columns] % (2.0 * math.pi) > math.pi, -d_theta[:, 1:], d_theta[:, 1:])
+    g[:, 2::2] = d_phi[:, 2:]
+    return g.reshape(x.shape)
 
 
 def _random_params(spin: Spin, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -220,92 +279,142 @@ def _random_params(spin: Spin, rng: np.random.Generator, count: int) -> np.ndarr
     return x
 
 
-def _bfgs_ascent(score, gradient, x0, tolerance, max_iters):
-    """BFGS ascent with a backtracking Armijo line search from a feasible x0.
+def _bfgs_ascent(score, gradient, x0, values0, tolerance, max_iters):
+    """BFGS ascents with backtracking Armijo line searches, one per feasible row of x0, in lockstep.
 
-    ``score`` maps a (k, n) array to k values; ``gradient`` maps x to the
-    score's gradient and runs only at accepted points.  Each iteration's
-    trials are the quasi-Newton step, capped at max-norm _FIRST_STEP, and its
-    halvings down to ``tolerance``, scored first alone and then the rest in
-    one stacked call; the first that raises the score by _ARMIJO times its
-    linear prediction is taken.  The inverse-Hessian update is skipped when
-    s^T y <= 0, which keeps it positive definite.  Returns (x, value).
+    ``x0`` (R, n) holds the start rows and ``values0`` their R scores;
+    ``score`` maps a (k, n) array to k values and ``gradient`` a (k, n) array
+    to the k gradients, which are taken at accepted points only.  Each
+    iteration steps every active row at once.  A row's trials are its
+    quasi-Newton step, capped at max-norm _FIRST_STEP, and its halvings down
+    to ``tolerance``; the first trials of all active rows are scored in one
+    call, then the other halvings of the rows whose first trial failed in a
+    second, and each row takes its first trial that raises its score by
+    _ARMIJO times the linear prediction.  One gradient call serves every
+    accepted point.  A row's inverse-Hessian update is skipped when
+    s^T y <= 0, which keeps it positive definite.  A row leaves the active
+    set after ``max_iters`` accepted steps, at a non-positive slope, when no
+    trial passes, or once its step (accepted or the last halving) is shorter
+    than ``tolerance``; so each row follows, bit for bit, the path it takes
+    alone.  Returns (x, values, steps, stops): the final rows, their scores,
+    the accepted steps and the stop reason of each row.
     """
-    x = x0.copy()
-    best = score(x[None])[0]
+    x = np.array(x0, dtype=float)
+    best = list(values0)
     g = gradient(x)
-    h = None  # the identity until the first update, which scales it by s^T y / y^T y
+    eye = np.eye(x.shape[1])
+    h = [None] * len(x)  # the identity until a row's first update, which scales it by s^T y / y^T y
+    steps = [0] * len(x)
+    stops = ["iteration cap"] * len(x)
+    active = range(len(x))
     for _ in range(max_iters):
-        p = g if h is None else h @ g
-        length = np.abs(p).max(initial=0.0)
-        if length > _FIRST_STEP:
-            p = p * (_FIRST_STEP / length)
-            length = _FIRST_STEP
-        slope = g @ p
-        if not slope > 0.0 or length < tolerance:
+        moves = []  # (row, trials, Armijo thresholds) of each row still climbing
+        for r in active:
+            p = g[r] if h[r] is None else h[r] @ g[r]
+            length = np.abs(p).max(initial=0.0)
+            if length > _FIRST_STEP:
+                p = p * (_FIRST_STEP / length)
+                length = _FIRST_STEP
+            slope = g[r] @ p
+            if not slope > 0.0 or length < tolerance:
+                stops[r] = "short step" if slope > 0.0 else "non-positive slope"
+                continue
+            halvings = 0.5 ** np.arange(int(math.log2(length / tolerance)) + 1)
+            moves.append((r, x[r] + halvings[:, None] * p, _ARMIJO * slope * halvings))
+        if not moves:
             break
-        steps = 0.5 ** np.arange(int(math.log2(length / tolerance)) + 1)
-        trials = x + steps[:, None] * p
-        needed = _ARMIJO * slope * steps
-        values = score(trials[:1])
-        if not values[0] - best > needed[0]:
-            values = [*values, *score(trials[1:])]
-        passed = [i for i, v in enumerate(values) if v - best > needed[i]]
-        if not passed:
+        values = [[v] for v in score(np.array([trials[0] for _, trials, _ in moves]))]
+        failed = [i for i, (r, _, needed) in enumerate(moves) if not values[i][0] - best[r] > needed[0]]
+        rest = [moves[i][1][1:] for i in failed]
+        if sum(map(len, rest)):
+            tail = iter(score(np.concatenate(rest)))
+            for i, trials in zip(failed, rest):
+                values[i] += [next(tail) for _ in trials]
+        accepted = []
+        for (r, trials, needed), tried in zip(moves, values):
+            passed = next((i for i, v in enumerate(tried) if v - best[r] > needed[i]), None)
+            if passed is None:
+                stops[r] = "no Armijo pass"
+            else:
+                accepted.append((r, trials[passed], tried[passed]))
+        if not accepted:
             break
-        s = trials[passed[0]] - x
-        x, best = trials[passed[0]], values[passed[0]]
-        g_new = gradient(x)
-        y = g - g_new  # the gradient change of the minimized -score
-        sy = s @ y
-        if sy > 0.0:
-            if h is None:
-                h = np.eye(x.size) * (sy / (y @ y))
-            v = np.eye(x.size) - np.outer(y, s) / sy
-            h = v.T @ h @ v + np.outer(s, s) / sy
-        g = g_new
-        if np.abs(s).max() < tolerance:
-            break
-    return x, best
+        g_new = gradient(np.array([point for _, point, _ in accepted]))
+        active = []
+        for (r, point, value), g_row in zip(accepted, g_new):
+            s = point - x[r]
+            x[r], best[r] = point, value
+            y = g[r] - g_row  # the gradient change of the minimized -score
+            sy = s @ y
+            if sy > 0.0:
+                if h[r] is None:
+                    h[r] = eye * (sy / (y @ y))
+                v = eye - np.outer(y, s) / sy
+                h[r] = v.T @ h[r] @ v + np.outer(s, s) / sy
+            g[r] = g_row
+            steps[r] += 1
+            if np.abs(s).max() < tolerance:
+                stops[r] = "short step"
+            else:
+                active.append(r)
+    return x, best, steps, stops
 
 
 _START_RULES = {
     "gram-product": f"a shell Gram determinant det M(L) below _DET_CUT = {_DET_CUT:g}",
     "condition-number": f"a least-squares inverse refused at s_min <= LSQ_RTOL s_max, LSQ_RTOL = {LSQ_RTOL:g}",
 }
+_START_RULES["a-optimal"] = _START_RULES["condition-number"]
 
 
 def optimize(spin: Spin, config: OptimizerConfig = OptimizerConfig()):
-    """Best direction set over multi-restart BFGS ascent.
+    """Best direction set over multi-restart BFGS ascent, the restarts in lockstep.
 
     Each restart draws _START_DRAWS isotropic start rows from its own seeded
-    generator, scores them in one stacked call and starts from the first
-    feasible one.  Returns (direction_set, objective_value).  Ties across
-    restarts break toward the lowest restart index, so a fixed seed fully
-    determines the output.  Raises OptimizationError if no restart draws a
-    feasible start.
+    generator; the draws of all restarts are scored in one stacked call, and
+    each restart starts from its first feasible draw (a restart with none is
+    skipped).  The restarts then climb together (:func:`_bfgs_ascent`), each
+    along the path it would take alone.  Returns (direction_set,
+    objective_value).  Ties across restarts break toward the lowest restart
+    index, so a fixed seed fully determines the output.  One DEBUG record per
+    restart goes to the ``spinportrait`` logger.  Raises OptimizationError if
+    no restart draws a feasible start.
     """
     kind = config.objective
 
     def score(rows):
         return _SCORES[kind](_angles_to_vectors(*_params_to_angles(spin, rows)))
 
-    def gradient(x):
-        return _gradient(spin, kind, x)
+    def gradient(rows):
+        return _gradient(spin, kind, rows)
 
-    best_x = None
-    best_val = -math.inf
-    for restart in range(config.restarts):
-        starts = _random_params(spin, np.random.default_rng((config.seed, restart)), _START_DRAWS)
-        feasible = [i for i, v in enumerate(score(starts)) if v > INFEASIBLE]
-        if not feasible:
-            continue
-        x, val = _bfgs_ascent(score, gradient, starts[feasible[0]], config.tolerance, config.max_iters)
-        if val > best_val:
-            best_x, best_val = x, val
-    if best_x is None:
+    draws = np.concatenate([
+        _random_params(spin, np.random.default_rng((config.seed, restart)), _START_DRAWS)
+        for restart in range(config.restarts)
+    ])
+    values = np.reshape(score(draws), (config.restarts, _START_DRAWS))
+    feasible = values > INFEASIBLE
+    live = np.flatnonzero(feasible.any(axis=1))
+    if not live.size:
         raise OptimizationError(
             f"every restart remained infeasible: each of {config.restarts} restart(s) tried "
             f"{_START_DRAWS} start draws, and every draw had {_START_RULES[kind]}"
         )
-    return _params_to_set(spin, best_x), best_val
+    first = feasible[live].argmax(axis=1)
+    starts = values[live, first].tolist()
+    x, best, steps, stops = _bfgs_ascent(
+        score, gradient, draws[live * _START_DRAWS + first], starts, config.tolerance, config.max_iters
+    )
+    climbed = dict(zip(live.tolist(), zip(first.tolist(), starts, best, steps, stops)))
+    for restart in range(config.restarts):
+        if restart not in climbed:
+            _debug("optimize restart %d: all %d start draws infeasible, skipped", restart, _START_DRAWS)
+            continue
+        draw, start, end, accepted, stop = climbed[restart]
+        _debug(
+            "optimize restart %d: start draw %d, %d of %d draws infeasible, value %r -> %r "
+            "in %d accepted steps, stopped by %s",
+            restart, draw, _START_DRAWS - int(feasible[restart].sum()), _START_DRAWS, start, end, accepted, stop,
+        )
+    winner = int(np.argmax(best))  # the first of equal maxima: the lowest restart index
+    return _params_to_set(spin, x[winner]), best[winner]

@@ -25,7 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InvariantError
-from .linalg import INPUT_TOL
+from .linalg import EIG_TOL, INPUT_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -220,7 +220,7 @@ def basis_ket(spin: Spin, two_m: int) -> np.ndarray:
     return ket
 
 
-def validate_density_matrix(spin: Spin, rho, trace_tol=INPUT_TOL, eig_tol=1e-10):
+def validate_density_matrix(spin: Spin, rho, trace_tol=INPUT_TOL, eig_tol=EIG_TOL):
     """Check Hermiticity, unit trace, and positive semidefiniteness.
 
     Raises InvariantError on violation; returns the matrix as a complex array.

@@ -22,7 +22,7 @@ from spinportrait import (
 from spinportrait import cli, region
 from spinportrait import io as fileio
 from spinportrait.cli import build_parser, main
-from spinportrait.linalg import EIG_TOL, TRACE_TOL
+from spinportrait.linalg import EIG_TOL, INPUT_TOL
 from spinportrait.schemes import aw_directions, default_aw_grid, haar_unitary
 from spinportrait.su2 import least_squares
 
@@ -306,7 +306,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "trace_shift, min_eig, code",
-        [(0.5 * TRACE_TOL, 0.0, 0), (2.0 * TRACE_TOL, 0.0, 3),
+        [(0.5 * INPUT_TOL, 0.0, 0), (2.0 * INPUT_TOL, 0.0, 3),
          (0.0, -0.5 * EIG_TOL, 0), (0.0, -2.0 * EIG_TOL, 3)],
     )
     def test_invert_state_checks_read_the_tolerance_table(
@@ -323,6 +323,7 @@ class TestExitCodes:
         assert main(["invert", "--prob", prob, "--out", str(out)]) == code
         if code == 0:
             assert json.loads(out.read_text())["re"] == rho.real.ravel().tolist()
+            fileio.load_state(str(out))  # what invert writes, forward reads
         else:
             message = "trace" if trace_shift else "eigenvalue"
             assert message in capsys.readouterr().err

@@ -7,6 +7,7 @@ from spinportrait import (
     Direction,
     DirectionSet,
     DomainError,
+    OptimizationError,
     OptimizerConfig,
     Spin,
     condition_number,
@@ -15,6 +16,8 @@ from spinportrait import (
     optimize,
     q_matrix,
 )
+from spinportrait.cli import main
+from spinportrait.su2 import least_squares
 from conftest import coplanar_triad, random_direction_set
 
 INFEASIBLE = -1e18
@@ -169,3 +172,59 @@ class TestOptimize:
         )
         # optimum of the condition number is also the orthogonal triad
         assert -value < 1.8
+
+
+def haar_error(ds: DirectionSet) -> float:
+    """Exact Haar-pure average of ||rho_hat - rho||_HS^2 at one count per direction.
+
+    The trace form Tr(Q+ E[Sigma] Q+^T): block k of the counts' covariance is
+    (diag w - w w^T) / N^2 with w = N P_k, and over Haar-pure states
+    E w = 1/d and E w w^T = (I + J) / (d (d + 1)).
+    """
+    d, n = ds.spin.dim, ds.n_dirs
+    _, inverse = least_squares(ds)
+    block = (np.eye(d) / (d + 1) - np.ones((d, d)) / (d * (d + 1))) / n**2
+    return float(np.trace(inverse @ np.kron(np.eye(n), block) @ inverse.T))
+
+
+class TestAOptimal:
+    @pytest.mark.parametrize("two_j", [1, 2, 4, 8, 16])
+    def test_scores_minus_the_squared_frobenius_norm_of_the_inverse(self, two_j):
+        rng = np.random.default_rng(800 + two_j)
+        for _ in range(3):
+            ds = random_direction_set(Spin(two_j), rng)
+            _, inverse = least_squares(ds)
+            assert objective(ds, "a-optimal") == pytest.approx(-np.sum(inverse**2), rel=1e-10)
+
+    def test_refuses_what_the_least_squares_inverse_refuses(self):
+        assert objective(coplanar_triad(), "a-optimal") == INFEASIBLE
+
+    @pytest.mark.parametrize("two_j,max_iters", [(2, 200), (4, 100), (8, 40)])
+    def test_its_set_has_the_least_haar_averaged_error(self, two_j, max_iters):
+        spin = Spin(two_j)
+        errors = {}
+        for kind in ("gram-product", "a-optimal"):
+            ds, value = optimize(spin, OptimizerConfig(objective=kind, restarts=2, max_iters=max_iters, seed=3))
+            d, n = spin.dim, ds.n_dirs
+            errors[kind] = haar_error(ds)
+            # c1 ||Q+||_F^2 - c2 N d, since Q+ maps every block's ones to coords(I)
+            frobenius = -objective(ds, "a-optimal")
+            assert errors[kind] == pytest.approx((frobenius / (d + 1) - n / (d + 1)) / n**2, rel=1e-9)
+        assert errors["a-optimal"] <= errors["gram-product"]
+
+    def test_starts_at_two_j_16_where_gram_product_cannot(self, tmp_path, capsys):
+        config = OptimizerConfig(objective="a-optimal", restarts=1, max_iters=5)
+        ds, value = optimize(Spin(16), config)
+        assert INFEASIBLE < value == pytest.approx(objective(ds, "a-optimal"), rel=1e-9)
+        least_squares(ds)  # admitted
+        with pytest.raises(OptimizationError):
+            optimize(Spin(16), OptimizerConfig(restarts=1, max_iters=5))
+        args = ["optimize-dirs", "--two-j", "16", "--restarts", "1", "--max-iters", "5"]
+        assert main(args + ["--objective", "a-optimal", "--out", str(tmp_path / "d.json")]) == 0
+        assert main(args + ["--objective", "gram-product", "--out", str(tmp_path / "g.json")]) == 4
+
+    def test_the_qubit_optimum_is_the_orthogonal_triad(self, orthogonal_triad):
+        ds, value = optimize(Spin(1), OptimizerConfig(objective="a-optimal", restarts=2, max_iters=100, seed=3))
+        v = ds.unit_vectors()
+        assert abs(v[0] @ np.cross(v[1], v[2])) >= 1.0 - 1e-6
+        assert value == pytest.approx(objective(orthogonal_triad, "a-optimal"), rel=1e-12)

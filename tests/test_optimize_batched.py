@@ -1,7 +1,8 @@
 """The BFGS direction search: its gradient, its stacked trials and its scorers.
 
-The gradient is held to central differences of the scorers.  The search is
-pinned against a one-trial-at-a-time oracle: one-row start draws each scored
+The gradient is held to central differences of the scorers.  The search,
+which runs its restarts in lockstep, is pinned against a one-restart-at-a-time,
+one-trial-at-a-time oracle: one-row start draws each scored
 alone, the line search's halvings each scored alone until the first that
 passes, a Python loop from parameters to angles, and the per-set log product
 summed over the checked shells (the condition-number oracle scores the same
@@ -11,6 +12,7 @@ direction sets and values must be bitwise the oracle's, and every row of a
 batch must score exactly as the set scores alone.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -227,7 +229,8 @@ def test_gradient_is_the_central_difference(kind, two_j):
         moved = folded_copies(x)
         assert score(moved[None])[0] == pytest.approx(score(x[None])[0], rel=1e-12)  # the same directions
         g_moved = opt._gradient(spin, kind, moved)
-        assert np.allclose(g_moved, np.where(flipped, -g, g), rtol=1e-12, atol=1e-12)
+        # a fold moves the unit vectors by rounding, so the absolute floor scales with the gradient
+        assert np.allclose(g_moved, np.where(flipped, -g, g), rtol=1e-12, atol=1e-12 * max(1.0, np.abs(g).max()))
         assert (moved[columns] < 0).any() and (moved[columns] > math.pi).any()
         for row, grad in ((x, g), (moved, g_moved)):
             h = 1e-6
@@ -245,11 +248,12 @@ def test_every_accepted_step_raises_the_score(kind, two_j):
     score = stacked_score(spin, kind)
     accepted = []
 
-    def gradient(x):  # called at the start and at each accepted point only
-        accepted.append(x.copy())
-        return opt._gradient(spin, kind, x)
+    def gradient(rows):  # called at the start and at each accepted point only
+        accepted.extend(rows.copy())
+        return opt._gradient(spin, kind, rows)
 
-    x, best = opt._bfgs_ascent(score, gradient, feasible_start(spin, kind, two_j), 1e-8, 60)
+    x0 = feasible_start(spin, kind, two_j)[None]
+    (x,), (best,), _, _ = opt._bfgs_ascent(score, gradient, x0, score(x0), 1e-8, 60)
     values = score(np.array(accepted))
     assert len(values) > 5
     assert all(later > earlier for earlier, later in zip(values, values[1:]))
@@ -345,8 +349,8 @@ class RecordingScore:
         self.batches.append(rows.copy())
         return [-float(np.sum((x - self.target) ** 2)) for x in rows]
 
-    def gradient(self, x):
-        return self.e
+    def gradient(self, rows):
+        return np.tile(self.e, (len(rows), 1))
 
 
 @pytest.mark.parametrize("accepted", [0, 15])
@@ -357,7 +361,8 @@ def test_acceptance_at_the_edges_of_a_chunk(accepted):
     e = np.array([1.0, -0.5, 0.25, 0.0])
     tau = (1.5 * 2.0 ** -accepted + 2.5e-4) / 5.0
     score = RecordingScore(tau * e, e)
-    x, best = opt._bfgs_ascent(score, score.gradient, np.zeros(4), 0.4 * 2.0 ** -15.5, 1)
+    x0 = np.zeros((1, 4))
+    (x,), (best,), _, _ = opt._bfgs_ascent(score, score.gradient, x0, score(x0), 0.4 * 2.0 ** -15.5, 1)
     trials = [2.0 ** -k * 0.4 * e for k in range(16)]
     assert np.array_equal(x, trials[accepted]) and best == score(x[None])[0]
     start, first, *rest = score.batches[:-1]
@@ -366,3 +371,147 @@ def test_acceptance_at_the_edges_of_a_chunk(accepted):
     assert len(rest) == (accepted > 0)
     if rest:
         assert np.array_equal(rest[0], trials[1:])
+
+
+def restart_records(caplog) -> list:
+    """The arguments of each optimize restart's DEBUG record, in order."""
+    return [r.args for r in caplog.records if r.name == "spinportrait" and r.levelno == logging.DEBUG]
+
+
+@pytest.mark.parametrize(
+    "two_j,kind,restarts,max_iters,staggered",
+    [
+        (1, "gram-product", 1, 100, False),
+        (1, "gram-product", 4, 100, True),
+        (2, "gram-product", 4, 40, True),
+        (2, "gram-product", 5, 40, True),
+        (4, "gram-product", 5, 40, False),  # every restart runs to the cap
+        (1, "condition-number", 1, 100, False),
+        (1, "condition-number", 4, 100, True),
+        (2, "condition-number", 5, 40, False),
+    ],
+)
+def test_lockstep_restarts_are_bitwise_the_oracle(two_j, kind, restarts, max_iters, staggered, caplog):
+    config = OptimizerConfig(objective=kind, restarts=restarts, max_iters=max_iters, seed=3)
+    with caplog.at_level(logging.DEBUG, logger="spinportrait"):
+        assert_same_search(two_j, config)
+    steps = [args[6] for args in restart_records(caplog)]
+    assert len(steps) == restarts
+    # staggered: the restarts leave the lockstep at different iterations
+    assert (len(set(steps)) > 1) == staggered
+
+
+def lone_paths(spin: Spin, kind: str, starts: np.ndarray, max_iters: int):
+    """(x, value, steps, stop) of each start row climbed on its own."""
+    score = stacked_score(spin, kind)
+    out = []
+    for row in starts:
+        (x,), (value,), (steps,), (stop,) = opt._bfgs_ascent(
+            score, lambda rows: opt._gradient(spin, kind, rows), row[None], score(row[None]), 1e-8, max_iters
+        )
+        out.append((x, value, steps, stop))
+    return out
+
+
+@pytest.mark.parametrize("kind", opt.OBJECTIVES)
+@pytest.mark.parametrize("two_j", [1, 2, 4])
+def test_lockstep_rows_follow_their_lone_paths(kind, two_j):
+    spin = Spin(two_j)
+    score = stacked_score(spin, kind)
+    starts = np.array([feasible_start(spin, kind, 50 * two_j + i) for i in range(5)])
+    x, values, steps, stops = opt._bfgs_ascent(
+        score, lambda rows: opt._gradient(spin, kind, rows), starts, score(starts), 1e-8, 30
+    )
+    alone = lone_paths(spin, kind, starts, 30)
+    assert x.tobytes() == np.array([a[0] for a in alone]).tobytes()
+    assert (values, steps, stops) == tuple(list(column) for column in zip(*alone))[1:]
+
+
+def test_a_restart_without_a_feasible_draw_is_skipped(monkeypatch, caplog):
+    # at two_j=1 every restart of seed 3 reaches the triad's exact 0, so the
+    # skipped restart 0 hands the tie to restart 1, not to restart 2
+    spin, config = Spin(1), OptimizerConfig(restarts=3, max_iters=100, seed=3)
+    with caplog.at_level(logging.DEBUG, logger="spinportrait"):
+        optimize(spin, config)
+    kept = restart_records(caplog)[1:]
+    caplog.clear()
+    real = opt._random_params
+    made = []
+
+    def draws(spin, rng, count):
+        made.append(real(spin, rng, count))
+        return np.zeros_like(made[-1]) if len(made) == 1 else made[-1]  # every direction on +z
+
+    monkeypatch.setattr(opt, "_random_params", draws)
+    with caplog.at_level(logging.DEBUG, logger="spinportrait"):
+        ds, value = optimize(spin, config)
+    skipped, *records = restart_records(caplog)
+    assert skipped == (0, 64) and records == kept
+    alone = lone_paths(spin, "gram-product", np.array([made[1][0], made[2][0]]), 100)
+    assert alone[0][1] == alone[1][1] == value == 0.0
+    assert ds.dirs == opt._params_to_set(spin, alone[0][0]).dirs
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 5])
+def test_one_call_of_each_kind_per_lockstep_iteration(restarts, monkeypatch, caplog):
+    calls = []
+    real_score, real_gradient = opt._log_dets, opt._gradient
+
+    def score(vectors):
+        calls.append(("score", len(vectors)))
+        return real_score(vectors)
+
+    def gradient(spin, kind, rows):
+        calls.append(("gradient", len(rows)))
+        return real_gradient(spin, kind, rows)
+
+    monkeypatch.setitem(opt._SCORES, "gram-product", score)
+    monkeypatch.setattr(opt, "_gradient", gradient)
+    with caplog.at_level(logging.DEBUG, logger="spinportrait"):
+        optimize(Spin(2), OptimizerConfig(restarts=restarts, max_iters=40, seed=3))
+    steps = [args[6] for args in restart_records(caplog)]
+    assert calls[:2] == [("score", 64 * restarts), ("gradient", restarts)]
+    iterations, rest = [], calls[2:]
+    while rest:  # first trials, at most one call of halvings, then one gradient
+        kinds = [kind for kind, _ in rest[:3]]
+        size = 3 if kinds == ["score", "score", "gradient"] else 2 if kinds[:2] == ["score", "gradient"] else 0
+        if not size:  # the last iteration, where no restart passed
+            assert kinds in (["score"], ["score", "score"])
+            break
+        iterations.append(rest[size - 1][1])
+        rest = rest[size:]
+    # an iteration serves every restart still climbing, so there are as many as the longest climb
+    assert len(iterations) == max(steps)
+    assert iterations == [sum(s > i for s in steps) for i in range(max(steps))]
+
+
+def test_one_debug_record_per_restart(tmp_path, caplog, capsys):
+    config = OptimizerConfig(restarts=2, max_iters=100, seed=3)
+    with caplog.at_level(logging.INFO, logger="spinportrait"):
+        optimize(Spin(1), config)
+    assert caplog.records == []  # no record is made, so nothing is formatted
+    with caplog.at_level(logging.DEBUG, logger="spinportrait"):
+        optimize(Spin(1), config)
+    records = [r for r in caplog.records if r.name == "spinportrait"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 2
+    starts = opt._log_dets(opt._angles_to_vectors(*opt._params_to_angles(Spin(1), np.array(
+        [opt._random_params(Spin(1), np.random.default_rng((3, r)), 1)[0] for r in range(2)]
+    ))))
+    # restart, start draw, infeasible draws, draws, start value, end value, accepted steps, stop
+    assert [r.args for r in records] == [
+        (0, 0, 0, 64, starts[0], 0.0, 12, "short step"),
+        (1, 0, 0, 64, starts[1], 0.0, 7, "short step"),
+    ]
+    assert records[1].getMessage() == (
+        f"optimize restart 1: start draw 0, 0 of 64 draws infeasible, value {starts[1]!r} -> 0.0 "
+        "in 7 accepted steps, stopped by short step"
+    )
+    # the CLI's stdout and exit code do not change with the logger's level
+    capsys.readouterr()
+    args = ["optimize-dirs", "--two-j", "1", "--restarts", "2", "--max-iters", "100", "--seed", "3"]
+    assert main(args + ["--out", str(tmp_path / "quiet.json")]) == 0
+    quiet = capsys.readouterr()
+    with caplog.at_level(logging.DEBUG, logger="spinportrait"):
+        assert main(args + ["--out", str(tmp_path / "debug.json")]) == 0
+    assert capsys.readouterr() == quiet and quiet.out == ""
+    assert (tmp_path / "quiet.json").read_text() == (tmp_path / "debug.json").read_text()

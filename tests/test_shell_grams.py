@@ -217,7 +217,7 @@ class TestBuilder:
         assert feasibility(ds) == 1.0
         assert objective(ds) == 0.0
 
-    @pytest.mark.parametrize("kind", ["gram-product", "condition-number"])
+    @pytest.mark.parametrize("kind", opt.OBJECTIVES)
     def test_optimize_at_two_j_zero_reports_the_objective(self, kind):
         ds, value = optimize(Spin(0), OptimizerConfig(objective=kind, restarts=1))
         assert ds.dirs == (Direction(0.0, 0.0),)
@@ -270,6 +270,42 @@ class TestAgainstOracle:
             else:
                 assert code == 4
                 assert err.strip() == "infeasible: " + refused
+
+
+def pure_state(spin: Spin, rng) -> np.ndarray:
+    ket = rng.normal(size=spin.dim) + 1j * rng.normal(size=spin.dim)
+    ket /= np.linalg.norm(ket)
+    return np.outer(ket, ket.conj())
+
+
+def invert_then_load(ds: DirectionSet, rho: np.ndarray, tmp_path, name: str) -> int:
+    """Exit code of ``cli invert`` on rho's equal-weight vector; an exit-0 output must load."""
+    n = ds.n_dirs
+    prob_path, out = str(tmp_path / f"{name}-prob.json"), str(tmp_path / f"{name}-state.json")
+    values = prob_vector(ds.spin, rho, ds.dirs).values
+    fileio.save_prob(prob_path, fileio.ProbFile(ds.spin, "su2", list(ds.dirs), np.full(n, 1.0 / n), values))
+    code = main(["invert", "--prob", prob_path, "--out", out])
+    if code == 0:
+        spin, back = fileio.load_state(out)
+        assert spin == ds.spin and np.abs(back - rho).max() <= 1e-6
+    return code
+
+
+@pytest.mark.parametrize("two_j", range(1, 17))
+def test_every_state_invert_writes_loads(two_j, tmp_path, capsys):
+    rng = np.random.default_rng(600 + two_j)
+    ds = random_direction_set(Spin(two_j), rng)
+    for i, rho in enumerate((pure_state(ds.spin, rng), random_density_matrix(ds.spin, rng))):
+        assert invert_then_load(ds, rho, tmp_path, str(i)) == 0
+
+
+def test_every_state_invert_writes_loads_near_cond_1e8(tmp_path, capsys):
+    codes = []
+    for i, ds in enumerate(nearly_coplanar_sets(1) + polar_cap_sets(1)):
+        rng = np.random.default_rng(700 + i)
+        for j, rho in enumerate((pure_state(ds.spin, rng), random_density_matrix(ds.spin, rng))):
+            codes.append(invert_then_load(ds, rho, tmp_path, f"{i}-{j}"))
+    assert set(codes) <= {0, 3, 4} and codes.count(0) >= 20
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 4, 8])
