@@ -27,7 +27,7 @@ Numerical Optimization, ch. 6) whose restarts climb in lockstep: each
 iteration scores the first trials of every climbing restart in one stacked
 call and takes one stacked gradient at all the accepted points.  Its
 gradients are closed-form: only row k of each shell's harmonic factor Y_L
-depends on direction k, and ``su2._harmonic_factors`` differentiates that
+depends on direction k, and ``orthopoly._harmonic_factors`` differentiates that
 row by the direction's angles.  The gram-product gradient is
 d log det M(L) = 2 tr(Y_s^-1 dY_s), Y_s the leading (2L+1)-square block of
 Y_L; the other two take d sigma = u^T dY v: the condition number for the
@@ -59,8 +59,9 @@ import numpy as np
 
 from .errors import DomainError, OptimizationError
 from .linalg import LSQ_RTOL
+from .orthopoly import _harmonic_factors
 from .spin import Direction, Spin
-from .su2 import DirectionSet, _harmonic_factors, _shell_grams, _spectrum
+from .su2 import DirectionSet, _shell_grams, _spectrum
 
 INFEASIBLE = -1e18
 _DET_CUT = 1e-12  # a gram-product set with a smaller (or NaN) det M(L) scores INFEASIBLE

@@ -4,25 +4,29 @@ A spin-j state is encoded in the (2j+1)(4j+1) probabilities of all
 projections along N = 4j+1 directions.  The degree-L parts
 S_L(n_k) = sum_m f_L(m) U(m, n_k) of the measured projectors overlap as
 Tr(S_L(n_i) S_L(n_k)) = P_L(n_i . n_k), which the addition theorem factors as
-Y_L Y_L^T with Y_L the degree-L real spherical harmonics of the directions.
-Both inverses of the equal-weight forward map are the one product
+Y_L Y_L^T with Y_L the degree-L real spherical harmonics of the directions,
+and S_L(n_k) = T_L Y_L[k]^T with T_L the per-spin orthonormal operators of
+:func:`orthopoly.shell_basis`.  Both inverses of the equal-weight forward map
+are the one product
 
-    N sum_L S_L^T G_L (x) f_L(m)
+    N sum_L T_L X_L (x) f_L(m)
 
-and differ only in the per-shell matrix G_L:
+and differ only in the per-shell matrix X_L, so neither rotates a direction
+nor builds an operator of the set:
 
-* :func:`reconstruct` takes G_L = P_L(n_i . n_k)^+ over all N directions,
-  the pseudo-inverse of the map, the canonical dual frame and the linear
-  inverse of least error (A. J. Scott, J. Phys. A 39, 13507 (2006)), applied
-  in factored form so its error grows as cond(Q); it and
+* :func:`reconstruct` takes X_L = Y_L^+ = v sv^-1 u^T from the SVD of Y_L
+  over all N directions, the pseudo-inverse of the map, the canonical dual
+  frame and the linear inverse of least error (A. J. Scott, J. Phys. A 39,
+  13507 (2006)), whose error grows as cond(Q); it and
   :func:`least_squares` (memo, rank rule LSQ_RTOL, refusal) serve the sun
   frames too, equal-weight vectors only.
 * The paper's nested quantizers D(m, k) serve shell L by the first 2L+1
-  directions, rho = sum_{L, k <= 2L, m} P_eq(m, n_k) D_L(m, k): G_L is the
-  zero-padded inverse of the leading block M(L) = Y Y^T, Y the leading
-  (2L+1)-square block of Y_L.  They carry the symbol calculus and the
-  region's candidate map, and refuse a set at its first block with
-  lambda_min(M(L)) <= BLOCK_RTOL lambda_max(M(L)), lambda = sigma(Y)^2.
+  directions, rho = sum_{L, k <= 2L, m} P_eq(m, n_k) D_L(m, k): X_L is
+  [Y_s^-1 | 0], Y_s the leading (2L+1)-square block of Y_L, whose Gram
+  matrix is the leading block M(L) = Y_s Y_s^T of P_L(n_i . n_k).  They
+  carry the symbol calculus and the region's candidate map, and refuse a set
+  at its first block with lambda_min(M(L)) <= BLOCK_RTOL lambda_max(M(L)),
+  lambda = sigma(Y_s)^2.
 
 The determinants behind feasibility and the gram-product objective read M(L)
 from one Legendre recurrence (:func:`_shell_grams`); the condition-number
@@ -31,7 +35,6 @@ objective reads the least-squares singular values (:func:`_spectrum`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -44,12 +47,11 @@ from .linalg import (
     BLOCK_RTOL,
     LSQ_RTOL,
     PRIOR_TOL,
-    SQRT2,
     _rank,
     svd_inverse,
     vec_to_hermitian,
 )
-from .orthopoly import coeff_table, legendre_series, s_operator_coords, s_operator_stack
+from .orthopoly import _harmonic_factors, coeff_table, legendre_series, s_operator_stack, shell_basis
 from .portraits import ProbVector, _layout_index
 from .spin import Direction, Spin
 from .tomography import forward_matrix
@@ -74,6 +76,9 @@ class DirectionSet:
             raise DomainError("directions must be Direction instances")
         # the inverse memos key on the set: hash its directions once, not per lookup
         object.__setattr__(self, "_hash", hash((spin, self.dirs)))
+        vectors = np.array([d.cartesian for d in self.dirs])
+        vectors.flags.writeable = False
+        object.__setattr__(self, "_vectors", vectors)
 
     def __hash__(self) -> int:
         return self._hash
@@ -89,7 +94,8 @@ class DirectionSet:
         return self.dirs[: 2 * L + 1]
 
     def unit_vectors(self) -> np.ndarray:
-        return np.array([d.cartesian for d in self.dirs])
+        """The directions' unit vectors (N, 3), built once with the set (read-only)."""
+        return self._vectors
 
 
 def _check_spin(spin: Spin, ds: DirectionSet):
@@ -110,95 +116,20 @@ def _shell_grams(vectors: np.ndarray):
         yield gram_l, (np.linalg.det(gram_l) if L else 1.0)
 
 
-def _harmonic_factors(vectors: np.ndarray, two_j: int, derivatives: bool = False):
-    """Factors Y_L Y_L^T = P_L(n_i . n_k), (..., two_j+1, N, N), of sets (..., 2 two_j + 1, 3).
-
-    The addition theorem: column 0 of Y_L is Pbar_L^0(cos theta), columns
-    2M-1, 2M are sqrt(2) Pbar_L^M(cos theta) (cos M phi, sin M phi), with
-    Pbar_L^M = sqrt((L-M)!/(L+M)!) P_L^M by its stable recurrence in L, and
-    the columns past 2L are zero.
-
-    With ``derivatives``: (Y, dY), dY (2, ..., two_j+1, N, N) holding in row k
-    the derivatives of row k of Y by direction k's own theta, then phi (no
-    other row depends on them).  d/dphi turns cos M phi into -M sin M phi and
-    sin M phi into M cos M phi; d/dtheta of Pbar_L^M is
-    (sqrt((L+M)(L-M+1)) Pbar_L^{M-1} - sqrt((L-M)(L+M+1)) Pbar_L^{M+1}) / 2,
-    and -sqrt(L(L+1)) Pbar_L^1 at M = 0.
-    """
-    n = vectors.shape[-2]
-    cos_theta = vectors[..., None, :, 2].clip(-1.0, 1.0)
-    sin_theta = np.hypot(vectors[..., 0], vectors[..., 1])
-    pbar = np.zeros(vectors.shape[:-2] + (two_j + 1, two_j + 1, n))  # [L, M], 0 for M > L
-    pbar[..., 0, 0, :] = 1.0
-    recurrence, up, down, m = _pbar_weights(two_j)
-    for L, (lower, denominator, scale) in enumerate(recurrence, start=1):
-        pbar[..., L, :L, :] = (
-            (2 * L - 1) * cos_theta * pbar[..., L - 1, :L, :]
-            - lower * pbar[..., max(L - 2, 0), :L, :]
-        ) / denominator
-        pbar[..., L, L, :] = scale * sin_theta * pbar[..., L - 1, L - 1, :]
-    phi = np.arctan2(vectors[..., None, :, 1], vectors[..., None, :, 0])
-    mphi = (np.arange(1, two_j + 1)[:, None] * phi)[..., None, :, :]
-    cos_mphi, sin_mphi = np.cos(mphi), np.sin(mphi)
-
-    def columns(table, cos_part, sin_part):
-        out = np.empty(table.shape[:-2] + (n, n))
-        out[..., 0] = table[..., 0, :]
-        out[..., 1::2] = np.swapaxes(SQRT2 * table[..., 1:, :] * cos_part, -1, -2)
-        out[..., 2::2] = np.swapaxes(SQRT2 * table[..., 1:, :] * sin_part, -1, -2)
-        return out
-
-    if not derivatives:
-        return columns(pbar, cos_mphi, sin_mphi)
-    d_pbar = np.zeros_like(pbar)
-    d_pbar[..., 1:, :] = down * pbar[..., :-1, :]
-    d_pbar[..., :-1, :] -= up * pbar[..., 1:, :]
-    out = columns(
-        np.stack((pbar, d_pbar, m * pbar)),
-        np.stack((cos_mphi, cos_mphi, -sin_mphi)),
-        np.stack((sin_mphi, sin_mphi, cos_mphi)),
-    )
-    return out[0], out[1:]
-
-
-@lru_cache(maxsize=32)
-def _pbar_weights(two_j: int):
-    """The weights of :func:`_harmonic_factors`, built once per spin, read-only.
-
-    (recurrence, up, down, m): for each L >= 1 the recurrence's
-    sqrt((L+m-1)(L-m-1)) and sqrt((L-m)(L+m)) over m < L and
-    sqrt((2L-1)/(2L)); the weights of Pbar_L^{M+1} over M < two_j and of
-    Pbar_L^{M-1} over M >= 1 in d Pbar_L^M / d theta; and M.
-    """
-    recurrence = []
-    for L in range(1, two_j + 1):
-        m = np.arange(L)[:, None]
-        recurrence.append(
-            (np.sqrt((L + m - 1) * (L - m - 1)), np.sqrt((L - m) * (L + m)), math.sqrt((2 * L - 1) / (2 * L)))
-        )
-    ell, m = np.arange(two_j + 1)[:, None], np.arange(two_j + 1)
-    up = np.where(m > 0, 0.5, 1.0) * np.sqrt(np.maximum((ell - m) * (ell + m + 1), 0))
-    down = 0.5 * np.sqrt(np.maximum((ell + m) * (ell - m + 1), 0))
-    out = (recurrence, up[:, :-1, None], down[:, 1:, None], m[:, None])
-    for a in [*(w for row in recurrence for w in row[:2]), *out[1:]]:
-        a.flags.writeable = False
-    return out
-
-
 def _spectrum(vectors: np.ndarray, compute_uv: bool = False):
     """Singular values s of Q, descending, for sets (..., N, 3).
 
     They are the first 2L+1 singular values of each shell-L factor, over all
-    shells, divided by N.  With ``compute_uv``: (s, u, sv), the factors' SVD
-    with the dropped sv set to inf, so that u sv^-2 u^T = P_L(n_i . n_k)^+.
+    shells, divided by N.  With ``compute_uv``: (s, u, sv, vh), the factors'
+    SVD with the dropped sv set to inf, so that vh^T sv^-1 u^T = Y_L^+.
     """
     n = vectors.shape[-2]
     d = (n + 1) // 2
     svd = np.linalg.svd(_harmonic_factors(vectors, d - 1), compute_uv=compute_uv)
-    u, sv = svd[:2] if compute_uv else (None, svd)
+    sv = svd[1] if compute_uv else svd
     sv = np.where(np.arange(n) < 2 * np.arange(d)[:, None] + 1, sv, np.inf)
     s = np.sort(sv.reshape(sv.shape[:-2] + (d * n,)), axis=-1)[..., d * d - 1 :: -1] / n
-    return (s, u, sv) if compute_uv else s
+    return (s, svd[0], sv, svd[2]) if compute_uv else s
 
 
 def gram(spin: Spin, L: int, ds) -> np.ndarray:
@@ -233,6 +164,8 @@ def delta_q(dirs: Sequence[Direction], q: int) -> float:
     Y_q is the shell-q factor of :func:`_harmonic_factors`, so
     delta_q^2 = det M(q), and delta_1 is the triple product up to sign.
     """
+    if q < 0:
+        raise DomainError(f"q={q} is negative")
     dirs = tuple(dirs)[: 2 * q + 1]
     if len(dirs) < 2 * q + 1:
         raise DomainError(f"delta_{q} needs {2 * q + 1} directions")
@@ -249,17 +182,17 @@ q_matrix = forward_matrix
 
 
 def _block_inverses(vectors: np.ndarray):
-    """G_L, the inverse of M(L) zero-padded to N x N, for L = 0, 1, ..., lazily.
+    """Y_s^-1 zero-padded to N x N, the nested quantizers' [Y_s^-1 | 0], for L = 0, 1, ..., lazily.
 
-    M(L) = Y Y^T with Y the leading (2L+1)-square block of the shell-L
-    harmonic factor, so M(L)^-1 = U diag(sigma^-2) U^T from the SVD of Y.  A
+    Y_s is the leading (2L+1)-square block of the shell-L harmonic factor,
+    so Y_s^-1 = v diag(sigma^-1) u^T from its SVD, and M(L) = Y_s Y_s^T.  A
     block with lambda_min <= BLOCK_RTOL lambda_max (lambda = sigma^2) refuses
     the set, so a caller is refused only by the shells it reads.
     """
     n = len(vectors)
     for L, factor in enumerate(_harmonic_factors(vectors, (n - 1) // 2)):
         size = 2 * L + 1
-        u, sv, _ = np.linalg.svd(factor[:size, :size])
+        u, sv, vh = np.linalg.svd(factor[:size, :size])
         lam = sv * sv
         if not lam[-1] > BLOCK_RTOL * lam[0]:
             raise FeasibilityError(
@@ -267,28 +200,27 @@ def _block_inverses(vectors: np.ndarray):
                 f"{BLOCK_RTOL:.0e}; the direction set cannot be inverted"
             )
         inverse = np.zeros((n, n))
-        inverse[:size, :size] = (u / lam) @ u.T
+        inverse[:size, :size] = (vh.T / sv) @ u.T
         yield inverse
 
 
-def _shell_product(ds: DirectionSet, *factors: np.ndarray) -> np.ndarray:
-    """N sum_L S_L^T G_L (x) f_L(m), G_L the product of the per-shell factors (2j+1, N, N).
+def _shell_product(spin: Spin, factors: np.ndarray) -> np.ndarray:
+    """N sum_L T_L X_L (x) f_L(m) for per-shell factors X_L (2j+1, N, N), N = 4j+1.
 
-    The factors multiply S_L^T one by one from the left.  The result is the
-    (d*d, N*d) matrix whose column (k, m) holds the coordinates of the dual of
-    U(m, n_k): an inverse of the equal-weight forward map.
+    Row c of X_L pairs with column c of T_L (:func:`orthopoly.shell_basis`).
+    The result is the (d*d, N*d) matrix whose column (k, m) holds the
+    coordinates of the dual of U(m, n_k): an inverse of the equal-weight
+    forward map.
     """
-    spin, n, d = ds.spin, ds.n_dirs, ds.spin.dim
-    shell_g = np.transpose(s_operator_coords(spin, ds.dirs), (1, 2, 0))
-    for factor in factors:
-        shell_g = shell_g @ factor
-    return np.tensordot(shell_g, n * coeff_table(spin), axes=(0, 0)).reshape(d * d, n * d)
+    n, d = 2 * spin.two_j + 1, spin.dim
+    shells = shell_basis(spin) @ factors
+    return np.tensordot(shells, n * coeff_table(spin), axes=(0, 0)).reshape(d * d, n * d)
 
 
 def l_dequantizer(spin: Spin, L: int, k: int, two_m: int, ds: DirectionSet) -> np.ndarray:
     """Shell-resolved dequantizer (4j+1)^-1 f_L(m) S_L(n_k)."""
     _check_spin(spin, ds)
-    if not (0 <= k <= 2 * L):
+    if not (0 <= k < len(ds.shell(L))):
         raise DomainError(f"direction {k} outside shell L={L}")
     f_lm = coeff_table(spin)[L, spin.m_index(two_m)]
     stack = s_operator_stack(spin, ds.dirs[k])
@@ -299,18 +231,18 @@ def l_quantizer(spin: Spin, L: int, k: int, two_m: int, ds: DirectionSet) -> np.
     """Shell-L dual operator.
 
     D_L(m, k) = (4j+1) f_L(m) sum_k' [M(L)^-1]_kk' S_L(n_k'), the dual basis of
-    {S_L(n_k)} scaled by the coefficient table.  Paired with the shell-resolved
-    dequantizer it is biorthogonal:
+    {S_L(n_k)} scaled by the coefficient table, read as (4j+1) f_L(m) T_L
+    Y_s^-1[:, k].  Paired with the shell-resolved dequantizer it is
+    biorthogonal:
 
         Tr(U_L(m, n_k) D_L'(m', k')) = f_L(m) f_L(m') delta_LL' delta_kk'.
     """
     _check_spin(spin, ds)
-    shell = ds.shell(L)
-    if not (0 <= k < len(shell)):
+    if not (0 <= k < len(ds.shell(L))):
         raise DomainError(f"direction {k} outside shell L={L}")
     block = next(islice(_block_inverses(ds.unit_vectors()), L, None))
     f_lm = coeff_table(spin)[L, spin.m_index(two_m)]
-    coords = block[k, : len(shell)] @ s_operator_coords(spin, shell)[:, L]
+    coords = shell_basis(spin)[L] @ block[:, k]
     return vec_to_hermitian(ds.n_dirs * f_lm * coords, spin.dim)
 
 
@@ -331,12 +263,12 @@ def quantizer_stack(ds: DirectionSet) -> np.ndarray:
 
     The columns of the nested inverse, entry index(k, m) in the ProbVector
     layout so reconstruction is a single contraction.  Every shell block is
-    checked before any forward-map row is built, so a refused set costs only
-    its harmonic factors and the block SVDs up to the refused shell.  The
+    checked before the operator basis is multiplied, so a refused set costs
+    only its harmonic factors and the block SVDs up to the refused shell.  The
     result is memoized per direction set (read-only array, safe to share).
     """
-    grams = np.stack(list(_block_inverses(ds.unit_vectors())))
-    out = vec_to_hermitian(_shell_product(ds, grams).T, ds.spin.dim)
+    inverses = np.stack(list(_block_inverses(ds.unit_vectors())))
+    out = vec_to_hermitian(_shell_product(ds.spin, inverses).T, ds.spin.dim)
     out.flags.writeable = False
     return out
 
@@ -384,16 +316,16 @@ def _solver(frame_set):
     """(s, inverse) of :func:`least_squares`, inverse None below full rank.
 
     For a direction set, shell by shell from the SVD u sv v^T of each harmonic
-    factor: G_L = u sv^-2 u^T is applied as (S_L^T u) sv^-2 u^T, never formed,
-    so the error grows as cond(Q) and not as cond(Q)^2.
+    factor: Y_L^+ = v sv^-1 u^T, so the error grows as cond(Q) and not as
+    cond(Q)^2.
     """
     if not isinstance(frame_set, DirectionSet):
         return svd_inverse(forward_matrix(frame_set.spin, frame_set.frames), LSQ_RTOL)
-    s, u, sv = _spectrum(frame_set.unit_vectors(), compute_uv=True)
+    s, u, sv, vh = _spectrum(frame_set.unit_vectors(), compute_uv=True)
     s.flags.writeable = False
     if _rank(s, LSQ_RTOL) < s.size:
         return s, None
-    inverse = _shell_product(frame_set, u, sv[:, :, None] ** -2.0 * np.swapaxes(u, 1, 2))
+    inverse = _shell_product(frame_set.spin, np.swapaxes(vh / sv[:, :, None], 1, 2) @ np.swapaxes(u, 1, 2))
     inverse.flags.writeable = False
     return s, inverse
 
@@ -423,5 +355,5 @@ def dual_vectors(ds: DirectionSet) -> np.ndarray:
     """
     if ds.spin.two_j < 1:
         raise DomainError("dual vectors need at least the L=1 shell")
-    gram_1 = next(islice(_block_inverses(ds.unit_vectors()), 1, None))
-    return gram_1[:3, :3] @ ds.unit_vectors()[:3]
+    inverse = next(islice(_block_inverses(ds.unit_vectors()), 1, None))[:3, :3]
+    return inverse.T @ inverse @ ds.unit_vectors()[:3]  # M(1)^-1 = Y_s^-T Y_s^-1

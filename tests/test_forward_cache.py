@@ -307,10 +307,10 @@ class TestRefusals:
     def test_singular_blocks_refuse_before_any_operator(self, monkeypatch):
         ds = coplanar_triad()
 
-        def no_rows(*args, **kwargs):
-            raise AssertionError("a refused set built forward-map rows")
+        def no_operators(*args, **kwargs):
+            raise AssertionError("a refused set multiplied the operator basis")
 
-        monkeypatch.setattr(su2, "s_operator_coords", no_rows)
+        monkeypatch.setattr(su2, "_shell_product", no_operators)
         su2.quantizer_stack.cache_clear()
         messages = {_message(lambda: su2.quantizer_stack(ds)) for _ in range(3)}
         assert len(messages) == 1 and messages.pop().startswith("shell L=1 Gram eigenvalue ratio")

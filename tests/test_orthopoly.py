@@ -14,7 +14,7 @@ from spinportrait import (
     rotation,
     s_operator,
 )
-from spinportrait.orthopoly import MAX_TWO_J
+from spinportrait.orthopoly import MAX_TWO_J, _harmonic_factors, s_operator_coords, shell_basis
 
 SQRT2 = math.sqrt(2.0)
 SQRT6 = math.sqrt(6.0)
@@ -186,6 +186,34 @@ class TestSOperator:
             s_operator(Spin(2), 3, Direction(0.0, 0.0))
         with pytest.raises(DomainError):
             s_operator(Spin(2), -1, Direction(0.0, 0.0))
+
+
+class TestShellBasis:
+    @pytest.mark.parametrize("two_j", range(MAX_TWO_J + 1))
+    def test_orthonormal_and_zero_past_2l(self, two_j):
+        basis = shell_basis(Spin(two_j))
+        d = two_j + 1
+        assert basis.shape == (d, d * d, 2 * two_j + 1)
+        assert not basis.flags.writeable
+        columns = np.concatenate([basis[L, :, : 2 * L + 1] for L in range(d)], axis=1)
+        # Tr(T_{L,c} T_{L',c'}) is the dot product of coordinate columns
+        assert np.abs(columns.T @ columns - np.eye(d * d)).max() < 1e-13
+        for L in range(d):
+            assert not basis[L, :, 2 * L + 1 :].any()
+
+    @pytest.mark.parametrize("two_j", range(MAX_TWO_J + 1))
+    def test_expands_s_operators_in_the_harmonics(self, two_j):
+        spin = Spin(two_j)
+        rng = np.random.default_rng(500 + two_j)
+        dirs = [Direction(0.0, 2.0), Direction(math.pi, 0.6)] + [
+            Direction(math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi))
+            for _ in range(2 * two_j - 1)
+        ]
+        dirs = dirs[: 2 * two_j + 1]  # the poles, where phi is arbitrary, then random directions
+        factors = _harmonic_factors(np.array([d.cartesian for d in dirs]), two_j)
+        # S_L(n_k) = sum_c Y_L[k, c] T_{L,c}
+        expanded = np.einsum("lac,lkc->kla", shell_basis(spin), factors)
+        assert np.abs(expanded - s_operator_coords(spin, dirs)).max() < 1e-13
 
 
 class TestLegendre:

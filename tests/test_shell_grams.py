@@ -326,6 +326,26 @@ def test_least_squares_error_grows_as_cond(two_j, family):
     assert admitted >= 6
 
 
+@pytest.mark.parametrize("two_j", [1, 2, 4, 8])
+@pytest.mark.parametrize("family", [nearly_coplanar_sets, polar_cap_sets])
+def test_nested_error_grows_as_cond(two_j, family):
+    # through the inverse blocks M(L)^-1 it grew as cond(Y_s)^2: 3.5e-8 at cond 1e5
+    admitted = 0
+    for i, ds in enumerate(family(two_j)):
+        if oracle_blocks(ds) is not None:
+            continue
+        admitted += 1
+        vectors = ds.unit_vectors()
+        dots = np.clip(vectors @ vectors.T, -1.0, 1.0)
+        lam = [np.linalg.eigvalsh(oracle_legendre(L, dots[: 2 * L + 1, : 2 * L + 1]))
+               for L in range(1, two_j + 1)]
+        cond = max(math.sqrt(lam_l[-1] / lam_l[0]) for lam_l in lam)  # of the blocks Y_s
+        rho = random_density_matrix(ds.spin, np.random.default_rng(i))
+        back = su2.apply_quantizer(prob_vector(ds.spin, rho, ds.dirs).values, ds)
+        assert np.abs(back - rho).max() <= 1e-14 * cond
+    assert admitted >= 3
+
+
 def test_sets_cover_both_verdicts():
     sets = random_sets(12) + nearly_coplanar_sets(1) + nearly_coplanar_sets(2)
     assert {oracle_blocks(ds) is None for ds in sets} == {True, False}

@@ -30,7 +30,8 @@ from spinportrait import (
     s_operator,
     shell_determinants,
 )
-from spinportrait import su2
+from spinportrait import orthopoly, su2
+from spinportrait import spin as spin_module
 from spinportrait.orthopoly import coeff_table
 from spinportrait.spin import frame_matrices
 from conftest import coplanar_triad, random_direction_set
@@ -165,6 +166,10 @@ class TestFeasibility:
             abs(triple_product(ds)), abs=1e-12
         )
 
+    def test_negative_q_is_a_domain_error(self, orthogonal_triad):
+        with pytest.raises(DomainError, match=r"^q=-1 is negative$"):
+            su2.delta_q(orthogonal_triad.dirs, -1)
+
 
 class TestQMatrix:
     def test_shape_and_mixed_state_column(self, orthogonal_triad):
@@ -255,6 +260,12 @@ class TestLQuantizer:
     def test_singular_gram_raises(self):
         with pytest.raises(FeasibilityError):
             l_quantizer(Spin(1), 1, 0, 1, coplanar_triad())
+
+    @pytest.mark.parametrize("accessor", [l_dequantizer, l_quantizer])
+    @pytest.mark.parametrize("L", [-1, 2])
+    def test_shell_outside_the_spin_is_a_domain_error(self, orthogonal_triad, accessor, L):
+        with pytest.raises(DomainError, match=rf"^L={L} outside 0..1$"):
+            accessor(Spin(1), L, 0, 1, orthogonal_triad)
 
 
 class TestQuantizer:
@@ -382,7 +393,7 @@ class TestReconstruct:
 
 
 class TestLeastSquares:
-    @pytest.mark.parametrize("two_j", [12, 16, 24])
+    @pytest.mark.parametrize("two_j", [1, 2, 4, 8, 12, 16, 24])
     def test_random_sets_round_trip_and_match_pinv(self, two_j):
         spin = Spin(two_j)
         for seed in range(2):
@@ -393,9 +404,30 @@ class TestLeastSquares:
             q = q_matrix(spin, ds.dirs)
             s, inverse = su2.least_squares(ds)
             pinv = np.linalg.pinv(q)
-            assert np.abs(inverse - pinv).max() <= 1e-9 * np.abs(pinv).max()
+            assert np.abs(inverse - pinv).max() <= 4e-11 * np.abs(pinv).max()
             sv = np.linalg.svd(q, compute_uv=False)
             assert np.abs(s - sv).max() <= 1e-13 * sv[0]
+
+    @pytest.mark.parametrize("two_j", [1, 4, 16])
+    def test_cold_inverses_rotate_nothing(self, monkeypatch, two_j):
+        # with the per-spin basis warm, both inverses of a direction set read
+        # only its harmonic factors: no rotation, no operator, no forward-map row
+        spin = Spin(two_j)
+        ds = admitted_set(spin, 2)
+        rho = random_density_matrix(spin, np.random.default_rng(two_j))
+        p = prob_vector(spin, rho, ds.dirs)
+        orthopoly.shell_basis(spin)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cold inverse rotated the directions or built operators")
+
+        for module, name in [(spin_module, "frame_matrices"), (spin_module, "rotations"),
+                             (orthopoly, "s_operator_coords"), (su2, "forward_matrix")]:
+            monkeypatch.setattr(module, name, refuse)
+        su2._solver.cache_clear()
+        su2.quantizer_stack.cache_clear()
+        assert np.abs(reconstruct(p, ds) - rho).max() < 1e-9
+        assert np.abs(apply_quantizer(p.values, ds) - rho).max() < 1e-9
 
     def test_coplanar_triad_is_refused_with_the_rank_message(self):
         ds = coplanar_triad()
@@ -407,7 +439,7 @@ class TestLeastSquares:
 
     @pytest.mark.parametrize("two_j", [0, 1, 4, 16, 24])
     def test_harmonic_factors_are_the_addition_theorem(self, two_j):
-        vectors = random_direction_set(Spin(two_j), np.random.default_rng(two_j)).unit_vectors()
+        vectors = random_direction_set(Spin(two_j), np.random.default_rng(two_j)).unit_vectors().copy()
         vectors[0] = [0.0, 0.0, 1.0]  # a pole, where phi is arbitrary
         factors = su2._harmonic_factors(vectors, two_j)
         dots = np.clip(vectors @ vectors.T, -1.0, 1.0)

@@ -339,12 +339,14 @@ def _haar(rng, d, n):
 # (tomogram columns and inverse-times-vector products).  The sun and aw hashes
 # were captured before the batched checks, array stacking and one-gather
 # unpacking went in.  The su2 hash was captured again once the least-squares
-# inverse applied G_L in factored form, which changed its bits, and the su2
-# and sun hashes once reconstruct shifted the diagonal to a trace of exactly 1.
+# inverse applied G_L in factored form, which changed its bits, the su2
+# and sun hashes once reconstruct shifted the diagonal to a trace of exactly 1,
+# and the su2 hash and both fingerprints once the least-squares inverse was
+# built from the per-spin operator basis and Y_L^+.
 # All on numpy 2.4.6, OpenBLAS, 2-core Xeon, with 1 and with 2 BLAS threads.
 PINNED = {
-    "ded166fb0097f97a": ("ca197d835c60c503", "27b5cd417cfa2682", "b9bd32f9a63996f6"),
-    "3e6832a031a788cc": ("ca197d835c60c503", "8f3fad3afee340a9", "b9bd32f9a63996f6"),
+    "5638676481ced773": ("e98344d543de7ef7", "27b5cd417cfa2682", "b9bd32f9a63996f6"),
+    "f1d51352a644b6ce": ("e98344d543de7ef7", "8f3fad3afee340a9", "b9bd32f9a63996f6"),
 }
 
 
