@@ -20,7 +20,10 @@ pinned to +z, second to the phi = 0 half-plane):
   state is c1 ||Q^+||_F^2 - c2 N d (Pukelsheim, Optimal Design of
   Experiments (1993)).
 
-The last two are INFEASIBLE where su2 refuses the set (s_min <= LSQ_RTOL s_max).
+Each objective is one entry of ``_OBJECTIVES``: its stacked scorer, its
+stacked slopes and the rule that makes a start draw INFEASIBLE.  The last
+two share one least-squares scorer, INFEASIBLE where su2 refuses the set
+(s_min <= LSQ_RTOL s_max).
 
 The optimizer is a seeded multi-restart BFGS ascent (Nocedal & Wright,
 Numerical Optimization, ch. 6) whose restarts climb in lockstep: each
@@ -61,7 +64,7 @@ from .errors import DomainError, OptimizationError
 from .linalg import LSQ_RTOL
 from .orthopoly import _harmonic_factors
 from .spin import Direction, Spin
-from .su2 import DirectionSet, _shell_grams, _spectrum
+from .su2 import DirectionSet, _shell_dets, _spectrum
 
 INFEASIBLE = -1e18
 _DET_CUT = 1e-12  # a gram-product set with a smaller (or NaN) det M(L) scores INFEASIBLE
@@ -93,6 +96,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise DomainError(f"objective must be one of {OBJECTIVES}")
+        for name in ("restarts", "max_iters", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.restarts < 1:
             raise DomainError("restarts must be >= 1")
         if not 0.0 < self.tolerance < math.inf:
@@ -108,9 +116,7 @@ def _log_dets(vectors: np.ndarray) -> list:
     ``math.log`` summed in shell order, so a set scores the same alone or in
     any stack.
     """
-    dets = np.empty(((vectors.shape[-2] + 1) // 2, len(vectors)))
-    for L, (_, det) in enumerate(_shell_grams(vectors)):
-        dets[L] = det
+    dets = _shell_dets(vectors)
     feasible = (dets >= _DET_CUT).all(axis=0)
     return [
         sum(map(math.log, row), 0.0) if ok else INFEASIBLE
@@ -118,24 +124,15 @@ def _log_dets(vectors: np.ndarray) -> list:
     ]
 
 
-def _neg_conds(vectors: np.ndarray) -> list:
-    """-cond of each stacked set's (k, N, 3) least-squares inverse, INFEASIBLE if refused."""
-    s = _spectrum(vectors)
-    return [
-        -hi / lo if lo > LSQ_RTOL * hi else INFEASIBLE
-        for hi, lo in zip(s[:, 0].tolist(), s[:, -1].tolist())
-    ]
+def _least_squares_scorer(value):
+    """Stacked scorer of sets (k, N, 3): ``value`` of each least-squares spectrum, INFEASIBLE if refused."""
 
+    def score(vectors: np.ndarray) -> list:
+        s = _spectrum(vectors)
+        with np.errstate(all="ignore"):  # value runs on the refused rows too
+            return np.where(s[:, -1] > LSQ_RTOL * s[:, 0], value(s), INFEASIBLE).tolist()
 
-def _neg_inverse_sums(vectors: np.ndarray) -> list:
-    """-sum 1/s^2 = -||Q^+||_F^2 of each stacked set's (k, N, 3) least-squares inverse, INFEASIBLE if refused."""
-    s = _spectrum(vectors)
-    with np.errstate(divide="ignore"):
-        sums = (s**-2.0).sum(axis=-1)
-    return [
-        -total if lo > LSQ_RTOL * hi else INFEASIBLE
-        for total, hi, lo in zip(sums.tolist(), s[:, 0].tolist(), s[:, -1].tolist())
-    ]
+    return score
 
 
 def _log_det_slopes(factors: np.ndarray, d_factors: np.ndarray) -> np.ndarray:
@@ -183,13 +180,16 @@ def _neg_inverse_sum_slopes(factors: np.ndarray, d_factors: np.ndarray) -> np.nd
     return (u * weights[..., None, :] * (d_factors @ np.swapaxes(vh, -1, -2))).sum(axis=(-3, -1))
 
 
-_SCORES = {"gram-product": _log_dets, "condition-number": _neg_conds, "a-optimal": _neg_inverse_sums}
-_SLOPES = {
-    "gram-product": _log_det_slopes,
-    "condition-number": _neg_cond_slopes,
-    "a-optimal": _neg_inverse_sum_slopes,
+# objective -> (stacked scorer, stacked slopes, the rule that makes a start draw INFEASIBLE)
+_LSQ_RULE = f"a least-squares inverse refused at s_min <= LSQ_RTOL s_max, LSQ_RTOL = {LSQ_RTOL:g}"
+_OBJECTIVES = {
+    "gram-product": (
+        _log_dets, _log_det_slopes, f"a shell Gram determinant det M(L) below _DET_CUT = {_DET_CUT:g}"
+    ),
+    "condition-number": (_least_squares_scorer(lambda s: -s[:, 0] / s[:, -1]), _neg_cond_slopes, _LSQ_RULE),
+    "a-optimal": (_least_squares_scorer(lambda s: -(s**-2.0).sum(-1)), _neg_inverse_sum_slopes, _LSQ_RULE),
 }
-OBJECTIVES = tuple(_SCORES)
+OBJECTIVES = tuple(_OBJECTIVES)
 
 
 def objective(ds: DirectionSet, kind: str = "gram-product") -> float:
@@ -203,9 +203,9 @@ def objective(ds: DirectionSet, kind: str = "gram-product") -> float:
     each INFEASIBLE where it refuses the set (s[-1] <= LSQ_RTOL s[0]).  Each
     scores a stack of sets, so a set scores the same alone or stacked.
     """
-    if kind not in _SCORES:
+    if kind not in _OBJECTIVES:
         raise DomainError(f"unknown objective kind {kind!r}")
-    return _SCORES[kind](ds.unit_vectors()[None])[0]
+    return _OBJECTIVES[kind][0](ds.unit_vectors()[None])[0]
 
 
 def _n_params(spin: Spin) -> int:
@@ -256,7 +256,7 @@ def _gradient(spin: Spin, kind: str, x: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(x)
     vectors = _angles_to_vectors(*_params_to_angles(spin, rows))
     factors, d_factors = _harmonic_factors(vectors, spin.two_j, derivatives=True)
-    d_theta, d_phi = _SLOPES[kind](factors, d_factors)
+    d_theta, d_phi = _OBJECTIVES[kind][1](factors, d_factors)
     columns = _theta_params(rows.shape[1])
     g = np.empty_like(rows)
     g[:, columns] = np.where(rows[:, columns] % (2.0 * math.pi) > math.pi, -d_theta[:, 1:], d_theta[:, 1:])
@@ -361,13 +361,6 @@ def _bfgs_ascent(score, gradient, x0, values0, tolerance, max_iters):
     return x, best, steps, stops
 
 
-_START_RULES = {
-    "gram-product": f"a shell Gram determinant det M(L) below _DET_CUT = {_DET_CUT:g}",
-    "condition-number": f"a least-squares inverse refused at s_min <= LSQ_RTOL s_max, LSQ_RTOL = {LSQ_RTOL:g}",
-}
-_START_RULES["a-optimal"] = _START_RULES["condition-number"]
-
-
 def optimize(spin: Spin, config: OptimizerConfig = OptimizerConfig()):
     """Best direction set over multi-restart BFGS ascent, the restarts in lockstep.
 
@@ -382,9 +375,10 @@ def optimize(spin: Spin, config: OptimizerConfig = OptimizerConfig()):
     no restart draws a feasible start.
     """
     kind = config.objective
+    scorer, _, start_rule = _OBJECTIVES[kind]
 
     def score(rows):
-        return _SCORES[kind](_angles_to_vectors(*_params_to_angles(spin, rows)))
+        return scorer(_angles_to_vectors(*_params_to_angles(spin, rows)))
 
     def gradient(rows):
         return _gradient(spin, kind, rows)
@@ -399,7 +393,7 @@ def optimize(spin: Spin, config: OptimizerConfig = OptimizerConfig()):
     if not live.size:
         raise OptimizationError(
             f"every restart remained infeasible: each of {config.restarts} restart(s) tried "
-            f"{_START_DRAWS} start draws, and every draw had {_START_RULES[kind]}"
+            f"{_START_DRAWS} start draws, and every draw had {start_rule}"
         )
     first = feasible[live].argmax(axis=1)
     starts = values[live, first].tolist()

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, FeasibilityError
 from .linalg import AW_RTOL, projector_coords, svd_inverse, vec_to_hermitian
-from .orthopoly import assoc_legendre, s_operator_coords
+from .orthopoly import s_operator_coords
 from .spin import Direction, Spin, frame_matrices
 from .su2 import DirectionSet, _block_inverses, reconstruct
 from .tomography import forward_matrix, tomogram_columns
@@ -101,7 +101,9 @@ def gamma_prime(ufs: UnitaryFrameSet) -> float:
 
 
 def mu_bound(gamma: float) -> float:
-    """Condition-number bound (1 + sqrt(1 - Gamma')) / (1 - sqrt(1 - Gamma'))."""
+    """Condition-number bound (1 + sqrt(1 - Gamma')) / (1 - sqrt(1 - Gamma')), Gamma' clipped to [0, 1]."""
+    if not math.isfinite(gamma):
+        raise DomainError(f"Gamma' must be finite, got {gamma}")
     gamma = min(max(gamma, 0.0), 1.0)
     root = math.sqrt(1.0 - gamma)
     if root >= 1.0:
@@ -219,22 +221,14 @@ def aw_normalized_forward(
 def newton_young_directions(spin: Spin, theta: float) -> DirectionSet:
     """4j+1 directions on one cone, uniformly spaced in azimuth.
 
-    Requires P_L^m(cos theta) != 0 for all m <= L <= 2j (checked numerically
-    to 1e-10); the equator, for example, is rejected for every spin because
-    P_1^0(0) = 0.  The shell blocks are then checked as the su2 quantizers
-    check any set.
+    Requires P_L^m(cos theta) != 0 for all m <= L <= 2j; the equator, for
+    example, is rejected for every spin because P_1^0(0) = 0.  The shell
+    blocks are checked as the su2 quantizers check any set, which refuses
+    such a cone by the shell-L block's eigenvalue ratio.
     """
     theta = float(theta)
     if not (0.0 < theta < math.pi):
         raise DomainError("cone angle must lie strictly inside (0, pi)")
-    c = math.cos(theta)
-    for L in range(1, spin.two_j + 1):
-        for m in range(0, L + 1):
-            if abs(assoc_legendre(L, m, c)) <= 1e-10:
-                raise FeasibilityError(
-                    f"P_{L}^{m}(cos theta) vanishes at theta={theta}; "
-                    "the cone cannot be inverted"
-                )
     n_u = 2 * spin.two_j + 1
     dirs = [
         Direction(theta, 2.0 * math.pi * k / n_u) for k in range(n_u)

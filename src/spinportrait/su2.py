@@ -28,9 +28,9 @@ nor builds an operator of the set:
   at its first block with lambda_min(M(L)) <= BLOCK_RTOL lambda_max(M(L)),
   lambda = sigma(Y_s)^2.
 
-The determinants behind feasibility and the gram-product objective read M(L)
-from one Legendre recurrence (:func:`_shell_grams`); the condition-number
-objective reads the least-squares singular values (:func:`_spectrum`).
+One determinant pass (:func:`_shell_dets`) over M(L) from one Legendre
+recurrence serves feasibility and the gram-product objective; the other
+objectives read the least-squares singular values (:func:`_spectrum`).
 """
 
 from __future__ import annotations
@@ -104,16 +104,20 @@ def _check_spin(spin: Spin, ds: DirectionSet):
 
 
 def _shell_grams(vectors: np.ndarray):
-    """(M(L), det M(L)) for each L with 2L+1 <= N, lazily, from one recurrence.
+    """M(L) for each L with 2L+1 <= N, lazily, from one recurrence.
 
     ``vectors`` is one set (N, 3) or a stack of sets (..., N, 3); M(L) is a
-    view of the leading block of P_L(n_i . n_k) over all N x N dot products,
-    and det M(L) has the stack's leading shape.
+    view of the leading block of P_L(n_i . n_k) over all N x N dot products.
     """
     dots = (vectors @ np.swapaxes(vectors, -1, -2)).clip(-1.0, 1.0)
     for L, p in enumerate(legendre_series((vectors.shape[-2] - 1) // 2, dots)):
-        gram_l = p[..., : 2 * L + 1, : 2 * L + 1]
-        yield gram_l, (np.linalg.det(gram_l) if L else 1.0)
+        yield p[..., : 2 * L + 1, : 2 * L + 1]
+
+
+def _shell_dets(vectors: np.ndarray) -> np.ndarray:
+    """det M(L) for L = 0, 1, ..., shape (shells,) + the stack's leading shape, of sets (..., N, 3)."""
+    grams = islice(_shell_grams(vectors), 1, None)
+    return np.array([np.ones(vectors.shape[:-2]), *map(np.linalg.det, grams)])
 
 
 def _spectrum(vectors: np.ndarray, compute_uv: bool = False):
@@ -142,12 +146,12 @@ def gram(spin: Spin, L: int, ds) -> np.ndarray:
     vectors = np.array([d.cartesian for d in ds])
     if len(vectors) < 2 * L + 1:
         raise DomainError(f"shell {L} needs {2 * L + 1} directions")
-    return next(islice(_shell_grams(vectors), L, None))[0]
+    return next(islice(_shell_grams(vectors), L, None))
 
 
 def shell_determinants(ds: DirectionSet) -> np.ndarray:
     """det M(L) for L = 1..2j."""
-    return np.array([det for _, det in _shell_grams(ds.unit_vectors())][1:])
+    return _shell_dets(ds.unit_vectors())[1:]
 
 
 def feasibility(ds: DirectionSet) -> float:
@@ -156,6 +160,12 @@ def feasibility(ds: DirectionSet) -> float:
     For j = 1/2 this is the squared triple product of the three directions.
     """
     return float(np.prod(shell_determinants(ds)))
+
+
+def _factor_dets(vectors: np.ndarray) -> list:
+    """det Y_q over the first 2q+1 directions, q = 0, 1, ..., of one set (N, 3) from one factor call."""
+    factors = _harmonic_factors(vectors, (len(vectors) - 1) // 2)
+    return [float(np.linalg.det(y[: 2 * q + 1, : 2 * q + 1])) for q, y in enumerate(factors)]
 
 
 def delta_q(dirs: Sequence[Direction], q: int) -> float:
@@ -169,12 +179,12 @@ def delta_q(dirs: Sequence[Direction], q: int) -> float:
     dirs = tuple(dirs)[: 2 * q + 1]
     if len(dirs) < 2 * q + 1:
         raise DomainError(f"delta_{q} needs {2 * q + 1} directions")
-    return float(np.linalg.det(_harmonic_factors(np.array([d.cartesian for d in dirs]), q)[q]))
+    return _factor_dets(np.array([d.cartesian for d in dirs]))[q]
 
 
 def feasibility_delta(ds: DirectionSet) -> float:
     """Product of the delta_q for q = 1..2j; its square is :func:`feasibility`."""
-    return float(np.prod([delta_q(ds.dirs, q) for q in range(1, ds.spin.two_j + 1)]))
+    return float(np.prod(_factor_dets(ds.unit_vectors())[1:]))
 
 
 # forward-map matrix for directions, row (k, m) = p_k * coords(U(m, n_k))

@@ -365,6 +365,7 @@ class TestOptimizeDirs:
             ("--tol", "inf", "tolerance must be positive and finite, got inf"),
             ("--tol", "0", "tolerance must be positive and finite, got 0.0"),
             ("--max-iters", "-3", "max_iters must be >= 0, got -3"),
+            ("--seed", "-1", "seed must be >= 0, got -1"),
         ],
     )
     def test_bad_budget_exits_2(self, tmp_path, capsys, flag, value, message):

@@ -151,9 +151,17 @@ class TestOptimize:
             OptimizerConfig(restarts=0)
         with pytest.raises(DomainError):
             OptimizerConfig(tolerance=0.0)
-        for bad in ({"tolerance": math.nan}, {"tolerance": math.inf}, {"max_iters": -3}):
+        for bad in (
+            {"tolerance": math.nan}, {"tolerance": math.inf}, {"max_iters": -3},
+            # refused at construction, before optimize reaches default_rng or range
+            {"restarts": 2.5}, {"max_iters": 3.5}, {"seed": 1.5}, {"seed": -1},
+        ):
             with pytest.raises(DomainError):
                 OptimizerConfig(**bad)
+
+    def test_numpy_integer_budgets_are_taken(self):
+        config = OptimizerConfig(restarts=np.int64(1), max_iters=np.int64(5), seed=np.int64(2))
+        assert optimize(Spin(1), config)[1] == optimize(Spin(1), OptimizerConfig(restarts=1, max_iters=5, seed=2))[1]
 
     def test_zero_iterations_return_the_start(self):
         ds, value = optimize(Spin(1), OptimizerConfig(restarts=1, max_iters=0, seed=0))

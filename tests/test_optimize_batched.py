@@ -39,7 +39,8 @@ SEEDS = (0, 7, 23)
 def oracle_log_dets(vectors: np.ndarray) -> float:
     """Sum of log det M(L) in shell order, INFEASIBLE at a det below 1e-12 or NaN."""
     total = 0.0
-    for _, det in su2._shell_grams(vectors):
+    for L, gram in enumerate(su2._shell_grams(vectors)):
+        det = np.linalg.det(gram) if L else 1.0
         if not det >= 1e-12:
             return INFEASIBLE
         total += math.log(det)
@@ -130,7 +131,7 @@ def oracle_optimize(spin: Spin, config: OptimizerConfig):
         vectors = oracle_angles_to_vectors(*oracle_params_to_angles(spin, x))
         if config.objective == "gram-product":
             return oracle_log_dets(vectors)
-        return opt._neg_conds(vectors[None])[0]
+        return opt._OBJECTIVES["condition-number"][0](vectors[None])[0]
 
     def gradient(x):
         return opt._gradient(spin, config.objective, x)
@@ -197,7 +198,7 @@ def test_start_draws_are_the_one_row_draws(two_j):
 
 def stacked_score(spin: Spin, kind: str):
     def score(rows):
-        return opt._SCORES[kind](opt._angles_to_vectors(*opt._params_to_angles(spin, rows)))
+        return opt._OBJECTIVES[kind][0](opt._angles_to_vectors(*opt._params_to_angles(spin, rows)))
     return score
 
 
@@ -271,6 +272,55 @@ def test_a_fixed_seed_gives_the_same_set_and_value(kind, two_j):
     assert other.dirs != ds.dirs
 
 
+def oracle_least_squares_scores(vectors: np.ndarray, kind: str) -> list:
+    """Each set's score from its own spectrum, INFEASIBLE at s_min <= 1e-8 s_max, one set at a time."""
+    out = []
+    for s in su2._spectrum(vectors):
+        hi, lo = float(s[0]), float(s[-1])
+        if not lo > 1e-8 * hi:
+            out.append(INFEASIBLE)
+        else:
+            out.append(-hi / lo if kind == "condition-number" else -float((s**-2.0).sum()))
+    return out
+
+
+@pytest.mark.parametrize("kind", opt.OBJECTIVES)
+@pytest.mark.parametrize("two_j", [1, 2, 4])
+def test_objective_is_row_zero_of_its_stacked_scorer(kind, two_j):
+    spin = Spin(two_j)
+    rng = np.random.default_rng(two_j)
+    sets = [random_direction_set(spin, rng) for _ in range(4)]
+    sets += [nearly_coplanar_set(spin, squash, rng) for squash in (1e-3, 1e-6, 1e-9, 0.0)]
+    scorer = opt._OBJECTIVES[kind][0]
+    for ds in sets:
+        stack = np.array([ds.unit_vectors()] + [other.unit_vectors() for other in sets if other is not ds])
+        assert objective(ds, kind) == scorer(stack)[0] == scorer(ds.unit_vectors()[None])[0]
+    if kind != "gram-product":
+        vectors = np.array([ds.unit_vectors() for ds in sets])
+        values = scorer(vectors)
+        assert values == oracle_least_squares_scores(vectors, kind)
+        assert values[-1] == INFEASIBLE and values[0] > INFEASIBLE
+
+
+@pytest.mark.parametrize(
+    "kind,rule",
+    [
+        ("gram-product", "a shell Gram determinant det M(L) below _DET_CUT = 1e-12"),
+        ("condition-number", "a least-squares inverse refused at s_min <= LSQ_RTOL s_max, LSQ_RTOL = 1e-08"),
+        ("a-optimal", "a least-squares inverse refused at s_min <= LSQ_RTOL s_max, LSQ_RTOL = 1e-08"),
+    ],
+)
+def test_every_objective_names_its_start_rule(kind, rule, monkeypatch):
+    # every start draw is refused: no spectrum passes s_min > 2 s_max, no determinant 1e300
+    monkeypatch.setattr(opt, "LSQ_RTOL", 2.0)
+    monkeypatch.setattr(opt, "_DET_CUT", 1e300)
+    with pytest.raises(OptimizationError) as info:
+        optimize(Spin(1), OptimizerConfig(objective=kind, restarts=2))
+    assert str(info.value) == (
+        "every restart remained infeasible: each of 2 restart(s) tried 64 start draws, and every draw had " + rule
+    )
+
+
 def test_infeasible_start_draws_are_reported(tmp_path, capsys):
     # no isotropic draw of 33 directions keeps every det M(L) >= 1e-12
     message = (
@@ -313,7 +363,7 @@ def test_batched_rows_score_as_single_sets(two_j, kind):
         assert values[5] == values[17] == INFEASIBLE
         assert values.count(INFEASIBLE) > 2
     else:
-        values = opt._neg_conds(vectors)
+        values = opt._OBJECTIVES["condition-number"][0](vectors)
         assert values[-1] == INFEASIBLE  # squashed to 1e-9, below LSQ_RTOL
     assert any(v > INFEASIBLE for v in values)
     for i, ds in enumerate(sets):
@@ -465,7 +515,7 @@ def test_one_call_of_each_kind_per_lockstep_iteration(restarts, monkeypatch, cap
         calls.append(("gradient", len(rows)))
         return real_gradient(spin, kind, rows)
 
-    monkeypatch.setitem(opt._SCORES, "gram-product", score)
+    monkeypatch.setitem(opt._OBJECTIVES, "gram-product", (score, *opt._OBJECTIVES["gram-product"][1:]))
     monkeypatch.setattr(opt, "_gradient", gradient)
     with caplog.at_level(logging.DEBUG, logger="spinportrait"):
         optimize(Spin(2), OptimizerConfig(restarts=restarts, max_iters=40, seed=3))

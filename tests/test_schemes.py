@@ -39,7 +39,7 @@ from spinportrait import (
     vec_to_hermitian,
 )
 from spinportrait import su2
-from spinportrait.orthopoly import coeff_table
+from spinportrait.orthopoly import assoc_legendre, coeff_table
 
 # frozen regression value: gamma_prime(random_frame_set(Spin(1), default_rng(5)))
 GAMMA_PRIME_J_HALF_SEED_5 = 0.09150362733837276
@@ -226,6 +226,11 @@ class TestReconstructPinv:
             mu = condition_number(sun_gram(ufs))
             assert mu <= mu_bound(gamma) * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_mu_bound_refuses_a_non_finite_gamma(self, gamma):
+        with pytest.raises(DomainError, match="Gamma' must be finite"):
+            mu_bound(gamma)
+
 
 class TestFrameSetValidation:
     def test_wrong_count(self):
@@ -358,3 +363,63 @@ class TestNewtonYoung:
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
             newton_young_directions(Spin(1), 0.0)
+
+
+def oracle_floor_refuses(two_j: int, theta: float) -> bool:
+    """The absolute floor the cone check once applied: some |P_L^m(cos theta)| <= 1e-10, m <= L <= 2j."""
+    c = math.cos(theta)
+    return any(abs(assoc_legendre(L, m, c)) <= 1e-10 for L in range(1, two_j + 1) for m in range(L + 1))
+
+
+def legendre_root_thetas(two_j: int) -> list:
+    """theta = arccos x at every root x in (-1, 1) of every P_L^m, m <= L <= 2j."""
+    thetas = []
+    for L in range(1, two_j + 1):
+        for m in range(L + 1):
+            # the roots of P_L^m inside (-1, 1) are those of the m-th derivative of P_L
+            roots = np.polynomial.legendre.Legendre.basis(L).deriv(m).roots()
+            thetas += [math.acos(x) for x in roots.real if abs(x) < 1.0]
+    return thetas
+
+
+def block_rule_refuses(two_j: int, theta: float) -> bool:
+    n = 2 * two_j + 1
+    ds = DirectionSet(Spin(two_j), [Direction(theta, 2.0 * math.pi * k / n) for k in range(n)])
+    try:
+        list(su2._block_inverses(ds.unit_vectors()))
+    except FeasibilityError:
+        return True
+    return False
+
+
+def cone_refused(two_j: int, theta: float) -> bool:
+    try:
+        newton_young_directions(Spin(two_j), theta)
+    except FeasibilityError:
+        return True
+    return False
+
+
+class TestConeRefusalsWithoutTheFloor:
+    """A vanishing P_L^m zeroes a column pair of the shell-L factor, so the block rule refuses the cone.
+
+    Each row of the factor has unit norm, so lambda_max(M(L)) >= 1, while
+    |P_L^m| <= 1e-10 bounds lambda_min / lambda_max by 2e-20 (2L+1), far
+    below BLOCK_RTOL.
+    """
+
+    @pytest.mark.parametrize("two_j", range(1, 9))
+    def test_cones_at_the_legendre_roots_are_refused(self, two_j):
+        for theta in legendre_root_thetas(two_j):
+            for t in (theta - 1e-12, theta, theta + 1e-12):
+                with pytest.raises(FeasibilityError, match=r"^shell L=\d+ Gram eigenvalue ratio"):
+                    newton_young_directions(Spin(two_j), t)
+
+    @pytest.mark.parametrize("two_j", range(1, 9))
+    def test_refusals_are_the_floor_and_the_block_verdict(self, two_j):
+        # a grid, the roots, and cones so close to a pole that sin(theta)^m is below the floor
+        thetas = [*np.linspace(0.0, math.pi, 302)[1:-1], *legendre_root_thetas(two_j), 1e-11, math.pi - 1e-11]
+        floor = [oracle_floor_refuses(two_j, t) for t in thetas]
+        refused = [cone_refused(two_j, t) for t in thetas]
+        assert refused == [f or block_rule_refuses(two_j, t) for f, t in zip(floor, thetas)]
+        assert any(floor) and not all(refused)

@@ -157,6 +157,13 @@ class TestFeasibility:
         ds = random_direction_set(Spin(two_j), np.random.default_rng(two_j))
         assert feasibility_delta(ds) ** 2 == pytest.approx(feasibility(ds), rel=1e-10)
 
+    @pytest.mark.parametrize("two_j", range(1, 17))
+    def test_delta_product_is_bitwise_the_product_of_each_delta_q(self, two_j):
+        # feasibility_delta reads every delta_q from one factor call on the whole set
+        ds = random_direction_set(Spin(two_j), np.random.default_rng(two_j))
+        product = np.prod([su2.delta_q(ds.dirs, q) for q in range(1, two_j + 1)])
+        assert feasibility_delta(ds) == float(product)
+
     def test_delta_q1_is_triple_product(self):
         rng = np.random.default_rng(3)
         ds = random_direction_set(Spin(1), rng)
