@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from spinportrait import (
     sphere_quadrature,
     tomogram,
     tomogram_column,
+    w_to_p,
 )
 from spinportrait.orthopoly import s_operator_stack
 from spinportrait.tomography import tomogram_columns
@@ -212,6 +215,30 @@ class TestSphereQuadrature:
         dirs, weights = sphere_quadrature(Spin(2), n_theta=3, n_phi=6)
         assert len(dirs) == 18 and weights.size == 18
 
+    @pytest.mark.parametrize("count", [4.5, 6.0, np.float64(8.0), "6", True])
+    @pytest.mark.parametrize("name", ["n_theta", "n_phi"])
+    def test_non_integer_counts_rejected(self, name, count, orthogonal_triad):
+        spin = orthogonal_triad.spin
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            sphere_quadrature(spin, **{name: count})
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            w_to_p(spin, orthogonal_triad, lambda m, n: 0.5, **{name: count})
+
+    def test_numpy_integer_counts_share_the_memo(self):
+        assert sphere_quadrature(Spin(2), np.int64(7), np.int32(13)) is sphere_quadrature(
+            Spin(2), 7, 13
+        )
+
+    def test_memo_returns_one_tuple_with_read_only_weights(self):
+        dirs, weights = sphere_quadrature(Spin(3))
+        again, weights_again = sphere_quadrature(Spin(3))
+        assert isinstance(dirs, tuple) and again is dirs and weights_again is weights
+        # the default nodes of two_j=3 are the explicit (8, 16) ones
+        assert sphere_quadrature(Spin(3), 8, 16)[0] is dirs
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+
     @pytest.mark.parametrize("size", sorted(QUADRATURES))
     @pytest.mark.parametrize("two_j", range(0, 17))
     def test_nodes_bitwise_equal_to_double_loop(self, two_j, size):
@@ -267,7 +294,7 @@ class TestReconstructFromSphere:
 
     @pytest.mark.parametrize("kind", ["state", "hermitian"])
     @pytest.mark.parametrize("size", sorted(QUADRATURES))
-    @pytest.mark.parametrize("two_j", [1, 2, 4, 8])
+    @pytest.mark.parametrize("two_j", [1, 2, 4, 5, 8, 16])
     def test_matches_node_by_node_oracle(self, two_j, size, kind):
         spin = Spin(two_j)
         n_theta, n_phi = QUADRATURES[size](two_j)
@@ -297,3 +324,44 @@ class TestReconstructFromSphere:
         assert np.array_equal(
             reconstruct_from_sphere(spin, fn), reconstruct_from_sphere(spin, fn)
         )
+
+    def test_traced_peak_at_two_j_16(self):
+        # the memoized quadrature and polar products are not transient
+        spin = Spin(16)
+        fn = table_callback(spin, random_density_matrix(spin, np.random.default_rng(16)))
+        reconstruct_from_sphere(spin, fn)
+        tracemalloc.start()
+        try:
+            reconstruct_from_sphere(spin, fn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, 0.3 + 1j, np.array([0.1, 0.2]), "0.3", None]
+    )
+    def test_bad_tomogram_value_names_the_first_bad_node(self, bad, orthogonal_triad):
+        spin = orthogonal_triad.spin
+        dirs, _ = sphere_quadrature(spin)
+        target = dirs[5]
+        calls = []
+
+        def fn(two_m, n):
+            calls.append((two_m, n))
+            if n == target and two_m == -1 or n == dirs[7]:
+                return bad
+            return 0.5
+
+        pattern = re.escape(f"node 5 (theta={target.theta!r}, phi={target.phi!r}), two_m=-1 ")
+        with pytest.raises(DomainError, match=pattern):
+            reconstruct_from_sphere(spin, fn)
+        # every node is still called once, in quadrature order
+        assert [n for _, n in calls[::2]] == list(dirs)
+        with pytest.raises(DomainError, match=pattern):
+            w_to_p(spin, orthogonal_triad, fn)
+
+    def test_integer_and_float32_values_accepted(self):
+        assert np.abs(reconstruct_from_sphere(Spin(0), lambda m, n: 1) - 1.0).max() < 1e-14
+        rec = reconstruct_from_sphere(Spin(1), lambda m, n: np.float32(0.5))
+        assert np.abs(rec - np.eye(2) / 2.0).max() < 1e-14
