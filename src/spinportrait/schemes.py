@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DomainError, FeasibilityError
 from .linalg import AW_RTOL, projector_coords, svd_inverse, vec_to_hermitian
 from .orthopoly import s_operator_coords
-from .spin import Direction, Spin, frame_matrices
+from .spin import Direction, Directions, Spin, _CheckedFrames, frame_matrices
 from .su2 import DirectionSet, _block_inverses, reconstruct
 from .tomography import forward_matrix, tomogram_columns
 
@@ -43,9 +43,11 @@ class UnitaryFrameSet:
     """2j+2 unitary frames of dimension 2j+1, the minimal injective count.
 
     Compared and hashed by identity, since the frames are arrays.  The
-    equal-weight inverse of ``reconstruct_pinv`` is memoized per set in the
-    one cache of ``su2.least_squares``; a vector stacked with other priors is
-    inverted through ``normalize_to_eq``.
+    frames are validated once, here: they keep the read-only stack, which the
+    maps take without a second test.  The equal-weight inverse of
+    ``reconstruct_pinv`` is memoized per set in the one cache of
+    ``su2.least_squares``; a vector stacked with other priors is inverted
+    through ``normalize_to_eq``.
     """
 
     spin: Spin
@@ -53,9 +55,8 @@ class UnitaryFrameSet:
 
     def __init__(self, spin: Spin, frames: Sequence[np.ndarray]):
         object.__setattr__(self, "spin", spin)
-        stack = frame_matrices(spin, frames)  # refuses a wrong shape or a non-unitary frame
-        stack.flags.writeable = False
-        object.__setattr__(self, "frames", tuple(stack))
+        # refuses a wrong shape or a non-unitary frame, once: later maps reuse the stack
+        object.__setattr__(self, "frames", _CheckedFrames(frame_matrices(spin, frames)))
         expected = spin.two_j + 2
         if len(self.frames) != expected:
             raise DomainError(
@@ -160,7 +161,7 @@ def aw_directions(grid: AWGrid) -> list:
 
 def aw_m_matrix(spin: Spin, dirs: Sequence[Direction]) -> np.ndarray:
     """Highest-projection map matrix, row k = coords(U(j, n_k))."""
-    dirs = tuple(dirs)
+    dirs = Directions(dirs)
     full = spin.dim * spin.dim
     if len(dirs) != full:
         raise DomainError(f"need {full} directions, got {len(dirs)}")
@@ -169,7 +170,7 @@ def aw_m_matrix(spin: Spin, dirs: Sequence[Direction]) -> np.ndarray:
 
 def aw_forward(spin: Spin, rho: np.ndarray, dirs: Sequence[Direction]) -> np.ndarray:
     """Probabilities of the highest projection m = j along each direction."""
-    return tomogram_columns(spin, rho, dirs, highest_only=True)[:, 0]
+    return tomogram_columns(spin, rho, Directions(dirs), highest_only=True)[:, 0]
 
 
 @lru_cache(maxsize=16)
@@ -192,7 +193,7 @@ def aw_reconstruct(
     (DomainError otherwise).  The grid's rank verdict and inverse are memoized
     per (spin, directions).
     """
-    dirs = tuple(dirs)
+    dirs = Directions(dirs)
     w = np.asarray(w, dtype=float)
     if w.shape != (len(dirs),):
         raise DomainError(f"expected {len(dirs)} values, one per direction, got shape {w.shape}")

@@ -83,8 +83,16 @@ class Direction:
             raise DomainError(f"theta must lie in [0, pi], got {theta}")
         if not math.isfinite(phi):
             raise DomainError(f"phi must be finite, got {phi}")
+        phi %= TWO_PI
+        if phi == TWO_PI:  # a tiny negative phi rounds up to 2 pi
+            phi = 0.0
         object.__setattr__(self, "theta", min(max(theta, 0.0), math.pi))
-        object.__setattr__(self, "phi", phi % TWO_PI)
+        object.__setattr__(self, "phi", phi)
+        # memo keys hash tuples of directions: hash each one once, as the dataclass would
+        object.__setattr__(self, "_hash", hash((self.theta, phi)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def cartesian(self) -> np.ndarray:
@@ -104,6 +112,45 @@ class Direction:
 
 
 Frame = Union[Direction, np.ndarray]
+
+
+class Directions(tuple):
+    """A tuple of directions, checked once to hold only directions and hashed once.
+
+    It compares and hashes exactly as the plain tuple, so it shares memo
+    entries with one.  ``Directions(d)`` returns ``d`` itself when it is
+    already checked; any other entry raises DomainError.
+    """
+
+    def __new__(cls, dirs):
+        if type(dirs) is cls:
+            return dirs
+        self = super().__new__(cls, dirs)
+        if not all(isinstance(d, Direction) for d in self):
+            raise DomainError("directions must be Direction instances")
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class _CheckedFrames(tuple):
+    """Array frames whose read-only stack (N, d, d) :func:`frame_matrices` checked.
+
+    The entries are views of the stack; :func:`frame_matrices` returns the
+    stack itself when its dimension matches the spin, without a second check.
+    """
+
+    def __new__(cls, stack: np.ndarray):
+        stack.flags.writeable = False
+        self = super().__new__(cls, stack)
+        self.stack = stack
+        return self
+
+    def __reduce__(self):
+        # copies rebuild from the stack, so their entries stay views of one read-only array
+        return type(self), (self.stack,)
 
 
 def angular_momentum(spin: Spin):
@@ -178,8 +225,14 @@ def frame_matrices(spin: Spin, frames: Sequence[Frame]) -> np.ndarray:
     """Unitaries of a frame sequence, shape (N, d, d).
 
     Directions are rotated all at once; array frames are validated and
-    stacked all together by :func:`_unitaries`.
+    stacked all together by :func:`_unitaries`.  The frames of a
+    ``UnitaryFrameSet``, checked when the set was made, return its read-only
+    stack after a dimension test alone.
     """
+    if isinstance(frames, _CheckedFrames):
+        if frames.stack.shape[1:] != (spin.dim, spin.dim):
+            raise DomainError(f"frame shape {frames.stack.shape[1:]} does not match dim {spin.dim}")
+        return frames.stack
     frames = tuple(frames)
     rot = [k for k, f in enumerate(frames) if isinstance(f, Direction)]
     arr = [k for k, f in enumerate(frames) if not isinstance(f, Direction)]

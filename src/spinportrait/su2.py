@@ -53,7 +53,7 @@ from .linalg import (
 )
 from .orthopoly import _harmonic_factors, coeff_table, legendre_series, s_operator_stack, shell_basis
 from .portraits import ProbVector, _layout_index
-from .spin import Direction, Spin
+from .spin import Direction, Directions, Spin
 from .tomography import forward_matrix
 
 
@@ -66,14 +66,13 @@ class DirectionSet:
 
     def __init__(self, spin: Spin, dirs: Sequence[Direction]):
         object.__setattr__(self, "spin", spin)
-        object.__setattr__(self, "dirs", tuple(dirs))
+        dirs = tuple(dirs)
         expected = 2 * spin.two_j + 1
-        if len(self.dirs) != expected:
+        if len(dirs) != expected:
             raise DomainError(
-              f"need {expected} directions for two_j={spin.two_j}, got {len(self.dirs)}"
+              f"need {expected} directions for two_j={spin.two_j}, got {len(dirs)}"
             )
-        if not all(isinstance(d, Direction) for d in self.dirs):
-            raise DomainError("directions must be Direction instances")
+        object.__setattr__(self, "dirs", Directions(dirs))
         # the inverse memos key on the set: hash its directions once, not per lookup
         object.__setattr__(self, "_hash", hash((spin, self.dirs)))
         vectors = np.array([d.cartesian for d in self.dirs])
@@ -143,7 +142,7 @@ def gram(spin: Spin, L: int, ds) -> np.ndarray:
     if isinstance(ds, DirectionSet):
         _check_spin(spin, ds)
         ds = ds.dirs
-    vectors = np.array([d.cartesian for d in ds])
+    vectors = np.array([d.cartesian for d in Directions(ds)])
     if len(vectors) < 2 * L + 1:
         raise DomainError(f"shell {L} needs {2 * L + 1} directions")
     return next(islice(_shell_grams(vectors), L, None))
@@ -176,7 +175,7 @@ def delta_q(dirs: Sequence[Direction], q: int) -> float:
     """
     if q < 0:
         raise DomainError(f"q={q} is negative")
-    dirs = tuple(dirs)[: 2 * q + 1]
+    dirs = Directions(dirs)[: 2 * q + 1]
     if len(dirs) < 2 * q + 1:
         raise DomainError(f"delta_{q} needs {2 * q + 1} directions")
     return _factor_dets(np.array([d.cartesian for d in dirs]))[q]

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .linalg import projector_coords, validate_weights
 from .orthopoly import coeff_table
-from .spin import Direction, Frame, Spin, frame_matrices, frame_matrix, rotations
+from .spin import Direction, Directions, Frame, Spin, _CheckedFrames, frame_matrices, frame_matrix, rotations
 
 TomogramFn = Callable[[int, Direction], float]
 
@@ -79,10 +79,13 @@ def measured_kets(
     """Measured kets V_k |j m> as columns, shape (N, d, 2j+1) or (N, d, 1).
 
     Sequences made only of directions are memoized by value (read-only
-    result), since a state-by-state caller measures the same set repeatedly.
+    result), since a state-by-state caller measures the same set repeatedly;
+    checked ``Directions`` and a ``UnitaryFrameSet``'s frames skip the checks
+    their constructors made.
     """
-    frames = tuple(frames)
-    if all(isinstance(f, Direction) for f in frames):
+    if not isinstance(frames, (Directions, _CheckedFrames)):
+        frames = tuple(frames)
+    if isinstance(frames, Directions) or all(isinstance(f, Direction) for f in frames):
         return _direction_kets(spin, frames, highest_only)
     kets = frame_matrices(spin, frames)
     return kets[:, :, :1] if highest_only else kets
@@ -105,7 +108,8 @@ def forward_matrix(spin: Spin, frames: Sequence[Frame], weights=None) -> np.ndar
     the probability vector exactly.  Any number of frames is accepted (uniform
     priors by default), which the rank experiments rely on.
     """
-    frames = tuple(frames)
+    if not isinstance(frames, _CheckedFrames):
+        frames = tuple(frames)
     w = validate_weights(weights, len(frames))
     kets = frame_matrices(spin, frames)
     rows = projector_coords(np.swapaxes(kets, 1, 2))

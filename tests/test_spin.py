@@ -83,6 +83,17 @@ class TestDirection:
     def test_phi_wraps(self):
         assert Direction(0.3, 2 * math.pi + 0.1).phi == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("phi", [-1e-17, -5e-324])
+    def test_a_tiny_negative_phi_wraps_to_zero(self, phi):
+        # phi % 2 pi rounds up to exactly 2 pi here, outside [0, 2 pi)
+        n = Direction(1.0, phi)
+        assert n.phi == 0.0
+        assert n == Direction(1.0, 0.0) and hash(n) == hash(Direction(1.0, 0.0))
+
+    def test_from_cartesian_just_below_the_x_axis(self):
+        n = Direction.from_cartesian((1.0, -1e-20, 0.0))
+        assert n.phi == 0.0 and n == Direction(math.pi / 2, 0.0)
+
     def test_theta_out_of_range(self):
         with pytest.raises(DomainError):
             Direction(3.5, 0.0)

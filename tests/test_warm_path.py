@@ -109,6 +109,14 @@ def spoil(frame, kind):
 ERROR = {"scaled": InvariantError, "nan": InvariantError, "shape": DomainError}
 
 
+def assert_refused(spin, frames, error, match=None):
+    """frame_matrices and prob_vector on the raw sequence raise one error with one message."""
+    with pytest.raises(error, match=match) as refused:
+        frame_matrices(spin, frames)
+    with pytest.raises(error, match=re.escape(str(refused.value))):
+        prob_vector(spin, np.eye(spin.dim) / spin.dim, frames)
+
+
 @pytest.fixture(scope="module")
 def frames16():
     rng = np.random.default_rng(1618)
@@ -122,8 +130,7 @@ class TestFrameValidation:
         for k in range(len(frames16)):
             frames = list(frames16)
             frames[k] = spoil(frames[k], kind)
-            with pytest.raises(ERROR[kind]):
-                frame_matrices(spin, frames)
+            assert_refused(spin, frames, ERROR[kind])
             with pytest.raises(ERROR[kind]):
                 UnitaryFrameSet(spin, frames[: spin.two_j + 2])
 
@@ -137,8 +144,7 @@ class TestFrameValidation:
         frames = list(frames16)
         frames[9] = frames[9].copy()
         frames[9][4, 4] += 1e-11
-        with pytest.raises(InvariantError, match="not unitary to 1e-12"):
-            frame_matrices(Spin(16), frames)
+        assert_refused(Spin(16), frames, InvariantError, "not unitary to 1e-12")
 
     @pytest.mark.parametrize(
         "first, second",
@@ -150,8 +156,7 @@ class TestFrameValidation:
         for i, j in [(0, 17), (3, 4), (8, 12)]:
             frames = list(frames16)
             frames[i], frames[j] = spoil(frames[i], first), spoil(frames[j], second)
-            with pytest.raises(ERROR[first]):
-                frame_matrices(spin, frames)
+            assert_refused(spin, frames, ERROR[first])
 
     def test_matches_the_per_frame_loop_on_mixed_sequences(self, frames16):
         spin = Spin(16)
@@ -168,8 +173,7 @@ class TestFrameValidation:
             try:
                 expected = loop_frame_matrices(spin, frames)
             except (DomainError, InvariantError) as exc:
-                with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    frame_matrices(spin, frames)
+                assert_refused(spin, frames, type(exc), re.escape(str(exc)))
             else:
                 got = frame_matrices(spin, frames)
                 assert np.abs(got - expected).max() <= 1e-12
@@ -186,11 +190,9 @@ class TestFrameValidation:
         assert out[[1, 2, 4]].tobytes() == np.stack(arrays).tobytes()
         assert out[[0, 3, 5]].tobytes() == frame_matrices(spin, dirs).tobytes()
         frames[4] = 2.0 * arrays[2]
-        with pytest.raises(InvariantError, match="frame 4 is not unitary"):
-            frame_matrices(spin, frames)
+        assert_refused(spin, frames, InvariantError, "frame 4 is not unitary")
         frames[2] = arrays[1][:2]
-        with pytest.raises(DomainError, match=r"frame shape \(2, 3\)"):
-            frame_matrices(spin, frames)
+        assert_refused(spin, frames, DomainError, r"frame shape \(2, 3\)")
 
     def test_empty_sequence(self):
         assert frame_matrices(Spin(1), []).shape == (0, 2, 2)
