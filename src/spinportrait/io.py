@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantError
-from .linalg import PRIOR_TOL
+from .linalg import PRIOR_TOL, is_integer
 from .portraits import _check_probabilities, validate_weights
 from .region import SliceEntry, SliceSpec
 from .spin import Direction, Spin, _unitaries, validate_density_matrix
@@ -82,7 +82,7 @@ def _read_spin(raw) -> Spin:
     if not isinstance(raw, dict):
         raise DomainError("state and probability files must be JSON objects")
     two_j = raw["two_j"]
-    if isinstance(two_j, bool) or not isinstance(two_j, int):
+    if not is_integer(two_j):
         raise DomainError(f"two_j must be a JSON integer, got {two_j!r}")
     return Spin(two_j)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -25,13 +25,41 @@ TRACE_TOL = 1e-9  # unit trace of the region's assembled candidates
 EIG_TOL = 1e-8  # the most negative eigenvalue of a state: CLI invert's output and every state file
 
 
-@lru_cache(maxsize=16)
+def memo(fn):
+    """Memoize ``fn`` in an ``lru_cache`` of 16 entries whose arrays are read-only.
+
+    The one cache rule of the package: on a miss every array in the result,
+    also inside (nested) tuples and lists, is marked read-only, so entries are
+    safe to share; a hit is ``lru_cache``'s own lookup, and a raised exception
+    is not cached.  ``fn`` must return arrays it made, never a caller's.
+    """
+
+    @lru_cache(maxsize=16)
+    @wraps(fn)
+    def cached(*args, **kwargs):
+        return _frozen(fn(*args, **kwargs))
+
+    return cached
+
+
+def _frozen(value):
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _frozen(item)
+    return value
+
+
+def is_integer(value) -> bool:
+    """True for an ``int`` or numpy integer that is not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+@memo
 def _upper(dim: int):
     """Row and column indices of the strict upper triangle (read-only)."""
-    rows, cols = np.triu_indices(dim, k=1)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
+    return np.triu_indices(dim, k=1)
 
 
 def hermitian_to_vec(a: np.ndarray) -> np.ndarray:
@@ -65,7 +93,7 @@ def projector_coords(kets) -> np.ndarray:
     return np.concatenate([diag, SQRT2 * upper.real, SQRT2 * upper.imag], axis=-1)
 
 
-@lru_cache(maxsize=16)
+@memo
 def _hermitian_index(dim: int) -> np.ndarray:
     """Gather map of :func:`vec_to_hermitian` (read-only): item r * dim + c is the
     position of matrix entry (r, c) in the packed row [diagonal, upper, conj(upper)]."""
@@ -75,9 +103,7 @@ def _hermitian_index(dim: int) -> np.ndarray:
     index[range(dim), range(dim)] = np.arange(dim)
     index[rows, cols] = dim + np.arange(n_off)
     index[cols, rows] = dim + n_off + np.arange(n_off)
-    index = index.ravel()
-    index.flags.writeable = False
-    return index
+    return index.ravel()
 
 
 def vec_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
@@ -130,15 +156,12 @@ def svd_inverse(a: np.ndarray, rtol: float):
 
     Returns ``(s, inverse)`` from one SVD: ``s`` descending, and ``inverse``
     None when the columns are dependent at ``rtol`` (rank counted as in
-    :func:`numerical_rank`).  Both arrays are read-only.
+    :func:`numerical_rank`).
     """
     u, s, vt = np.linalg.svd(np.asarray(a), full_matrices=False)
-    s.flags.writeable = False
     if _rank(s, rtol) < vt.shape[1]:
         return s, None
-    inverse = (vt.conj().T / s) @ u.conj().T
-    inverse.flags.writeable = False
-    return s, inverse
+    return s, (vt.conj().T / s) @ u.conj().T
 
 
 def _rank(s: np.ndarray, rtol: float) -> int:

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OptimizationError
-from .linalg import LSQ_RTOL
+from .linalg import LSQ_RTOL, is_integer
 from .orthopoly import _harmonic_factors
 from .spin import Direction, Spin
 from .su2 import DirectionSet, _shell_dets, _spectrum
@@ -97,7 +97,7 @@ class OptimizerConfig:
         if self.objective not in OBJECTIVES:
             raise DomainError(f"objective must be one of {OBJECTIVES}")
         for name in ("restarts", "max_iters", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            if not is_integer(getattr(self, name)):
                 raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")

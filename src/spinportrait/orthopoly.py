@@ -33,14 +33,13 @@ direction set need only that set's Y_L.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .linalg import SQRT2, _upper, projector_coords, vec_to_hermitian
+from .linalg import SQRT2, _upper, memo, projector_coords, vec_to_hermitian
 from .spin import Direction, Frame, Spin, frame_matrices
 
 # Largest two_j the test suite validates; the table itself is orthonormal to
@@ -49,7 +48,7 @@ from .spin import Direction, Frame, Spin, frame_matrices
 MAX_TWO_J = 24
 
 
-@lru_cache(maxsize=16)
+@memo
 def coeff_table(spin: Spin) -> np.ndarray:
     """Orthonormal coefficient table, shape (2j+1, 2j+1), f[L][m_index] (read-only).
 
@@ -67,9 +66,7 @@ def coeff_table(spin: Spin) -> np.ndarray:
     k = np.arange(1, n)
     off = np.sqrt(k * k * (n * n - k * k) / (4.0 * (4 * k * k - 1)))
     _, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    vecs = vecs[:, ::-1] * np.sign(vecs[0, ::-1])  # descending m, f_0 > 0
-    vecs.flags.writeable = False
-    return vecs
+    return vecs[:, ::-1] * np.sign(vecs[0, ::-1])  # descending m, f_0 > 0
 
 
 def s_operator(spin: Spin, L: int, frame: Frame) -> np.ndarray:
@@ -98,7 +95,7 @@ def s_operator_coords(spin: Spin, frames: Sequence[Frame]) -> np.ndarray:
     return coeff_table(spin) @ projector_coords(np.swapaxes(frame_matrices(spin, frames), 1, 2))
 
 
-@lru_cache(maxsize=16)
+@memo
 def shell_basis(spin: Spin) -> np.ndarray:
     """Orthonormal operator basis T, shape (2j+1, d*d, 4j+1), T[L] = T_L (read-only).
 
@@ -131,7 +128,6 @@ def shell_basis(spin: Spin) -> np.ndarray:
     basis[:, range(d), 0] = t[:, :d]
     basis[:, upper, 2 * offset[d:] - 1] = t[:, d:]
     basis[:, upper + rows.size, 2 * offset[d:]] = -t[:, d:]
-    basis.flags.writeable = False
     return basis
 
 
@@ -193,7 +189,7 @@ def _pbar(cos_theta: np.ndarray, sin_theta: np.ndarray, two_j: int) -> np.ndarra
     return pbar
 
 
-@lru_cache(maxsize=32)
+@memo
 def _pbar_weights(two_j: int):
     """The weights of :func:`_pbar` and :func:`_harmonic_factors`, built once per spin, read-only.
 
@@ -211,10 +207,7 @@ def _pbar_weights(two_j: int):
     ell, m = np.arange(two_j + 1)[:, None], np.arange(two_j + 1)
     up = np.where(m > 0, 0.5, 1.0) * np.sqrt(np.maximum((ell - m) * (ell + m + 1), 0))
     down = 0.5 * np.sqrt(np.maximum((ell + m) * (ell - m + 1), 0))
-    out = (recurrence, up[:, :-1, None], down[:, 1:, None], m[:, None])
-    for a in [*(w for row in recurrence for w in row[:2]), *out[1:]]:
-        a.flags.writeable = False
-    return out
+    return recurrence, up[:, :-1, None], down[:, 1:, None], m[:, None]
 
 
 def legendre_series(L_max: int, x, m: int = 0):

@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .linalg import TRACE_TOL
+from .linalg import TRACE_TOL, is_integer
 from .portraits import ProbVector
 from .spin import Spin
 from .su2 import DirectionSet, dual_vectors, quantizer_stack
@@ -52,6 +52,21 @@ class RegionVerdict:
     margin: float
 
 
+def _checked_rows(points, n: int) -> np.ndarray:
+    """``points`` as a C-contiguous float array of rows of n layout-ordered coordinates.
+
+    Any other shape, or a non-finite coordinate, raises DomainError.
+    """
+    points = np.ascontiguousarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != n:
+        raise DomainError(
+            f"expected rows of n_dirs*dim = {n} coordinates, got shape {points.shape}"
+        )
+    if not np.isfinite(points).all():
+        raise DomainError("simplex points must have finite coordinates")
+    return points
+
+
 def _candidates(points: np.ndarray, ds: DirectionSet) -> np.ndarray:
     """Candidate operators sum_I p_I Q_I of a batch of rows, shape (m, d, d).
 
@@ -61,15 +76,9 @@ def _candidates(points: np.ndarray, ds: DirectionSet) -> np.ndarray:
     vector-matrix product: a row's candidate does not depend on the batch it
     arrives in, so the scalar and batched verdicts agree bit for bit.
     """
-    points = np.ascontiguousarray(points, dtype=float)
     stack = quantizer_stack(ds)
     n, d, _ = stack.shape
-    if points.ndim != 2 or points.shape[1] != n:
-        raise DomainError(
-            f"expected rows of n_dirs*dim = {n} coordinates, got shape {points.shape}"
-        )
-    if not np.isfinite(points).all():
-        raise DomainError("simplex points must have finite coordinates")
+    points = _checked_rows(points, n)
     pairs = stack.reshape(n, d * d).view(float)
     return np.matmul(points[:, None, :], pairs).view(complex).reshape(-1, d, d)
 
@@ -103,7 +112,7 @@ def _values(p) -> np.ndarray:
 
 def candidate_operator(p, ds: DirectionSet) -> np.ndarray:
     """Hermitian candidate assembled from any layout-ordered simplex point."""
-    return _candidates(_values(p)[None, :], ds)[0]
+    return _candidates(_values(p)[None], ds)[0]
 
 
 def is_quantum(p, ds: DirectionSet, tol: float = DEFAULT_TOL) -> RegionVerdict:
@@ -114,7 +123,7 @@ def is_quantum(p, ds: DirectionSet, tol: float = DEFAULT_TOL) -> RegionVerdict:
     the verdict :func:`classify_points` gives the same point, before the
     simplex test; a non-finite coordinate raises DomainError.
     """
-    flags, min_eigs = _verdicts(_values(p)[None, :], ds, tol)
+    flags, min_eigs = _verdicts(_values(p)[None], ds, tol)
     min_eig = float(min_eigs[0])
     return RegionVerdict(
         is_quantum=bool(flags[0]),
@@ -123,9 +132,11 @@ def is_quantum(p, ds: DirectionSet, tol: float = DEFAULT_TOL) -> RegionVerdict:
     )
 
 
-def _require_qubit_triad(ds: DirectionSet):
+def _qubit_point(p, ds: DirectionSet) -> np.ndarray:
+    """The 6 finite entries of a spin-1/2 point; DomainError for any other spin or point."""
     if ds.spin.two_j != 1:
         raise DomainError("this criterion is specific to spin 1/2")
+    return _checked_rows(_values(p)[None], 6)[0]
 
 
 def qubit_ball_statistic(p, ds: DirectionSet) -> float:
@@ -134,7 +145,7 @@ def qubit_ball_statistic(p, ds: DirectionSet) -> float:
     Only valid for an orthonormal triad, where q = (|r|/12)^2 with r the
     state's orientation vector, so quantum points satisfy q <= 1/144.
     """
-    _require_qubit_triad(ds)
+    values = _qubit_point(p, ds)
     vectors = ds.unit_vectors()
     gram_defect = np.abs(vectors @ vectors.T - np.eye(3)).max()
     if gram_defect > 1e-10:
@@ -142,7 +153,6 @@ def qubit_ball_statistic(p, ds: DirectionSet) -> float:
             f"triad is not orthonormal (Gram defect {gram_defect:.2e}); "
             "the ball criterion does not apply"
         )
-    values = _values(p)
     plus = values[0::2]
     return float(np.sum(((plus - 1.0 / 6.0) / 2.0) ** 2))
 
@@ -161,10 +171,7 @@ def qubit_region_inequalities(p, ds: DirectionSet) -> np.ndarray:
     nonnegative is equivalent to the eigenvalue verdict for points with unit
     candidate trace.
     """
-    _require_qubit_triad(ds)
-    values = _values(p)
-    if values.shape != (6,):
-        raise DomainError(f"expected 6 entries, got shape {values.shape}")
+    values = _qubit_point(p, ds)
     duals = dual_vectors(ds)
     block_sum = values[0] + values[1]
     deltas = values[0::2] - values[1::2]
@@ -268,6 +275,8 @@ def sample_region(
     row-major grid order over the free coordinates.  Points leaving the
     simplex (any negative coordinate) are classified as not quantum.
     """
+    if not is_integer(resolution):
+        raise ConfigError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 2:
         raise ConfigError("resolution must be at least 2")
     free_idx = _slice_layout(spin, ds, spec)

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, FeasibilityError
-from .linalg import AW_RTOL, projector_coords, svd_inverse, vec_to_hermitian
+from .linalg import AW_RTOL, memo, projector_coords, svd_inverse, vec_to_hermitian
 from .orthopoly import s_operator_coords
 from .spin import Direction, Directions, Spin, _CheckedFrames, frame_matrices
 from .su2 import DirectionSet, _block_inverses, reconstruct
@@ -173,7 +172,7 @@ def aw_forward(spin: Spin, rho: np.ndarray, dirs: Sequence[Direction]) -> np.nda
     return tomogram_columns(spin, rho, Directions(dirs), highest_only=True)[:, 0]
 
 
-@lru_cache(maxsize=16)
+@memo
 def _aw_solver(spin: Spin, dirs: tuple):
     """Singular values and inverse (rule AW_RTOL) of the grid matrix, one SVD."""
     return svd_inverse(aw_m_matrix(spin, dirs), AW_RTOL)

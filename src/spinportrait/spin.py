@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, InvariantError
-from .linalg import EIG_TOL, INPUT_TOL
+from .linalg import EIG_TOL, INPUT_TOL, is_integer, memo
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,7 +36,7 @@ class Spin:
     two_j: int
 
     def __post_init__(self):
-        if not isinstance(self.two_j, (int, np.integer)):
+        if not is_integer(self.two_j):
             raise DomainError(f"two_j must be an integer, got {self.two_j!r}")
         if self.two_j < 0:
             raise DomainError(f"two_j must be nonnegative, got {self.two_j}")
@@ -176,14 +175,11 @@ def angular_momentum(spin: Spin):
     return jx, jy, jz
 
 
-@lru_cache(maxsize=16)
+@memo
 def _jy_eigen(two_j: int):
     """Eigenvalues and eigenvectors of Jy for one spin (read-only arrays)."""
     _, jy, _ = angular_momentum(Spin(two_j))
-    vals, vecs = np.linalg.eigh(jy)
-    vals.flags.writeable = False
-    vecs.flags.writeable = False
-    return vals, vecs
+    return np.linalg.eigh(jy)
 
 
 def rotations(spin: Spin, thetas, phis) -> np.ndarray:
@@ -273,7 +269,7 @@ def basis_ket(spin: Spin, two_m: int) -> np.ndarray:
     return ket
 
 
-def validate_density_matrix(spin: Spin, rho, trace_tol=INPUT_TOL, eig_tol=EIG_TOL):
+def validate_density_matrix(spin: Spin, rho):
     """Check Hermiticity, unit trace, and positive semidefiniteness.
 
     Raises InvariantError on violation; returns the matrix as a complex array.
@@ -285,11 +281,11 @@ def validate_density_matrix(spin: Spin, rho, trace_tol=INPUT_TOL, eig_tol=EIG_TO
     if not np.abs(rho - rho.conj().T).max() <= INPUT_TOL:
         raise InvariantError(f"density matrix is not Hermitian to {INPUT_TOL:g}")
     trace = np.trace(rho)
-    if not (abs(trace.real - 1.0) <= trace_tol and abs(trace.imag) <= trace_tol):
+    if not (abs(trace.real - 1.0) <= INPUT_TOL and abs(trace.imag) <= INPUT_TOL):
         raise InvariantError(f"density matrix trace {trace} != 1")
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
-    if not min_eig >= -eig_tol:
-        raise InvariantError(f"density matrix has eigenvalue {min_eig} < -{eig_tol}")
+    if not min_eig >= -EIG_TOL:
+        raise InvariantError(f"density matrix has eigenvalue {min_eig} < -{EIG_TOL}")
     return rho
 
 

@@ -36,7 +36,6 @@ objectives read the least-squares singular values (:func:`_spectrum`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from typing import Sequence
 
@@ -48,6 +47,7 @@ from .linalg import (
     LSQ_RTOL,
     PRIOR_TOL,
     _rank,
+    memo,
     svd_inverse,
     vec_to_hermitian,
 )
@@ -266,7 +266,7 @@ def quantizer(spin: Spin, k: int, two_m: int, ds: DirectionSet) -> np.ndarray:
     return quantizer_stack(ds)[_layout_index(ds.spin, ds.n_dirs, k, two_m)]
 
 
-@lru_cache(maxsize=16)
+@memo
 def quantizer_stack(ds: DirectionSet) -> np.ndarray:
     """All quantizers in probability-vector layout, shape (N_u * d, d, d).
 
@@ -277,9 +277,7 @@ def quantizer_stack(ds: DirectionSet) -> np.ndarray:
     result is memoized per direction set (read-only array, safe to share).
     """
     inverses = np.stack(list(_block_inverses(ds.unit_vectors())))
-    out = vec_to_hermitian(_shell_product(ds.spin, inverses).T, ds.spin.dim)
-    out.flags.writeable = False
-    return out
+    return vec_to_hermitian(_shell_product(ds.spin, inverses).T, ds.spin.dim)
 
 
 def reconstruct(p: ProbVector, frame_set) -> np.ndarray:
@@ -320,7 +318,7 @@ def least_squares(frame_set):
     return s, inverse
 
 
-@lru_cache(maxsize=16)
+@memo
 def _solver(frame_set):
     """(s, inverse) of :func:`least_squares`, inverse None below full rank.
 
@@ -331,12 +329,9 @@ def _solver(frame_set):
     if not isinstance(frame_set, DirectionSet):
         return svd_inverse(forward_matrix(frame_set.spin, frame_set.frames), LSQ_RTOL)
     s, u, sv, vh = _spectrum(frame_set.unit_vectors(), compute_uv=True)
-    s.flags.writeable = False
     if _rank(s, LSQ_RTOL) < s.size:
         return s, None
-    inverse = _shell_product(frame_set.spin, np.swapaxes(vh / sv[:, :, None], 1, 2) @ np.swapaxes(u, 1, 2))
-    inverse.flags.writeable = False
-    return s, inverse
+    return s, _shell_product(frame_set.spin, np.swapaxes(vh / sv[:, :, None], 1, 2) @ np.swapaxes(u, 1, 2))
 
 
 def apply_quantizer(values: np.ndarray, ds: DirectionSet) -> np.ndarray:

@@ -35,13 +35,12 @@ two_j=16, where rotating every node into a (d, N d) ket matrix took 3.9 and
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .linalg import projector_coords, validate_weights
+from .linalg import is_integer, memo, projector_coords, validate_weights
 from .orthopoly import coeff_table
 from .spin import Direction, Directions, Frame, Spin, _CheckedFrames, frame_matrices, frame_matrix, rotations
 
@@ -91,13 +90,10 @@ def measured_kets(
     return kets[:, :, :1] if highest_only else kets
 
 
-@lru_cache(maxsize=16)
+@memo
 def _direction_kets(spin: Spin, dirs: tuple, highest_only: bool) -> np.ndarray:
     kets = frame_matrices(spin, dirs)
-    if highest_only:
-        kets = np.ascontiguousarray(kets[:, :, :1])
-    kets.flags.writeable = False
-    return kets
+    return np.ascontiguousarray(kets[:, :, :1]) if highest_only else kets
 
 
 def forward_matrix(spin: Spin, frames: Sequence[Frame], weights=None) -> np.ndarray:
@@ -165,7 +161,7 @@ def _node_count(name: str, n, minimum: int) -> int:
     """A node count checked against its exactness threshold; twice that by default."""
     if n is None:
         return 2 * minimum
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    if not is_integer(n):
         raise ConfigError(f"{name} must be an integer, got {n!r}")
     if n < minimum:
         raise ConfigError(f"{name}={n} below exactness threshold {minimum}")
@@ -182,7 +178,7 @@ def _polar_nodes(n_theta: int):
     return np.arccos(nodes), weights
 
 
-@lru_cache(maxsize=32)
+@memo
 def _quadrature(n_theta: int, n_phi: int):
     thetas, gl_weights = _polar_nodes(n_theta)
     phis = _azimuths(n_phi)
@@ -190,12 +186,10 @@ def _quadrature(n_theta: int, n_phi: int):
         Direction(float(theta), float(phi))
         for theta, phi in zip(np.repeat(thetas, n_phi), np.tile(phis, n_theta))
     )
-    weights = np.repeat(gl_weights / (2.0 * n_phi), n_phi)
-    weights.flags.writeable = False
-    return dirs, weights
+    return dirs, np.repeat(gl_weights / (2.0 * n_phi), n_phi)
 
 
-@lru_cache(maxsize=16)
+@memo
 def _polar_products(spin: Spin, n_theta: int) -> np.ndarray:
     """G[(t, k), (a, b)] = d_ak(theta_t) d_bk(theta_t), shape (n_theta d, d^2), read-only.
 
@@ -204,9 +198,7 @@ def _polar_products(spin: Spin, n_theta: int) -> np.ndarray:
     """
     thetas, _ = _polar_nodes(n_theta)
     polar = rotations(spin, thetas, np.zeros(n_theta)).real
-    g = np.einsum("tak,tbk->tkab", polar, polar, order="C").reshape(n_theta * spin.dim, -1)
-    g.flags.writeable = False
-    return g
+    return np.einsum("tak,tbk->tkab", polar, polar, order="C").reshape(n_theta * spin.dim, -1)
 
 
 def reconstruct_from_sphere(

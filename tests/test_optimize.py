@@ -159,6 +159,12 @@ class TestOptimize:
             with pytest.raises(DomainError):
                 OptimizerConfig(**bad)
 
+    @pytest.mark.parametrize("name", ["restarts", "max_iters", "seed"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_budgets_are_refused(self, name, flag):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            OptimizerConfig(**{name: flag})
+
     def test_numpy_integer_budgets_are_taken(self):
         config = OptimizerConfig(restarts=np.int64(1), max_iters=np.int64(5), seed=np.int64(2))
         assert optimize(Spin(1), config)[1] == optimize(Spin(1), OptimizerConfig(restarts=1, max_iters=5, seed=2))[1]

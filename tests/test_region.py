@@ -232,6 +232,25 @@ class TestQubitInequalities:
         assert checked > 9_000
 
 
+class TestQubitPointCheck:
+    """The closed forms take the one point check the eigenvalue verdict takes."""
+
+    @pytest.mark.parametrize(
+        "point, match",
+        [
+            (np.full(4, 0.25), r"n_dirs\*dim = 6"),
+            (np.full(7, 1.0 / 7.0), r"n_dirs\*dim = 6"),
+            (np.full(6, math.nan), "finite"),
+            (np.r_[np.full(5, 1.0 / 6.0), math.inf], "finite"),
+            (np.r_[-math.inf, np.full(5, 1.0 / 6.0)], "finite"),
+        ],
+    )
+    def test_bad_point_raises_everywhere(self, orthogonal_triad, point, match):
+        for verdict in (qubit_ball_statistic, qubit_ball_test, qubit_region_inequalities, is_quantum):
+            with pytest.raises(DomainError, match=match):
+                verdict(point, orthogonal_triad)
+
+
 class TestSampleRegion:
     def test_qubit_ball_grid_agreement(self, orthogonal_triad):
         spin = Spin(1)
@@ -303,6 +322,15 @@ class TestSampleRegion:
         ]
         with pytest.raises(ConfigError):
             sample_region(Spin(1), orthogonal_triad, SliceSpec(entries), 5)
+
+    @pytest.mark.parametrize("resolution", [2.5, 5.0, True, "5"])
+    def test_non_integer_resolution_rejected(self, orthogonal_triad, resolution):
+        with pytest.raises(ConfigError, match="resolution must be an integer"):
+            sample_region(Spin(1), orthogonal_triad, qubit_cube_slice(), resolution)
+
+    def test_numpy_integer_resolution_is_taken(self, orthogonal_triad):
+        rows = sample_region(Spin(1), orthogonal_triad, qubit_cube_slice(), np.int64(3))
+        assert np.array_equal(rows, sample_region(Spin(1), orthogonal_triad, qubit_cube_slice(), 3))
 
     def test_wrong_entry_count_rejected(self, orthogonal_triad):
         with pytest.raises(ConfigError):

@@ -49,6 +49,11 @@ class TestSpin:
         with pytest.raises(DomainError):
             Spin(-1)
 
+    @pytest.mark.parametrize("two_j", [True, False, 1.0, "1"])
+    def test_non_integer_two_j_rejected(self, two_j):
+        with pytest.raises(DomainError, match="two_j must be an integer"):
+            Spin(two_j)
+
 
 class TestAngularMomentum:
     def test_jz_spin_half(self):
