@@ -14,7 +14,14 @@ The three closed-form residuals for an arbitrary feasible triad are the
 leading minors rho_11, det(rho), rho_22 of the candidate, which together are
 equivalent to positive semidefiniteness for 2x2 Hermitian matrices.
 Every verdict takes a qubit candidate [[a, b], [conj(b), c]]'s smallest
-eigenvalue from the closed form (a + c)/2 - hypot((a - c)/2, |b|).
+eigenvalue from the closed form (a + c)/2 - hypot((a - c)/2, |b|).  Larger
+candidates go through one numpy kernel that runs across the batch: a
+Householder reduction to real tridiagonal form, then Laguerre's iteration,
+which rises monotonically to the smallest root of a polynomial whose roots
+are all real, from the Gershgorin lower bound (Parlett, The Symmetric
+Eigenvalue Problem, SIAM 1998).  Every operation of the kernel acts on each
+candidate alone, in chunks of a fixed size, so a point's smallest eigenvalue
+is bitwise the same alone or in any batch.
 """
 
 from __future__ import annotations
@@ -25,12 +32,23 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .linalg import TRACE_TOL, is_integer
+from .linalg import TRACE_TOL, _upper, is_integer, memo
 from .portraits import ProbVector
 from .spin import Spin
 from .su2 import DirectionSet, dual_vectors, quantizer_stack
 
 DEFAULT_TOL = 1e-10
+
+
+def _checked_tol(tol) -> float:
+    """``tol`` itself; ConfigError unless it is finite and nonnegative.
+
+    A NaN would fail every comparison and an infinite tolerance pass every
+    point, off the simplex included.
+    """
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"tol must be finite and nonnegative, got {tol!r}")
+    return tol
 
 
 def trace_ok(trace, tol: float):
@@ -67,42 +85,231 @@ def _checked_rows(points, n: int) -> np.ndarray:
     return points
 
 
-def _candidates(points: np.ndarray, ds: DirectionSet) -> np.ndarray:
-    """Candidate operators sum_I p_I Q_I of a batch of rows, shape (m, d, d).
+@memo
+def _candidate_product(ds: DirectionSet):
+    """The real matrix and gather map that make candidates from rows of points.
 
-    The points are real and the quantizers exactly Hermitian, so every
-    candidate comes from a real product against the quantizers viewed as
-    (re, im) pairs, and is exactly Hermitian.  Each row is its own
-    vector-matrix product: a row's candidate does not depend on the batch it
-    arrives in, so the scalar and batched verdicts agree bit for bit.
+    A quantizer is fixed by d^2 real numbers, its diagonal and the real and
+    imaginary parts of its upper triangle; the matrix holds those, the
+    negated imaginary parts and a zero per quantizer, so that a row's product
+    with it holds every real number of the candidate, and the map gathers
+    them into the (re/im, d, d) planes of an exactly Hermitian matrix.
+    Memoized per direction set, as its quantizer stack is; a refused set
+    raises the stack's FeasibilityError on every call.
     """
     stack = quantizer_stack(ds)
-    n, d, _ = stack.shape
-    points = _checked_rows(points, n)
-    pairs = stack.reshape(n, d * d).view(float)
-    return np.matmul(points[:, None, :], pairs).view(complex).reshape(-1, d, d)
+    d = ds.spin.dim
+    rows, cols = _upper(d)
+    k = rows.size
+    upper = stack[:, rows, cols]
+    product = np.concatenate(
+        [stack[:, range(d), range(d)].real, upper.real, upper.imag, -upper.imag, np.zeros((len(stack), 1))],
+        axis=1,
+    )
+    index = np.empty((2, d, d), dtype=np.intp)
+    index[0, range(d), range(d)] = np.arange(d)
+    index[0, rows, cols] = index[0, cols, rows] = d + np.arange(k)
+    index[1, rows, cols] = d + k + np.arange(k)
+    index[1, cols, rows] = d + 2 * k + np.arange(k)
+    index[1, range(d), range(d)] = d + 3 * k
+    return product, index
 
 
-def _min_eigenvalues(candidates: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each Hermitian matrix in a (m, d, d) stack.
+def _candidate_planes(points: np.ndarray, product, index) -> np.ndarray:
+    """Candidates sum_I p_I Q_I of checked rows as (re/im, d, d, m) planes.
+
+    Each row is its own vector-matrix product: a row's candidate does not
+    depend on the batch it arrives in, so the scalar and batched verdicts
+    agree bit for bit.
+    """
+    values = np.matmul(points[:, None, :], product)[:, 0].T.copy()
+    return np.take(values, index, axis=0)
+
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+_CHUNK = 3 << 12  # rows times dimension per chunk of candidates
+# Laguerre converges linearly to a root of multiplicity m < d, by a factor
+# 1 - d / (m + sqrt(m (d-1) (d-m))) per step: at worst 2/3 (d = 25, m = 15),
+# about 91 steps from the Gershgorin bound down to eps
+_MAX_LAGUERRE_STEPS = 128
+_CONJUGATE = np.array([1.0, -1.0])[:, None, None]
+
+
+def _fixed_sum(a: np.ndarray) -> np.ndarray:
+    """Sum along the first axis in a fixed pairwise order, by elementwise adds only."""
+    while len(a) > 1:
+        half = len(a) // 2
+        total = a[:half] + a[half : 2 * half]
+        if len(a) % 2:
+            total[0] += a[-1]
+        a = total
+    return a[0]
+
+
+def _tridiagonal(h: np.ndarray):
+    """Diagonal (d, m) and squared off-diagonal (d-1, m) of a Householder
+    tridiagonalization of each Hermitian matrix in (re/im, d, d, m) planes.
+
+    The work runs on a copy of the planes, and every step is a real
+    elementwise operation across the batch or a :func:`_fixed_sum`, so a
+    row's bits do not depend on its batch (numpy's complex products and its
+    reductions may round differently with an element's position).  Step k
+    reflects column k below the diagonal onto its first entry; only that
+    entry's modulus is kept, which is all the spectrum needs.  A column whose
+    entries past the first square to less than the smallest normal number is
+    taken as already reduced.
+    """
+    h = np.array(h, order="C")
+    _, d, _, m = h.shape
+    off2 = np.empty((d - 1, m))
+    for k in range(d - 2):
+        x = h[:, k + 1 :, k]
+        sq = _fixed_sum(x * x)
+        tail2 = _fixed_sum(sq[1:])
+        norm2 = np.add(sq[0], tail2, out=off2[k])
+        # H = I - tau v v^dagger with v = x + phase(x_0) |x| e_0, so that
+        # |v|^2 = 2 |x| (|x| + |x_0|) and tau = 2 / |v|^2
+        head = np.sqrt(sq[0])
+        norm = np.sqrt(norm2)
+        nonzero = head > 0.0
+        v = x.copy()
+        v[:, 0] += x[:, 0] * (norm / np.where(nonzero, head, 1.0))
+        v[0, 0] += np.where(nonzero, 0.0, norm)
+        tau = (tail2 >= _TINY) / np.maximum(norm * (norm + head), _TINY)
+        # p = tau B v with B = B_0 + i B_1, from the running sums
+        # s[c, e] = sum_j B_c[j, :] v_e[j] = (B_c^T v_e), where B_1^T = -B_1
+        b = h[:, k + 1 :, k + 1 :]
+        s = b[:, None, 0] * v[None, :, 0:1]
+        for j in range(1, len(v[0])):
+            s += b[:, None, j] * v[None, :, j : j + 1]
+        p = (s[0] + _CONJUGATE * s[1, ::-1]) * tau
+        # w = p - (tau/2)(v^dagger p) v; B -= v w^dagger + w v^dagger, whose real
+        # part is C + C^T and imaginary part D - D^T, C_ij + i D_ij = v_i conj(w_j);
+        # B stays exactly Hermitian
+        w = p - 0.5 * tau * _fixed_sum((v * p).reshape(-1, m)) * v
+        c = v[0][:, None] * w[0] + v[1][:, None] * w[1]
+        b[0] -= c + c.transpose(1, 0, 2)
+        c = v[1][:, None] * w[0] - v[0][:, None] * w[1]
+        b[1] -= c - c.transpose(1, 0, 2)
+    off2[d - 2] = _fixed_sum(h[:, d - 1, d - 2] ** 2)
+    return h[0, range(d), range(d)], off2
+
+
+def _smallest_tridiagonal(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each real symmetric tridiagonal matrix, given by
+    columns of its diagonal (d, m) and squared off-diagonal (d-1, m).
+
+    Laguerre's iteration on det(T - x I), whose roots are all real, rises
+    monotonically to the smallest root from below; it starts at the
+    Gershgorin lower bound.  The determinant is the product of the LDL^T
+    pivots q_i = a_i - x - e_{i-1}^2 / q_{i-1}, which are all positive
+    exactly below the smallest root; the logarithmic derivatives G and H come
+    from the pivots' first two derivatives.  Each row is scaled by the power
+    of two at or above its Gershgorin magnitude bound, which is exact, and is
+    frozen once a pivot is not positive (it keeps the point where that
+    happened) or once its step falls to eps of that scale (it keeps the
+    stepped point).  A row still moving after the step cap raises
+    RuntimeError rather than return an unconverged value.
+    """
+    d, m = diag.shape
+    off = np.sqrt(off2)
+    radius = np.zeros((d, m))
+    radius[:-1] = off
+    radius[1:] += off
+    scale = np.ldexp(1.0, np.frexp((np.abs(diag) + radius).max(axis=0))[1])
+    a = diag / scale
+    e2 = off2 / (scale * scale)
+    x = (a - radius / scale).min(axis=0)
+    out = np.empty(m)
+    rows = np.arange(m)
+    for _ in range(_MAX_LAGUERRE_STEPS):
+        # r = q'/q and s = q''/q of each pivot; G = sum r, H = sum (r^2 - s).
+        # A pivot that is not positive becomes NaN, which quietly carries
+        # through to the step, so the row stops where that happened.
+        shifted = a - x
+        q = np.where(shifted[0] > 0.0, shifted[0], np.nan)
+        r = -1.0 / q
+        rr = r * r
+        s = 0.0
+        g, h2 = r, rr
+        for i in range(1, d):
+            t = e2[i - 1] / q
+            q = shifted[i] - t
+            q = np.where(q > 0.0, q, np.nan)
+            s = t * (s - 2.0 * rr) / q
+            r = (t * r - 1.0) / q
+            rr = r * r
+            g = g + r
+            h2 = h2 + (rr - s)
+        step = -d / (g - np.sqrt(np.maximum((d - 1) * (d * h2 - g * g), 0.0)))
+        stepped = x + step
+        done = ~(step > _EPS)
+        if done.any():
+            out[rows[done]] = np.where(np.isnan(step), x, stepped)[done]
+            keep = ~done
+            rows = rows[keep]
+            if rows.size == 0:
+                return out * scale
+            stepped = stepped[keep]
+            a = a[:, keep]
+            e2 = e2[:, keep]
+        x = stepped
+    raise RuntimeError(
+        f"smallest eigenvalue of {rows.size} candidates did not converge "
+        f"in {_MAX_LAGUERRE_STEPS} Laguerre steps"
+    )
+
+
+def _planar_min_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix given as (re/im, d, d, m) planes.
 
     A 2x2 [[a, b], [conj(b), c]] takes the closed form
     (a + c)/2 - hypot((a - c)/2, |b|), within 4 eps max(|a|, |c|, |b|) of the
-    exact value.  Larger candidates go to LAPACK: the trigonometric 3x3 form
-    loses about sqrt(eps) when the two smallest eigenvalues coincide.
+    exact value (the trigonometric 3x3 form, by contrast, loses about
+    sqrt(eps) when the two smallest eigenvalues coincide).  Larger matrices
+    are reduced to real tridiagonal form by Householder reflections and take
+    their smallest eigenvalue from Laguerre's iteration.  Every step acts on
+    each matrix alone, so its value is bitwise the same in any batch.
     """
-    if candidates.shape[-1] == 2:
-        a = candidates[:, 0, 0].real
-        c = candidates[:, 1, 1].real
-        return (a + c) / 2.0 - np.hypot((a - c) / 2.0, np.abs(candidates[:, 0, 1]))
-    return np.linalg.eigvalsh(candidates)[:, 0]
+    if h.shape[1] == 2:
+        a, c = h[0, 0, 0], h[0, 1, 1]
+        return (a + c) / 2.0 - np.hypot((a - c) / 2.0, np.abs(h[0, 0, 1] + 1j * h[1, 0, 1]))
+    return _smallest_tridiagonal(*_tridiagonal(h))
+
+
+def _min_eigenvalues(candidates: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each exactly Hermitian matrix in a (m, d, d) stack.
+
+    The stack goes through :func:`_planar_min_eigenvalues` in chunks of
+    ``_CHUNK // d`` matrices.
+    """
+    m, d, _ = candidates.shape
+    planes = np.ascontiguousarray(candidates).view(float).reshape(m, d, d, 2).transpose(3, 1, 2, 0)
+    chunk = _CHUNK // d
+    out = np.empty(m)
+    for i in range(0, m, chunk):
+        out[i : i + chunk] = _planar_min_eigenvalues(planes[..., i : i + chunk])
+    return out
 
 
 def _verdicts(points: np.ndarray, ds: DirectionSet, tol: float):
-    """Trace-and-spectrum flags and smallest eigenvalues of a batch of rows."""
-    candidates = _candidates(points, ds)
-    min_eigs = _min_eigenvalues(candidates)
-    traces = sum(candidates[:, i, i].real for i in range(candidates.shape[-1]))
+    """Trace-and-spectrum flags and smallest eigenvalues of a batch of rows.
+
+    The rows go through in the kernel's chunks, so only one chunk's
+    candidates are held at a time.
+    """
+    tol = _checked_tol(tol)
+    d = ds.spin.dim
+    points = _checked_rows(points, ds.n_dirs * d)
+    product, index = _candidate_product(ds)
+    min_eigs = np.empty(len(points))
+    traces = np.empty(len(points))
+    chunk = _CHUNK // d
+    for i in range(0, len(points), chunk):
+        h = _candidate_planes(points[i : i + chunk], product, index)
+        min_eigs[i : i + chunk] = _planar_min_eigenvalues(h)
+        traces[i : i + chunk] = sum(h[0, j, j] for j in range(d))
     return trace_ok(traces, tol) & (min_eigs >= -tol), min_eigs
 
 
@@ -112,7 +319,9 @@ def _values(p) -> np.ndarray:
 
 def candidate_operator(p, ds: DirectionSet) -> np.ndarray:
     """Hermitian candidate assembled from any layout-ordered simplex point."""
-    return _candidates(_values(p)[None], ds)[0]
+    points = _checked_rows(_values(p)[None], ds.n_dirs * ds.spin.dim)
+    h = _candidate_planes(points, *_candidate_product(ds))[..., 0]
+    return h[0] + 1j * h[1]
 
 
 def is_quantum(p, ds: DirectionSet, tol: float = DEFAULT_TOL) -> RegionVerdict:
@@ -121,7 +330,8 @@ def is_quantum(p, ds: DirectionSet, tol: float = DEFAULT_TOL) -> RegionVerdict:
     The verdict is quantum iff the smallest eigenvalue is >= -tol and the
     candidate has unit trace (within a matching tolerance).  It is bitwise
     the verdict :func:`classify_points` gives the same point, before the
-    simplex test; a non-finite coordinate raises DomainError.
+    simplex test; a non-finite coordinate raises DomainError, and a NaN,
+    infinite or negative ``tol`` ConfigError.
     """
     flags, min_eigs = _verdicts(_values(p)[None], ds, tol)
     min_eig = float(min_eigs[0])
@@ -159,7 +369,7 @@ def qubit_ball_statistic(p, ds: DirectionSet) -> float:
 
 def qubit_ball_test(p, ds: DirectionSet, tol: float = DEFAULT_TOL) -> bool:
     """Ball membership q <= 1/144 + tol for an orthonormal triad."""
-    return qubit_ball_statistic(p, ds) <= 1.0 / 144.0 + tol
+    return qubit_ball_statistic(p, ds) <= 1.0 / 144.0 + _checked_tol(tol)
 
 
 def qubit_region_inequalities(p, ds: DirectionSet) -> np.ndarray:
@@ -273,7 +483,8 @@ def sample_region(
 
     Returns rows [coord_1, ..., coord_f, is_quantum, min_eigenvalue] in
     row-major grid order over the free coordinates.  Points leaving the
-    simplex (any negative coordinate) are classified as not quantum.
+    simplex (any negative coordinate) are classified as not quantum.  A NaN,
+    infinite or negative ``tol`` raises ConfigError.
     """
     if not is_integer(resolution):
         raise ConfigError(f"resolution must be an integer, got {resolution!r}")
@@ -297,7 +508,8 @@ def classify_points(points: np.ndarray, ds: DirectionSet, tol: float = DEFAULT_T
     Returns (is_quantum bool array, min eigenvalue array); points leaving the
     simplex or breaking the candidate trace are never quantum, and on every
     row the rest of the verdict and the eigenvalue are bitwise those of the
-    scalar :func:`is_quantum`.  A non-finite coordinate raises DomainError.
+    scalar :func:`is_quantum`.  A non-finite coordinate raises DomainError,
+    and a NaN, infinite or negative ``tol`` ConfigError.
     """
     points = np.asarray(points, dtype=float)
     flags, min_eigs = _verdicts(points, ds, tol)

@@ -147,15 +147,18 @@ def default_aw_grid(spin: Spin, delta: float | None = None) -> AWGrid:
     return AWGrid(spin, thetas, 1.0 / d if delta is None else delta)
 
 
-def aw_directions(grid: AWGrid) -> list:
-    """The (2j+1)^2 grid directions, cone-major (q outer, r inner)."""
+def aw_directions(grid: AWGrid) -> Directions:
+    """The (2j+1)^2 grid directions, cone-major (q outer, r inner).
+
+    They come as a checked :class:`spin.Directions` tuple, which the aw maps
+    take as it is, without checking and hashing the directions again.
+    """
     d = grid.spin.dim
-    out = []
-    for q, theta in enumerate(grid.thetas):
-        for r in range(d):
-            phi = 2.0 * math.pi * (r + q * grid.delta) / d
-            out.append(Direction(theta, phi))
-    return out
+    return Directions(
+        Direction(theta, 2.0 * math.pi * (r + q * grid.delta) / d)
+        for q, theta in enumerate(grid.thetas)
+        for r in range(d)
+    )
 
 
 def aw_m_matrix(spin: Spin, dirs: Sequence[Direction]) -> np.ndarray:

@@ -173,7 +173,7 @@ def test_a_direction_set_and_an_equal_list_share_one_kets_entry():
 def test_aw_and_shell_helpers_refuse_entries_that_are_not_directions():
     spin = Spin(1)
     rho = random_density_matrix(spin, np.random.default_rng(10))
-    good = aw_directions(default_aw_grid(spin))
+    good = list(aw_directions(default_aw_grid(spin)))
     message = "directions must be Direction instances"
     for dirs in ([np.eye(2)] * 4, good[:3] + [np.eye(2)], good[:3] + [(1.0, 0.5)]):
         for call in (

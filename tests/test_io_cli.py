@@ -66,7 +66,7 @@ class TestFileRoundTrips:
         path = tmp_path / "dirs.json"
         fileio.save_directions(str(path), dirs)
         loaded = fileio.load_directions(str(path))
-        assert loaded == dirs
+        assert loaded == list(dirs)
 
     def test_prob_file_lossless(self, tmp_path):
         spin = Spin(1)
@@ -423,6 +423,19 @@ class TestRegionCommand:
         ) == 0
         out = capsys.readouterr().out
         assert out.startswith("coord1,is_quantum,min_eig")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
+    def test_bad_tol_exits_2(self, tmp_path, capsys, tol):
+        dirs = write_triad(tmp_path)
+        slice_path = tmp_path / "slice.json"
+        write_json(slice_path, {"entries": [{"kind": "free", "lo": 0.0, "hi": 1.0 / 3.0}, {"kind": "balance"}] * 3})
+        out_csv = tmp_path / "region.csv"
+        assert main(
+            ["region", "--two-j", "1", "--frames", dirs, "--slice", str(slice_path),
+             "--resolution", "3", f"--tol={tol}", "--out", str(out_csv)]
+        ) == 2
+        assert "tol must be finite and nonnegative" in capsys.readouterr().err
+        assert not out_csv.exists()
 
 
 class TestKernelEval:

@@ -605,6 +605,30 @@ class TestClassifyPoints:
             assert verdict.is_quantum == flag
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-10])
+    def test_bad_tol_raises_everywhere(self, request, orthogonal_triad, tol):
+        # before: NaN called every point non-quantum with margin NaN, and inf
+        # called every point quantum, off-simplex ones included
+        ds = _region_set(request, 2)
+        n = ds.n_dirs * ds.spin.dim
+        point = np.full(n, 1.0 / n)
+        entries = [SliceEntry.free(0.0, 2.0 / n), SliceEntry.balance()]
+        entries += [SliceEntry.const(1.0 / n)] * (n - 2)
+        calls = [
+            lambda: is_quantum(point, ds, tol),
+            lambda: classify_points(point[None], ds, tol),
+            lambda: sample_region(ds.spin, ds, SliceSpec(entries), 3, tol),
+            lambda: qubit_ball_test(cube_point(1 / 6, 1 / 6, 1 / 6), orthogonal_triad, tol),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigError, match="tol must be finite and nonnegative"):
+                call()
+
+    def test_zero_tol_is_taken(self, orthogonal_triad):
+        assert is_quantum(cube_point(1 / 6, 1 / 6, 1 / 6), orthogonal_triad, 0.0).is_quantum
+
+
 _EPS = np.finfo(float).eps
 _FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 

@@ -40,6 +40,7 @@ from spinportrait import (
 )
 from spinportrait import su2
 from spinportrait.orthopoly import assoc_legendre, coeff_table
+from spinportrait.spin import Directions
 
 # frozen regression value: gamma_prime(random_frame_set(Spin(1), default_rng(5)))
 GAMMA_PRIME_J_HALF_SEED_5 = 0.09150362733837276
@@ -269,6 +270,26 @@ class TestAWGrid:
         for q in range(spin.dim):
             cone = dirs[q * spin.dim : (q + 1) * spin.dim]
             assert len({d.theta for d in cone}) == 1
+
+    def test_grid_is_a_checked_directions_tuple(self, monkeypatch):
+        spin = Spin(2)
+        dirs = aw_directions(default_aw_grid(spin))
+        assert type(dirs) is Directions
+        built = []
+        new = Directions.__new__
+
+        def counting_new(cls, entries):
+            if type(entries) is not cls:
+                built.append(entries)
+            return new(cls, entries)
+
+        monkeypatch.setattr(Directions, "__new__", counting_new)
+        rho = random_density_matrix(spin, np.random.default_rng(5))
+        w = aw_normalized_forward(spin, rho, dirs)
+        aw_reconstruct(spin, w, dirs, normalized=True)
+        assert built == []
+        Directions(list(dirs))  # the spy sees a raw sequence
+        assert len(built) == 1
 
     def test_validation(self):
         with pytest.raises(DomainError):
