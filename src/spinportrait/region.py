@@ -13,6 +13,11 @@ the boundary.  (q equals (|r|/12)^2 for a state with orientation vector r.)
 The three closed-form residuals for an arbitrary feasible triad are the
 leading minors rho_11, det(rho), rho_22 of the candidate, which together are
 equivalent to positive semidefiniteness for 2x2 Hermitian matrices.
+Candidates come from one GEMM per fixed-shape block of rows against a
+memoized matrix whose columns are the entries of the candidate's real and
+imaginary planes (Goto and van de Geijn, Anatomy of High-Performance Matrix
+Multiplication, ACM TOMS 34(3), 2008); every BLAS call has the same shape,
+so a row's candidate does not depend on its batch.
 Every verdict takes a qubit candidate [[a, b], [conj(b), c]]'s smallest
 eigenvalue from the closed form (a + c)/2 - hypot((a - c)/2, |b|).  Larger
 candidates go through one numpy kernel that runs across the batch: a
@@ -41,12 +46,14 @@ DEFAULT_TOL = 1e-10
 
 
 def _checked_tol(tol) -> float:
-    """``tol`` itself; ConfigError unless it is finite and nonnegative.
+    """``tol`` itself; ConfigError unless it is a finite nonnegative real number.
 
     A NaN would fail every comparison and an infinite tolerance pass every
-    point, off the simplex included.
+    point, off the simplex included.  Python and numpy floats and integers
+    are taken, a bool is not (``True`` would be a tolerance of 1).
     """
-    if not (np.isfinite(tol) and tol >= 0.0):
+    real = isinstance(tol, (float, np.floating)) or is_integer(tol)
+    if not (real and np.isfinite(tol) and tol >= 0.0):
         raise ConfigError(f"tol must be finite and nonnegative, got {tol!r}")
     return tol
 
@@ -85,45 +92,58 @@ def _checked_rows(points, n: int) -> np.ndarray:
     return points
 
 
-@memo
-def _candidate_product(ds: DirectionSet):
-    """The real matrix and gather map that make candidates from rows of points.
+_ROWS = 16  # rows per GEMM: every candidate product is (2 d^2, n) @ (n, _ROWS)
 
-    A quantizer is fixed by d^2 real numbers, its diagonal and the real and
-    imaginary parts of its upper triangle; the matrix holds those, the
-    negated imaginary parts and a zero per quantizer, so that a row's product
-    with it holds every real number of the candidate, and the map gathers
-    them into the (re/im, d, d) planes of an exactly Hermitian matrix.
-    Memoized per direction set, as its quantizer stack is; a refused set
-    raises the stack's FeasibilityError on every call.
+
+@memo
+def _candidate_product(ds: DirectionSet) -> np.ndarray:
+    """The real (n, 2 d^2) matrix whose product with a row of points is the
+    row's candidate, its columns the entries of the (re/im, row, col) planes.
+
+    Every column comes from a quantizer's diagonal or upper triangle: each
+    upper real part is written twice, the imaginary parts with their signs,
+    and each imaginary diagonal entry is a zero column, so that the planes
+    need no gather.  Memoized per direction set, as its quantizer stack is;
+    a refused set raises the stack's FeasibilityError on every call.
     """
     stack = quantizer_stack(ds)
     d = ds.spin.dim
     rows, cols = _upper(d)
-    k = rows.size
     upper = stack[:, rows, cols]
-    product = np.concatenate(
-        [stack[:, range(d), range(d)].real, upper.real, upper.imag, -upper.imag, np.zeros((len(stack), 1))],
-        axis=1,
-    )
-    index = np.empty((2, d, d), dtype=np.intp)
-    index[0, range(d), range(d)] = np.arange(d)
-    index[0, rows, cols] = index[0, cols, rows] = d + np.arange(k)
-    index[1, rows, cols] = d + k + np.arange(k)
-    index[1, cols, rows] = d + 2 * k + np.arange(k)
-    index[1, range(d), range(d)] = d + 3 * k
-    return product, index
+    product = np.zeros((len(stack), 2, d, d))
+    product[:, 0, range(d), range(d)] = stack[:, range(d), range(d)].real
+    product[:, 0, rows, cols] = product[:, 0, cols, rows] = upper.real
+    product[:, 1, rows, cols] = upper.imag
+    product[:, 1, cols, rows] = -upper.imag
+    return product.reshape(len(stack), 2 * d * d)
 
 
-def _candidate_planes(points: np.ndarray, product, index) -> np.ndarray:
+def _candidate_planes(points: np.ndarray, ds: DirectionSet) -> np.ndarray:
     """Candidates sum_I p_I Q_I of checked rows as (re/im, d, d, m) planes.
 
-    Each row is its own vector-matrix product: a row's candidate does not
-    depend on the batch it arrives in, so the scalar and batched verdicts
-    agree bit for bit.
+    The rows go through one GEMM per block of ``_ROWS`` rows, the last block
+    padded with zero rows, and each GEMM writes its block's columns of the
+    planes in place.  Every BLAS call has the same shape, so a row's
+    candidate does not depend on its place in the block or on the other
+    rows, and the scalar and batched verdicts agree bit for bit.
     """
-    values = np.matmul(points[:, None, :], product)[:, 0].T.copy()
-    return np.take(values, index, axis=0)
+    product = _candidate_product(ds)
+    m, n = points.shape
+    blocks = -(-m // _ROWS)
+    if m % _ROWS:
+        padded = np.zeros((blocks * _ROWS, n))
+        padded[:m] = points
+        points = padded
+    d = ds.spin.dim
+    planes = np.empty((2 * d * d, blocks, _ROWS))
+    # the rows are the right factor's columns: as the left factor's rows,
+    # OpenBLAS gave rows 12-15 of a block other bits from two_j = 12 up
+    np.matmul(
+        product.T,
+        points.reshape(blocks, _ROWS, n).transpose(0, 2, 1),
+        out=planes.transpose(1, 0, 2),
+    )
+    return planes.reshape(2, d, d, blocks * _ROWS)[..., :m]
 
 
 _EPS = np.finfo(float).eps
@@ -296,18 +316,18 @@ def _min_eigenvalues(candidates: np.ndarray) -> np.ndarray:
 def _verdicts(points: np.ndarray, ds: DirectionSet, tol: float):
     """Trace-and-spectrum flags and smallest eigenvalues of a batch of rows.
 
-    The rows go through in the kernel's chunks, so only one chunk's
-    candidates are held at a time.
+    The rows go through in the kernel's chunks, a whole number of GEMM
+    blocks each, so only one chunk's candidates are held at a time and only
+    the last chunk pads a block.
     """
     tol = _checked_tol(tol)
     d = ds.spin.dim
     points = _checked_rows(points, ds.n_dirs * d)
-    product, index = _candidate_product(ds)
     min_eigs = np.empty(len(points))
     traces = np.empty(len(points))
-    chunk = _CHUNK // d
+    chunk = _CHUNK // d // _ROWS * _ROWS
     for i in range(0, len(points), chunk):
-        h = _candidate_planes(points[i : i + chunk], product, index)
+        h = _candidate_planes(points[i : i + chunk], ds)
         min_eigs[i : i + chunk] = _planar_min_eigenvalues(h)
         traces[i : i + chunk] = sum(h[0, j, j] for j in range(d))
     return trace_ok(traces, tol) & (min_eigs >= -tol), min_eigs
@@ -320,7 +340,7 @@ def _values(p) -> np.ndarray:
 def candidate_operator(p, ds: DirectionSet) -> np.ndarray:
     """Hermitian candidate assembled from any layout-ordered simplex point."""
     points = _checked_rows(_values(p)[None], ds.n_dirs * ds.spin.dim)
-    h = _candidate_planes(points, *_candidate_product(ds))[..., 0]
+    h = _candidate_planes(points, ds)[..., 0]
     return h[0] + 1j * h[1]
 
 
@@ -330,8 +350,8 @@ def is_quantum(p, ds: DirectionSet, tol: float = DEFAULT_TOL) -> RegionVerdict:
     The verdict is quantum iff the smallest eigenvalue is >= -tol and the
     candidate has unit trace (within a matching tolerance).  It is bitwise
     the verdict :func:`classify_points` gives the same point, before the
-    simplex test; a non-finite coordinate raises DomainError, and a NaN,
-    infinite or negative ``tol`` ConfigError.
+    simplex test; a non-finite coordinate raises DomainError, and a ``tol``
+    that is NaN, infinite, negative, a bool or not a real number ConfigError.
     """
     flags, min_eigs = _verdicts(_values(p)[None], ds, tol)
     min_eig = float(min_eigs[0])
@@ -483,8 +503,9 @@ def sample_region(
 
     Returns rows [coord_1, ..., coord_f, is_quantum, min_eigenvalue] in
     row-major grid order over the free coordinates.  Points leaving the
-    simplex (any negative coordinate) are classified as not quantum.  A NaN,
-    infinite or negative ``tol`` raises ConfigError.
+    simplex (any negative coordinate) are classified as not quantum.  A
+    ``tol`` that is NaN, infinite, negative, a bool or not a real number
+    raises ConfigError.
     """
     if not is_integer(resolution):
         raise ConfigError(f"resolution must be an integer, got {resolution!r}")
@@ -509,7 +530,8 @@ def classify_points(points: np.ndarray, ds: DirectionSet, tol: float = DEFAULT_T
     simplex or breaking the candidate trace are never quantum, and on every
     row the rest of the verdict and the eigenvalue are bitwise those of the
     scalar :func:`is_quantum`.  A non-finite coordinate raises DomainError,
-    and a NaN, infinite or negative ``tol`` ConfigError.
+    and a ``tol`` that is NaN, infinite, negative, a bool or not a real
+    number ConfigError.
     """
     points = np.asarray(points, dtype=float)
     flags, min_eigs = _verdicts(points, ds, tol)

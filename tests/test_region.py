@@ -30,6 +30,9 @@ from spinportrait import (
 )
 from spinportrait.region import (
     DEFAULT_TOL,
+    _CHUNK,
+    _ROWS,
+    _candidate_planes,
     _min_eigenvalues,
     _slice_points,
     candidate_operator,
@@ -539,17 +542,30 @@ def _random_rows(ds: DirectionSet, rng, n: int) -> dict:
     }
 
 
+def _batch_length(two_j: int, length: str) -> int:
+    """Rows per batch around a GEMM block (``_ROWS``) or past a chunk of candidates."""
+    if length == "chunk":
+        return _CHUNK // (two_j + 1) // _ROWS * _ROWS + 3
+    return _ROWS + {"block-1": -1, "block": 0, "block+1": 1}[length]
+
+
 class TestClassifyPoints:
-    @pytest.mark.parametrize("two_j", [1, 2, 4])
-    def test_rows_match_scalar_verdict(self, request, two_j):
+    @pytest.mark.parametrize("length", ["block-1", "block", "block+1", "chunk"])
+    @pytest.mark.parametrize("two_j", [1, 2, 4, 8])
+    def test_rows_match_scalar_verdict(self, request, two_j, length):
+        # the batch repeats each kind's rows up to its length, so every
+        # row is checked against its scalar verdict at several offsets
         ds = _region_set(request, two_j)
         rng = np.random.default_rng(40 + two_j)
+        n = _batch_length(two_j, length)
         kinds = _random_rows(ds, rng, 60)
-        seen = {}
-        for kind, points in kinds.items():
+        seen, verdicts = {}, {}
+        for kind, rows in kinds.items():
+            verdicts[kind] = [is_quantum(row, ds) for row in rows]
+            points = np.resize(rows, (n, rows.shape[1]))
             flags, min_eigs = classify_points(points, ds)
-            for point, flag, min_eig in zip(points, flags, min_eigs):
-                verdict = is_quantum(point, ds)
+            for i, (point, flag, min_eig) in enumerate(zip(points, flags, min_eigs)):
+                verdict = verdicts[kind][i % len(rows)]
                 assert min_eig == verdict.min_eigenvalue
                 on_simplex = point.min() >= -DEFAULT_TOL
                 assert flag == (verdict.is_quantum and on_simplex)
@@ -560,7 +576,21 @@ class TestClassifyPoints:
         assert seen["trace_within_floor"].all()
         assert not seen["trace_beyond_floor"].any()
         # the simplex rule alone rejects these: their candidates are states
-        assert all(is_quantum(p, ds).is_quantum for p in kinds["off_simplex"])
+        assert all(v.is_quantum for v in verdicts["off_simplex"])
+
+    @pytest.mark.parametrize("two_j", [12, 16, 24])
+    def test_candidate_bits_do_not_depend_on_block_position(self, two_j):
+        # a wide product is where a BLAS may switch kernels across a block:
+        # with rows as the GEMM's columns, OpenBLAS gave rows 12-15 of each
+        # 16-row block other bits than the same row alone from two_j = 12 up
+        ds = random_direction_set(Spin(two_j), np.random.default_rng(0))
+        n_u, d = ds.n_dirs, ds.spin.dim
+        rng = np.random.default_rng(two_j)
+        m = 2 * _ROWS + 3
+        rows = rng.dirichlet(np.ones(d), size=(m, n_u)).reshape(m, n_u * d) / n_u
+        batch = _candidate_planes(rows, ds)
+        for i in range(m):
+            np.testing.assert_array_equal(_candidate_planes(rows[i : i + 1], ds)[..., 0], batch[..., i])
 
     @pytest.mark.parametrize(
         "points", [np.full(6, 1.0 / 6.0), np.full((4, 5), 0.2), np.zeros((2, 6, 1))]
@@ -606,7 +636,9 @@ class TestClassifyPoints:
 
 
 class TestTolerance:
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-10])
+    @pytest.mark.parametrize(
+        "tol", [math.nan, math.inf, -math.inf, -1e-10, True, "1e-10", None, 1e-10 + 0j]
+    )
     def test_bad_tol_raises_everywhere(self, request, orthogonal_triad, tol):
         # before: NaN called every point non-quantum with margin NaN, and inf
         # called every point quantum, off-simplex ones included
