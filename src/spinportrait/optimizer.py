@@ -64,7 +64,7 @@ from .errors import DomainError, OptimizationError
 from .linalg import LSQ_RTOL, is_integer
 from .orthopoly import _harmonic_factors
 from .spin import Direction, Spin
-from .su2 import DirectionSet, _shell_dets, _spectrum
+from .su2 import DirectionSet, _shell_dets, _shell_svd, _spectrum
 
 INFEASIBLE = -1e18
 _DET_CUT = 1e-12  # a gram-product set with a smaller (or NaN) det M(L) scores INFEASIBLE
@@ -156,7 +156,7 @@ def _neg_cond_slopes(factors: np.ndarray, d_factors: np.ndarray) -> np.ndarray:
     sigma_min the smallest of the first 2L+1 of each, picked per set by index
     arrays from one stacked SVD; d sigma = u^T dY v from their singular vectors.
     """
-    u, sv, vh = np.linalg.svd(factors)
+    u, sv, vh = _shell_svd(factors)
     rows, shells = np.arange(len(factors)), np.arange(factors.shape[-3])
     a = sv[:, :, 0].argmax(axis=1)
     b = sv[:, shells, 2 * shells].argmin(axis=1)
@@ -170,13 +170,10 @@ def _neg_inverse_sum_slopes(factors: np.ndarray, d_factors: np.ndarray) -> np.nd
     """d/dtheta_k and d/dphi_k, (2, R, N), of -sum 1/s^2 for R stacked sets.
 
     s = sigma / N over the first 2L+1 singular values sigma of each shell
-    factor, so the slope is 2 N^2 sum sigma^-3 d sigma with d sigma = u^T dY v,
-    from one stacked SVD.
+    factor, so the slope is 2 N^2 sum sigma^-3 d sigma with d sigma = u^T dY v.
     """
-    u, sv, vh = np.linalg.svd(factors)
-    n = factors.shape[-1]
-    kept = np.arange(n) < 2 * np.arange(factors.shape[-3])[:, None] + 1
-    weights = np.divide(2.0 * n * n, sv**3, out=np.zeros_like(sv), where=kept)
+    u, sv, vh = _shell_svd(factors)
+    weights = 2.0 * factors.shape[-1] ** 2 / sv**3  # 0 past 2L, where sv is inf
     return (u * weights[..., None, :] * (d_factors @ np.swapaxes(vh, -1, -2))).sum(axis=(-3, -1))
 
 

@@ -44,7 +44,7 @@ from .spin import Direction, Frame, Spin, frame_matrices
 
 # Largest two_j the test suite validates; the table itself is orthonormal to
 # rounding at any spin.  Raising it waits for a memory bound on the per-set
-# stacks, which grow as two_j^4 (ROADMAP item 5).
+# stacks, which grow as two_j^4 (ROADMAP item 6).
 MAX_TWO_J = 24
 
 

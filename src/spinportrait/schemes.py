@@ -237,5 +237,5 @@ def newton_young_directions(spin: Spin, theta: float) -> DirectionSet:
         Direction(theta, 2.0 * math.pi * k / n_u) for k in range(n_u)
     ]
     ds = DirectionSet(spin, dirs)
-    list(_block_inverses(ds.unit_vectors()))  # refuses a singular block
+    _block_inverses(ds.unit_vectors())  # refuses a singular block
     return ds

@@ -4,33 +4,36 @@ A spin-j state is encoded in the (2j+1)(4j+1) probabilities of all
 projections along N = 4j+1 directions.  The degree-L parts
 S_L(n_k) = sum_m f_L(m) U(m, n_k) of the measured projectors overlap as
 Tr(S_L(n_i) S_L(n_k)) = P_L(n_i . n_k), which the addition theorem factors as
-Y_L Y_L^T with Y_L the degree-L real spherical harmonics of the directions,
-and S_L(n_k) = T_L Y_L[k]^T with T_L the per-spin orthonormal operators of
-:func:`orthopoly.shell_basis`.  Both inverses of the equal-weight forward map
-are the one product
+Y_L Y_L^T with Y_L the degree-L real spherical harmonics of the directions
+(columns past 2L zero), and S_L(n_k) = T_L Y_L[k]^T with T_L the per-spin
+orthonormal operators of :func:`orthopoly.shell_basis`.  Both inverses of
+the equal-weight forward map are the one product
 
     N sum_L T_L X_L (x) f_L(m)
 
-and differ only in the per-shell matrix X_L, so neither rotates a direction
-nor builds an operator of the set:
+and differ only in X_L.  One batched SVD of the Y_L, each shell's singular
+values past 2L+1 set to inf (:func:`_shell_svd`), gives both, the singular
+values of Q (:func:`_spectrum`) and the optimizer's condition-number and
+a-optimal slopes:
 
-* :func:`reconstruct` takes X_L = Y_L^+ = v sv^-1 u^T from the SVD of Y_L
-  over all N directions, the pseudo-inverse of the map, the canonical dual
-  frame and the linear inverse of least error (A. J. Scott, J. Phys. A 39,
-  13507 (2006)), whose error grows as cond(Q); it and
-  :func:`least_squares` (memo, rank rule LSQ_RTOL, refusal) serve the sun
-  frames too, equal-weight vectors only.
+* :func:`reconstruct` takes X_L = Y_L^+, the pseudo-inverse of the map, the
+  canonical dual frame and the linear inverse of least error (A. J. Scott,
+  J. Phys. A 39, 13507 (2006)), whose error grows as cond(Q) and not as
+  cond(Q)^2; with :func:`least_squares` it serves the sun frames too.
 * The paper's nested quantizers D(m, k) serve shell L by the first 2L+1
   directions, rho = sum_{L, k <= 2L, m} P_eq(m, n_k) D_L(m, k): X_L is
-  [Y_s^-1 | 0], Y_s the leading (2L+1)-square block of Y_L, whose Gram
-  matrix is the leading block M(L) = Y_s Y_s^T of P_L(n_i . n_k).  They
-  carry the symbol calculus and the region's candidate map, and refuse a set
-  at its first block with lambda_min(M(L)) <= BLOCK_RTOL lambda_max(M(L)),
-  lambda = sigma(Y_s)^2.
+  [Y_s^-1 | 0], the pseudo-inverse of Y_L with its rows past 2L zeroed, Y_s
+  its leading (2L+1)-square block and M(L) = Y_s Y_s^T that of
+  P_L(n_i . n_k).  They carry the symbol calculus and the region's candidate
+  map, and refuse a set at its first block with
+  lambda_min(M(L)) <= BLOCK_RTOL lambda_max(M(L)), lambda = sigma(Y_s)^2.
 
-One determinant pass (:func:`_shell_dets`) over M(L) from one Legendre
-recurrence serves feasibility and the gram-product objective; the other
-objectives read the least-squares singular values (:func:`_spectrum`).
+Two kernels stay apart, as measured (one BLAS thread, best of 7): LU, for
+:func:`delta_q`, which :func:`feasibility_delta` multiplies bitwise, and for
+the gram-product slopes (20 and 34 us on 2 and 8 sets at two_j=1, 29 and 53
+us by the SVD); and det M(L) from one Legendre recurrence for
+:func:`feasibility` and the gram-product score (:func:`_shell_dets`: 48, 102
+and 323 us on 128 sets at two_j 1, 2, 4; the factors alone 50, 117, 626).
 """
 
 from __future__ import annotations
@@ -119,20 +122,33 @@ def _shell_dets(vectors: np.ndarray) -> np.ndarray:
     return np.array([np.ones(vectors.shape[:-2]), *map(np.linalg.det, grams)])
 
 
-def _spectrum(vectors: np.ndarray, compute_uv: bool = False):
-    """Singular values s of Q, descending, for sets (..., N, 3).
+def _shell_svd(factors: np.ndarray, nested: bool = False, compute_uv: bool = True):
+    """(u, sv, vh), or sv alone, of shell factors (..., shells, N, N), each shell's sv past 2L set to inf.
 
-    They are the first 2L+1 singular values of each shell-L factor, over all
-    shells, divided by N.  With ``compute_uv``: (s, u, sv, vh), the factors'
-    SVD with the dropped sv set to inf, so that vh^T sv^-1 u^T = Y_L^+.
+    With ``nested`` each factor's rows past 2L are zeroed first.
+    """
+    kept = np.arange(factors.shape[-1]) < 2 * np.arange(factors.shape[-3])[:, None] + 1
+    svd = np.linalg.svd(np.where(kept[:, :, None], factors, 0.0) if nested else factors, compute_uv=compute_uv)
+    sv = np.where(kept, svd[1] if compute_uv else svd, np.inf)
+    return (svd[0], sv, svd[2]) if compute_uv else sv
+
+
+def _pinv(u: np.ndarray, sv: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """vh^T sv^-1 u^T of stacked SVD factors; an inf sv drops its pair."""
+    return np.swapaxes(vh / sv[..., None], -1, -2) @ np.swapaxes(u, -1, -2)
+
+
+def _spectrum(vectors: np.ndarray, compute_uv: bool = False):
+    """Singular values s of Q, descending, for sets (..., N, 3), or (s, u, sv, vh) with ``compute_uv``.
+
+    s holds the kept sv of :func:`_shell_svd` over all shells, divided by N.
     """
     n = vectors.shape[-2]
     d = (n + 1) // 2
-    svd = np.linalg.svd(_harmonic_factors(vectors, d - 1), compute_uv=compute_uv)
+    svd = _shell_svd(_harmonic_factors(vectors, d - 1), compute_uv=compute_uv)
     sv = svd[1] if compute_uv else svd
-    sv = np.where(np.arange(n) < 2 * np.arange(d)[:, None] + 1, sv, np.inf)
     s = np.sort(sv.reshape(sv.shape[:-2] + (d * n,)), axis=-1)[..., d * d - 1 :: -1] / n
-    return (s, svd[0], sv, svd[2]) if compute_uv else s
+    return (s, *svd) if compute_uv else s
 
 
 def gram(spin: Spin, L: int, ds) -> np.ndarray:
@@ -190,27 +206,22 @@ def feasibility_delta(ds: DirectionSet) -> float:
 q_matrix = forward_matrix
 
 
-def _block_inverses(vectors: np.ndarray):
-    """Y_s^-1 zero-padded to N x N, the nested quantizers' [Y_s^-1 | 0], for L = 0, 1, ..., lazily.
+def _block_inverses(vectors: np.ndarray) -> np.ndarray:
+    """[Y_s^-1 | 0], the nested quantizers' X_L, (shells, N, N) for a set (N, 3).
 
-    Y_s is the leading (2L+1)-square block of the shell-L harmonic factor,
-    so Y_s^-1 = v diag(sigma^-1) u^T from its SVD, and M(L) = Y_s Y_s^T.  A
-    block with lambda_min <= BLOCK_RTOL lambda_max (lambda = sigma^2) refuses
-    the set, so a caller is refused only by the shells it reads.
+    The lowest block with lambda_min <= BLOCK_RTOL lambda_max (lambda = sigma^2)
+    refuses the set, so a caller passing only the directions it reads is
+    refused only by the shells it reads.
     """
-    n = len(vectors)
-    for L, factor in enumerate(_harmonic_factors(vectors, (n - 1) // 2)):
-        size = 2 * L + 1
-        u, sv, vh = np.linalg.svd(factor[:size, :size])
-        lam = sv * sv
-        if not lam[-1] > BLOCK_RTOL * lam[0]:
-            raise FeasibilityError(
-                f"shell L={L} Gram eigenvalue ratio {lam[-1] / lam[0]:.3e} at or below "
-                f"{BLOCK_RTOL:.0e}; the direction set cannot be inverted"
-            )
-        inverse = np.zeros((n, n))
-        inverse[:size, :size] = (vh.T / sv) @ u.T
-        yield inverse
+    u, sv, vh = _shell_svd(_harmonic_factors(vectors, (len(vectors) - 1) // 2), nested=True)
+    ratios = (sv[:, ::2].diagonal() / sv[:, 0]) ** 2  # sv[L, 2L] is block L's smallest
+    L = np.argmin(ratios > BLOCK_RTOL)  # the lowest refused block, if any
+    if not ratios[L] > BLOCK_RTOL:
+        raise FeasibilityError(
+            f"shell L={L} Gram eigenvalue ratio {ratios[L]:.3e} at or below "
+            f"{BLOCK_RTOL:.0e}; the direction set cannot be inverted"
+        )
+    return _pinv(u, sv, vh)
 
 
 def _shell_product(spin: Spin, factors: np.ndarray) -> np.ndarray:
@@ -249,9 +260,9 @@ def l_quantizer(spin: Spin, L: int, k: int, two_m: int, ds: DirectionSet) -> np.
     _check_spin(spin, ds)
     if not (0 <= k < len(ds.shell(L))):
         raise DomainError(f"direction {k} outside shell L={L}")
-    block = next(islice(_block_inverses(ds.unit_vectors()), L, None))
+    block = _block_inverses(ds.unit_vectors()[: 2 * L + 1])[L]
     f_lm = coeff_table(spin)[L, spin.m_index(two_m)]
-    coords = shell_basis(spin)[L] @ block[:, k]
+    coords = shell_basis(spin)[L, :, : 2 * L + 1] @ block[:, k]
     return vec_to_hermitian(ds.n_dirs * f_lm * coords, spin.dim)
 
 
@@ -273,11 +284,10 @@ def quantizer_stack(ds: DirectionSet) -> np.ndarray:
     The columns of the nested inverse, entry index(k, m) in the ProbVector
     layout so reconstruction is a single contraction.  Every shell block is
     checked before the operator basis is multiplied, so a refused set costs
-    only its harmonic factors and the block SVDs up to the refused shell.  The
-    result is memoized per direction set (read-only array, safe to share).
+    only its harmonic factors and their one batched SVD.  The result is
+    memoized per direction set (read-only array, safe to share).
     """
-    inverses = np.stack(list(_block_inverses(ds.unit_vectors())))
-    return vec_to_hermitian(_shell_product(ds.spin, inverses).T, ds.spin.dim)
+    return vec_to_hermitian(_shell_product(ds.spin, _block_inverses(ds.unit_vectors())).T, ds.spin.dim)
 
 
 def reconstruct(p: ProbVector, frame_set) -> np.ndarray:
@@ -320,18 +330,11 @@ def least_squares(frame_set):
 
 @memo
 def _solver(frame_set):
-    """(s, inverse) of :func:`least_squares`, inverse None below full rank.
-
-    For a direction set, shell by shell from the SVD u sv v^T of each harmonic
-    factor: Y_L^+ = v sv^-1 u^T, so the error grows as cond(Q) and not as
-    cond(Q)^2.
-    """
+    """(s, inverse) of :func:`least_squares`, inverse None below full rank; Y_L^+ for a direction set."""
     if not isinstance(frame_set, DirectionSet):
         return svd_inverse(forward_matrix(frame_set.spin, frame_set.frames), LSQ_RTOL)
     s, u, sv, vh = _spectrum(frame_set.unit_vectors(), compute_uv=True)
-    if _rank(s, LSQ_RTOL) < s.size:
-        return s, None
-    return s, _shell_product(frame_set.spin, np.swapaxes(vh / sv[:, :, None], 1, 2) @ np.swapaxes(u, 1, 2))
+    return s, _shell_product(frame_set.spin, _pinv(u, sv, vh)) if _rank(s, LSQ_RTOL) == s.size else None
 
 
 def apply_quantizer(values: np.ndarray, ds: DirectionSet) -> np.ndarray:
@@ -359,5 +362,5 @@ def dual_vectors(ds: DirectionSet) -> np.ndarray:
     """
     if ds.spin.two_j < 1:
         raise DomainError("dual vectors need at least the L=1 shell")
-    inverse = next(islice(_block_inverses(ds.unit_vectors()), 1, None))[:3, :3]
+    inverse = _block_inverses(ds.unit_vectors()[:3])[1]
     return inverse.T @ inverse @ ds.unit_vectors()[:3]  # M(1)^-1 = Y_s^-T Y_s^-1

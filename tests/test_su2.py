@@ -288,7 +288,7 @@ class TestQuantizer:
             only_l1 = l_quantizer(spin, 1, k, 1, orthogonal_triad)
             assert np.abs(quantizer(spin, k, 1, orthogonal_triad) - only_l1).max() < 1e-13
 
-    @pytest.mark.parametrize("two_j", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("two_j", [1, 2, 4, 8, 16, orthopoly.MAX_TWO_J])
     def test_stack_matches_the_operator_oracle(self, two_j):
         for seed in range(4):
             ds = admitted_set(Spin(two_j), seed)
@@ -501,6 +501,40 @@ class TestDualVectors:
             ]
         )
         assert np.abs(dual_vectors(ds) - expected).max() < 1e-12
+
+
+class TestRefusedOnlyByTheShellsRead:
+    """A singular shell-2 block refuses the readers of shell 2 alone.
+
+    Both sets share their first three directions; the fifth direction of the
+    singular set repeats its fourth, so two rows of its shell-2 factor agree.
+    """
+
+    @staticmethod
+    def sets():
+        rng = np.random.default_rng(30)
+        good = admitted_set(Spin(2), 30)
+        fourth = Direction(float(np.arccos(rng.uniform(-1.0, 1.0))), float(rng.uniform(0.0, 2.0 * np.pi)))
+        return DirectionSet(Spin(2), [*good.dirs[:3], fourth, fourth]), good
+
+    def test_lower_shells_read_the_same_bits(self):
+        singular, good = self.sets()
+        assert np.array_equal(dual_vectors(singular), dual_vectors(good))
+        spin = Spin(2)
+        for L in (0, 1):
+            for k in range(2 * L + 1):
+                for two_m in spin.two_m_values():
+                    assert np.array_equal(
+                        l_quantizer(spin, L, k, two_m, singular), l_quantizer(spin, L, k, two_m, good)
+                    )
+
+    def test_readers_of_shell_2_are_refused(self):
+        singular, good = self.sets()
+        with pytest.raises(FeasibilityError, match=r"^shell L=2 Gram eigenvalue ratio"):
+            su2.quantizer_stack(singular)
+        with pytest.raises(FeasibilityError, match=r"^shell L=2 Gram eigenvalue ratio"):
+            l_quantizer(Spin(2), 2, 0, 2, singular)
+        assert su2.quantizer_stack(good).shape == (5 * 3, 3, 3)
 
 
 class TestErrorAmplification:
