@@ -17,8 +17,10 @@ Slice file:      {"entries": [{"kind": "const", "value": v} |
                               {"kind": "free", "lo": a, "hi": b} |
                               {"kind": "balance"}, ...]}, one per coordinate.
 
-A malformed file raises DomainError, or KeyError for a missing key (the CLI
-exits 2 on both), never a bare TypeError or ValueError.
+A malformed file raises DomainError, or KeyError for a missing top-level key
+of a state or probability file (the CLI exits 2 on both), never a bare
+TypeError or ValueError.  Direction and slice records take JSON numbers
+only: a bool or a numeric string is refused, not coerced.
 """
 
 from __future__ import annotations
@@ -117,15 +119,25 @@ def _direction_records(dirs) -> list:
     return [{"theta": float(d.theta), "phi": float(d.phi)} for d in dirs]
 
 
+def _number(value) -> float:
+    """A JSON number (an int or a float, not a bool) as a float; ValueError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"not a JSON number: {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"JSON integer out of float range: {value}") from None
+
+
 def _read_directions(records, what: str) -> list:
-    """Directions from {"theta", "phi"} records; a malformed one raises DomainError."""
+    """Directions from {"theta", "phi"} records of JSON numbers; a malformed one raises DomainError."""
     if not isinstance(records, list):
         raise DomainError(f"{what} must be a JSON list")
     dirs = []
     for i, rec in enumerate(records):
         try:
-            theta, phi = float(rec["theta"]), float(rec["phi"])
-        except (TypeError, ValueError):
+            theta, phi = _number(rec["theta"]), _number(rec["phi"])
+        except (KeyError, TypeError, ValueError):
             raise DomainError(
                 f"{what} record {i} is not a theta/phi pair of numbers: {rec!r}"
             ) from None
@@ -247,6 +259,7 @@ def load_prob(path: str, validate: bool = True) -> ProbFile:
 
 
 def load_slice(path: str) -> SliceSpec:
+    """The slice of a slice file; values and bounds must be JSON numbers (DomainError otherwise)."""
     raw = _load_json(path)
     records = raw.get("entries") if isinstance(raw, dict) else None
     if not isinstance(records, list):
@@ -256,9 +269,9 @@ def load_slice(path: str) -> SliceSpec:
         try:
             kind = rec["kind"]
             if kind == "const":
-                entries.append(SliceEntry.const(rec["value"]))
+                entries.append(SliceEntry.const(_number(rec["value"])))
             elif kind == "free":
-                entries.append(SliceEntry.free(rec["lo"], rec["hi"]))
+                entries.append(SliceEntry.free(_number(rec["lo"]), _number(rec["hi"])))
             else:  # sample_region refuses a kind other than "balance"
                 entries.append(SliceEntry(kind))
         except (KeyError, TypeError, ValueError):

@@ -13,11 +13,14 @@ the boundary.  (q equals (|r|/12)^2 for a state with orientation vector r.)
 The three closed-form residuals for an arbitrary feasible triad are the
 leading minors rho_11, det(rho), rho_22 of the candidate, which together are
 equivalent to positive semidefiniteness for 2x2 Hermitian matrices.
-Candidates come from one GEMM per fixed-shape block of rows against a
-memoized matrix whose columns are the entries of the candidate's real and
-imaginary planes (Goto and van de Geijn, Anatomy of High-Performance Matrix
-Multiplication, ACM TOMS 34(3), 2008); every BLAS call has the same shape,
-so a row's candidate does not depend on its batch.
+Candidates of given points come from one GEMM per fixed-shape block of rows
+against a memoized matrix whose columns are the entries of the candidate's
+real and imaginary planes (Goto and van de Geijn, Anatomy of High-Performance
+Matrix Multiplication, ACM TOMS 34(3), 2008); every BLAS call has the same
+shape, so a row's candidate does not depend on its batch.  A slice scan
+never assembles its points: a slice point is affine in the free
+coordinates, so is its candidate, and each grid point's candidate is one
+partial sum per run of the fastest grid axis plus that axis' term.
 Every verdict takes a qubit candidate [[a, b], [conj(b), c]]'s smallest
 eigenvalue from the closed form (a + c)/2 - hypot((a - c)/2, |b|).  Larger
 candidates go through one numpy kernel that runs across the batch: a
@@ -313,24 +316,44 @@ def _min_eigenvalues(candidates: np.ndarray) -> np.ndarray:
     return out
 
 
-def _verdicts(points: np.ndarray, ds: DirectionSet, tol: float):
-    """Trace-and-spectrum flags and smallest eigenvalues of a batch of rows.
+def _verdicts(chunks, tol: float, flags: np.ndarray, min_eigs: np.ndarray):
+    """Write the verdicts of ``(rows, planes, inside)`` chunks into ``flags`` and ``min_eigs``.
+
+    ``rows`` is the chunk's slice of the outputs and ``planes`` its
+    candidates as (re/im, d, d, m) planes.  A row is flagged when its
+    candidate passes the trace check, its smallest eigenvalue is >= -tol and
+    ``inside`` (the chunk's simplex test, or True) holds.
+    """
+    for rows, h, inside in chunks:
+        min_eig = _planar_min_eigenvalues(h)
+        min_eigs[rows] = min_eig
+        trace = sum(h[0, j, j] for j in range(h.shape[1]))
+        flags[rows] = trace_ok(trace, tol) & (min_eig >= -tol) & inside
+
+
+def _point_verdicts(points, ds: DirectionSet, tol: float, simplex: bool):
+    """Flags and smallest eigenvalues of a batch of layout-ordered rows.
 
     The rows go through in the kernel's chunks, a whole number of GEMM
     blocks each, so only one chunk's candidates are held at a time and only
-    the last chunk pads a block.
+    the last chunk pads a block.  With ``simplex`` a row with a coordinate
+    below -tol is not flagged.
     """
     tol = _checked_tol(tol)
-    d = ds.spin.dim
-    points = _checked_rows(points, ds.n_dirs * d)
-    min_eigs = np.empty(len(points))
-    traces = np.empty(len(points))
-    chunk = _CHUNK // d // _ROWS * _ROWS
-    for i in range(0, len(points), chunk):
-        h = _candidate_planes(points[i : i + chunk], ds)
-        min_eigs[i : i + chunk] = _planar_min_eigenvalues(h)
-        traces[i : i + chunk] = sum(h[0, j, j] for j in range(d))
-    return trace_ok(traces, tol) & (min_eigs >= -tol), min_eigs
+    points = _checked_rows(points, ds.n_dirs * ds.spin.dim)
+    m = len(points)
+    chunk = _CHUNK // ds.spin.dim // _ROWS * _ROWS
+    chunks = (
+        (
+            slice(i, i + chunk),
+            _candidate_planes(points[i : i + chunk], ds),
+            (points[i : i + chunk] >= -tol).all(axis=1) if simplex else True,
+        )
+        for i in range(0, m, chunk)
+    )
+    flags, min_eigs = np.empty(m, dtype=bool), np.empty(m)
+    _verdicts(chunks, tol, flags, min_eigs)
+    return flags, min_eigs
 
 
 def _values(p) -> np.ndarray:
@@ -353,7 +376,7 @@ def is_quantum(p, ds: DirectionSet, tol: float = DEFAULT_TOL) -> RegionVerdict:
     simplex test; a non-finite coordinate raises DomainError, and a ``tol``
     that is NaN, infinite, negative, a bool or not a real number ConfigError.
     """
-    flags, min_eigs = _verdicts(_values(p)[None], ds, tol)
+    flags, min_eigs = _point_verdicts(_values(p)[None], ds, tol, simplex=False)
     min_eig = float(min_eigs[0])
     return RegionVerdict(
         is_quantum=bool(flags[0]),
@@ -473,23 +496,70 @@ def _slice_layout(spin: Spin, ds: DirectionSet, spec: SliceSpec):
     return free_idx
 
 
-def _slice_points(ds: DirectionSet, spec: SliceSpec, free_idx, grid) -> np.ndarray:
-    """Every simplex point of a slice at once, one row per grid point."""
-    n_u = ds.n_dirs
-    d = ds.spin.dim
-    points = np.zeros((grid.shape[0], n_u * d))
-    for i, entry in enumerate(spec.entries):
-        if entry.kind == "const":
-            points[:, i] = entry.value
-    points[:, free_idx] = grid
-    blocks = points.reshape(-1, n_u, d)
-    ones = np.ones(d)
-    for i, entry in enumerate(spec.entries):
-        if entry.kind == "balance":
-            # the balance column is still zero, so the block sum is the others' sum
-            block, slot = divmod(i, d)
-            blocks[:, block, slot] = 1.0 / n_u - blocks[:, block] @ ones
-    return points
+def _slice_parametrization(ds: DirectionSet, spec: SliceSpec, free_idx):
+    """A slice as ``p0 + x @ e`` over its free coordinates x.
+
+    ``p0`` (n,) holds the constants and each balance entry's 1/N_u minus its
+    block's constants; row i of ``e`` (f, n) is +1 at free coordinate i and
+    -1 at the balance entry of its block, if there is one.
+    """
+    n_u, d = ds.n_dirs, ds.spin.dim
+    p0 = np.array([entry.value if entry.kind == "const" else 0.0 for entry in spec.entries])
+    p0 = p0.reshape(n_u, d)
+    balance = np.array([entry.kind == "balance" for entry in spec.entries]).reshape(n_u, d)
+    e = np.zeros((len(free_idx), n_u * d))
+    e[range(len(free_idx)), free_idx] = 1.0
+    e = e.reshape(-1, n_u, d)
+    # a block holds at most one balance entry, and it is still zero
+    balanced = balance.any(axis=1)
+    p0[balance] = 1.0 / n_u - p0.sum(axis=1)[balanced]
+    e[:, balance] = -e.sum(axis=2)[:, balanced]
+    return p0.ravel(), e.reshape(len(free_idx), n_u * d)
+
+
+def _slice_chunks(maps: np.ndarray, axes: np.ndarray, d: int, tol: float, out: np.ndarray):
+    """``(rows, planes, inside)`` chunks of a grid scan of an affine map.
+
+    Row 0 of ``maps`` is the map's value at the origin and row k + 1 its
+    slope along grid axis k; its first 2 d^2 columns are the candidate's
+    planes, the rest the coordinates the simplex test reads.
+    The grid is row-major over ``axes`` (f, r), so it is r^(f-1) runs of the
+    fastest axis.  A chunk is whole runs, or a piece of one run when a run
+    is longer than the kernel's chunk: the partial sum over the slower axes
+    is taken once per run, and each entry is that sum plus the fastest
+    axis' term, so its bits depend on its grid point alone.  ``inside`` is
+    False where a tested coordinate is below -tol.  Each chunk's grid
+    coordinates are written into the first f columns of ``out``.
+    """
+    f, r = axes.shape
+    n_planes = 2 * d * d
+    cap = _CHUNK // d
+    width, runs = min(r, cap), min(max(1, cap // r), r ** (f - 1))
+    base, slopes = maps[0][:, None], maps[1:, :, None]
+    # the fastest axis' term for as many runs as a chunk holds, so that each
+    # chunk takes one contiguous add (numpy's broadcast adds are slower)
+    fast = np.tile(slopes[-1] * axes[-1], runs)
+    for first in range(0, r ** (f - 1), runs):
+        ids = np.arange(first, min(first + runs, r ** (f - 1)))
+        slow = []
+        for _ in range(f - 1):
+            ids, idx = np.divmod(ids, r)
+            slow.insert(0, idx)
+        partial = base
+        for k, idx in enumerate(slow):
+            partial = partial + slopes[k] * axes[k, idx]
+        for col in range(0, r, width):
+            count = min(width, r - col)
+            block = np.repeat(partial, count, axis=1)
+            m = block.shape[1]
+            np.add(block, fast[:, col : col + m], out=block)
+            chunk = slice(first * r + col, first * r + col + m)
+            coords = out[chunk, :f].reshape(-1, count, f)
+            for k, idx in enumerate(slow):
+                coords[..., k] = axes[k, idx, None]
+            coords[..., f - 1] = axes[f - 1, col : col + count]
+            inside = block[n_planes:].min(axis=0, initial=np.inf) >= -tol
+            yield chunk, block[:n_planes].reshape(2, d, d, m), inside
 
 
 def sample_region(
@@ -503,24 +573,46 @@ def sample_region(
 
     Returns rows [coord_1, ..., coord_f, is_quantum, min_eigenvalue] in
     row-major grid order over the free coordinates.  Points leaving the
-    simplex (any negative coordinate) are classified as not quantum.  A
+    simplex (any coordinate below -tol) are classified as not quantum.  A
     ``tol`` that is NaN, infinite, negative, a bool or not a real number
-    raises ConfigError.
+    raises ConfigError, and a grid or balance value that is not finite
+    DomainError.
+
+    The candidate of a slice point p0 + x @ e is H0 + sum_i x_i H_i, with
+    H = [p0; e] @ ``_candidate_product``: each chunk's candidates are built
+    from the grid's product structure, one add per entry, and only the
+    free and balance coordinates are tested against the simplex (the
+    constants once), so no row of the points is ever assembled.  Each
+    row's candidate depends on its grid point alone, not on the chunking.
+    The rows share :func:`is_quantum`'s kernel, trace check and verdict
+    rule, but not its GEMM: ``min_eigenvalue`` agrees with ``is_quantum``
+    on the assembled point to within 1e-12 (the tests' bound), not bitwise.
     """
     if not is_integer(resolution):
         raise ConfigError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 2:
         raise ConfigError("resolution must be at least 2")
     free_idx = _slice_layout(spin, ds, spec)
-    axes = [
+    tol = _checked_tol(tol)
+    axes = np.array([
         np.linspace(spec.entries[i].lo, spec.entries[i].hi, resolution)
         for i in free_idx
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=1)
-    points = _slice_points(ds, spec, free_idx, flat)
-    flags, min_eigs = classify_points(points, ds, tol)
-    return np.column_stack([flat, flags.astype(float), min_eigs])
+    ])
+    p0, e = _slice_parametrization(ds, spec, free_idx)
+    if not (np.isfinite(axes).all() and np.isfinite(p0).all()):
+        raise DomainError("slice points must have finite coordinates")
+    # a free coordinate is tested on its grid axis once; constants after the scan
+    low = {i for i, lowest in zip(free_idx, axes.min(axis=1)) if lowest < -tol}
+    tested = [i for i, entry in enumerate(spec.entries) if entry.kind == "balance" or i in low]
+    affine = np.vstack([p0, e])
+    maps = np.hstack([affine @ _candidate_product(ds), affine[:, tested]])
+    f = len(free_idx)
+    rows = np.empty((resolution**f, f + 2))
+    chunks = _slice_chunks(maps, axes, spin.dim, tol, rows)
+    _verdicts(chunks, tol, rows[:, f], rows[:, f + 1])
+    if any(entry.value < -tol for entry in spec.entries if entry.kind == "const"):
+        rows[:, f] = 0.0
+    return rows
 
 
 def classify_points(points: np.ndarray, ds: DirectionSet, tol: float = DEFAULT_TOL):
@@ -533,9 +625,7 @@ def classify_points(points: np.ndarray, ds: DirectionSet, tol: float = DEFAULT_T
     and a ``tol`` that is NaN, infinite, negative, a bool or not a real
     number ConfigError.
     """
-    points = np.asarray(points, dtype=float)
-    flags, min_eigs = _verdicts(points, ds, tol)
-    return flags & (points >= -tol).all(axis=1), min_eigs
+    return _point_verdicts(points, ds, tol, simplex=True)
 
 
 def _distinct_text(values: np.ndarray, fmt) -> list:

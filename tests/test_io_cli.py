@@ -644,7 +644,19 @@ class TestMalformedInput:
         assert "twist delta must lie in (0, 1/2], got 0.0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("record", [{"theta": "x", "phi": 0.0}, 1.5, [0.1, 0.2]])
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"theta": "x", "phi": 0.0},
+            1.5,
+            [0.1, 0.2],
+            {"theta": 0.5},
+            {"phi": 0.5},
+            {"theta": True, "phi": 0.0},
+            {"theta": 0.5, "phi": "0.1"},
+            {"theta": 0.5, "phi": None},
+        ],
+    )
     def test_bad_direction_record_is_2(self, tmp_path, capsys, record):
         state = write_state(tmp_path, Spin(1), np.eye(2, dtype=complex) / 2.0)
         dirs_path = tmp_path / "dirs.json"
@@ -652,6 +664,24 @@ class TestMalformedInput:
         out = str(tmp_path / "prob.json")
         assert main(["forward", "--state", state, "--frames", str(dirs_path), "--out", out]) == 2
         assert "directions file record 1 is not a theta/phi pair" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record", [{"theta": 0.5}, {"theta": False, "phi": 0.0}, {"theta": 0.5, "phi": "1"}]
+    )
+    def test_bad_direction_record_in_region_is_2(self, tmp_path, capsys, record):
+        # a record missing "phi" used to escape as a bare KeyError ("error: 'phi'"),
+        # and a bool or numeric string was read as a number
+        dirs_path = tmp_path / "dirs.json"
+        write_json(dirs_path, [TRIAD[0], TRIAD[1], record])
+        with pytest.raises(DomainError, match="directions file record 2 is not a theta/phi pair"):
+            fileio.load_directions(str(dirs_path))
+        slice_path = tmp_path / "slice.json"
+        write_json(slice_path, {"entries": [{"kind": "free", "lo": 0.0, "hi": 1 / 3}, {"kind": "balance"}] * 3})
+        out = tmp_path / "region.csv"
+        assert main(["region", "--two-j", "1", "--frames", str(dirs_path), "--slice",
+                     str(slice_path), "--resolution", "3", "--out", str(out)]) == 2
+        assert "error: directions file record 2 is not a theta/phi pair" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_direction_record_in_prob_file_is_2(self, tmp_path, capsys):
         path = tmp_path / "prob.json"
@@ -846,14 +876,24 @@ class TestMalformedInput:
             lambda entries: {"entries": entries[:2] + [7] + entries[3:]},
             lambda entries: {"entries": [dict(entries[0], lo="x")] + entries[1:]},
             lambda entries: {"entries": [dict(entries[0], lo=None)] + entries[1:]},
+            # before: a bool or a numeric string scanned as 1.0 or 0.1, exit 0
+            lambda entries: {"entries": [dict(entries[0], hi=True)] + entries[1:]},
+            lambda entries: {"entries": [dict(entries[0], hi="0.1")] + entries[1:]},
+            lambda entries: {"entries": entries[:2] + [dict(entries[2], value=False)] + entries[3:]},
+            lambda entries: {"entries": entries[:2] + [dict(entries[2], value="0.1")] + entries[3:]},
+            lambda entries: {"entries": entries[:2] + [{"kind": "const"}] + entries[3:]},
+            lambda entries: {"entries": [dict(entries[0], hi=10**400)] + entries[1:]},
         ],
-        ids=["list", "entries-string", "entry-number", "lo-string", "lo-null"],
+        ids=["list", "entries-string", "entry-number", "lo-string", "lo-null", "hi-bool",
+             "hi-numeric-string", "value-bool", "value-numeric-string", "no-value", "hi-huge-int"],
     )
     def test_malformed_slice_file_is_2(self, tmp_path, capsys, spoil):
         entries = [{"kind": "free", "lo": 0.0, "hi": 1 / 3}, {"kind": "balance"}]
         entries += [{"kind": "const", "value": 1 / 6}, {"kind": "balance"}] * 2
         slice_path = tmp_path / "slice.json"
         write_json(slice_path, spoil(entries))
+        with pytest.raises(DomainError, match="slice file"):
+            fileio.load_slice(str(slice_path))
         out = tmp_path / "region.csv"
         assert main(["region", "--two-j", "1", "--frames", write_triad(tmp_path), "--slice",
                      str(slice_path), "--resolution", "3", "--out", str(out)]) == 2

@@ -1,6 +1,7 @@
 import decimal
 import io
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_direction_set
+from spinportrait import region
 from spinportrait import (
     ConfigError,
     Direction,
@@ -34,7 +36,7 @@ from spinportrait.region import (
     _ROWS,
     _candidate_planes,
     _min_eigenvalues,
-    _slice_points,
+    _slice_parametrization,
     candidate_operator,
     trace_ok,
 )
@@ -509,14 +511,91 @@ class TestSliceAssembly:
         n_free = len(free_idx)
         assert rows.shape == (resolution**n_free, n_free + 2)
         np.testing.assert_array_equal(rows[:, :n_free], grid)
-        np.testing.assert_allclose(
-            _slice_points(ds, spec, free_idx, grid), loop, rtol=0.0, atol=1e-15
-        )
+        p0, e = _slice_parametrization(ds, spec, free_idx)
+        np.testing.assert_allclose(p0 + grid @ e, loop, rtol=0.0, atol=1e-15)
         assert np.abs(rows[:, n_free + 1] - ref_min).max() <= 1e-12
         decided = np.abs(ref_min + DEFAULT_TOL) > 1e-12
         np.testing.assert_array_equal(
             rows[decided, n_free].astype(bool), ref_flags[decided]
         )
+
+    @pytest.mark.parametrize("two_j", [1, 2, 4])
+    def test_simplex_test_reads_free_axes_and_constants(self, request, two_j):
+        # a free axis reaching below zero is tested point by point, a
+        # constant below -tol refuses the whole slice
+        spin = Spin(two_j)
+        ds = _region_set(request, two_j)
+        n = ds.n_dirs * spin.dim
+        c = 1.0 / n
+        entries = [SliceEntry.free(-c, 2.0 * c), SliceEntry.balance()]
+        entries += [SliceEntry.const(c)] * (spin.dim - 2)
+        entries += [SliceEntry.free(0.0, 2.0 * c), SliceEntry.balance()]
+        entries += [SliceEntry.const(c)] * (n - 2 - spin.dim)
+        for low in (False, True):
+            if low:
+                entries[-1] = SliceEntry.const(-2.0 * DEFAULT_TOL)
+            spec = SliceSpec(entries)
+            rows = sample_region(spin, ds, spec, 9)
+            grid = rows[:, :2]
+            loop = np.array([_loop_slice_point(spin, ds, spec, g) for g in grid])
+            verdicts = [is_quantum(point, ds) for point in loop]
+            ref_flags = np.array([v.is_quantum for v in verdicts])
+            ref_flags &= loop.min(axis=1) >= -DEFAULT_TOL
+            ref_min = np.array([v.min_eigenvalue for v in verdicts])
+            decided = np.abs(ref_min + DEFAULT_TOL) > 1e-12
+            np.testing.assert_array_equal(rows[decided, 2].astype(bool), ref_flags[decided])
+            assert ref_flags.any() != low
+
+    def test_overflowing_slice_raises(self, request):
+        # finite entries whose grid axis or balance entry overflows: no row is built
+        ds = _region_set(request, 2)
+        c = 1.0 / 15.0
+        rest = [SliceEntry.const(c)] * 9
+        for spec in (
+            SliceSpec([SliceEntry.free(-1e308, 1e308), SliceEntry.balance(), SliceEntry.const(c)] * 2 + rest),
+            SliceSpec(
+                [SliceEntry.free(0.0, 2.0 * c), SliceEntry.balance(), SliceEntry.const(c)]
+                + [SliceEntry.const(1e308), SliceEntry.const(1e308), SliceEntry.balance()]
+                + rest
+            ),
+        ):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DomainError, match="finite"):
+                    sample_region(ds.spin, ds, spec, 3)
+
+
+class TestSliceChunks:
+    @pytest.mark.parametrize("rows_per_chunk", [3, 16, 40])
+    @pytest.mark.parametrize("two_j, blocks, resolution", SLICE_CASES)
+    def test_rows_do_not_depend_on_chunking(self, request, monkeypatch, two_j, blocks, resolution, rows_per_chunk):
+        # 3 rows cut every run into pieces, 16 and 40 take whole runs (two
+        # 7-point runs of a 7^3 grid, five 7-point runs of a 7^2 grid, ...) and
+        # leave a partial last chunk: the rows are bitwise those of one chunk
+        spin = Spin(two_j)
+        ds = _region_set(request, two_j)
+        spec = _pattern_spec(blocks, ds.n_dirs, spin.dim)
+        whole = sample_region(spin, ds, spec, resolution)
+        monkeypatch.setattr(region, "_CHUNK", rows_per_chunk * spin.dim)
+        chunked = sample_region(spin, ds, spec, resolution)
+        np.testing.assert_array_equal(chunked.view(np.int64), whole.view(np.int64))
+
+    @pytest.mark.parametrize("two_j", [1, 2, 4])
+    def test_peak_memory_is_within_three_times_the_rows(self, request, two_j):
+        # no (m, n_u d) points array and no whole-scan temporaries: at 61^3
+        # the scan used to peak at 3.8x, 5.6x and 11.6x the rows it returns
+        spin = Spin(two_j)
+        ds = _region_set(request, two_j)
+        blocks = next(b for t, b, _ in SLICE_CASES if t == two_j and "".join(b).count("f") == 3)
+        spec = _pattern_spec(blocks, ds.n_dirs, spin.dim)
+        sample_region(spin, ds, spec, 3)  # the memoized products are not the scan's
+        tracemalloc.start()
+        try:
+            rows = sample_region(spin, ds, spec, 61)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (61**3, 5)
+        assert peak <= 3 * rows.nbytes
 
 
 def _random_rows(ds: DirectionSet, rng, n: int) -> dict:
