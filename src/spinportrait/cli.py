@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from io import StringIO
 
 import numpy as np
 
@@ -123,9 +122,8 @@ def cmd_region(args) -> int:
     spec = fileio.load_slice(args.slice)
     rows = sample_region(spin, ds, spec, args.resolution, tol=args.tol)
     if args.out:
-        buf = StringIO()
-        write_region_csv(rows, buf)
-        fileio._atomic_write_text(args.out, buf.getvalue())
+        with fileio._atomic_write_text(args.out) as fh:
+            write_region_csv(rows, fh)
     else:
         write_region_csv(rows, sys.stdout)
     return 0

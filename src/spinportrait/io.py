@@ -19,8 +19,8 @@ Slice file:      {"entries": [{"kind": "const", "value": v} |
 
 A malformed file raises DomainError, or KeyError for a missing top-level key
 of a state or probability file (the CLI exits 2 on both), never a bare
-TypeError or ValueError.  Direction and slice records take JSON numbers
-only: a bool or a numeric string is refused, not coerced.
+TypeError or ValueError.  Every number of a file must be a JSON number: a
+bool or a numeric string is refused, not coerced.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import json
 import os
 import tempfile
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +43,14 @@ from .spin import Direction, Spin, _unitaries, validate_density_matrix
 SCHEMES = ("su2", "sun", "aw")
 
 
-def _atomic_write_text(path: str, text: str):
+@contextmanager
+def _atomic_write_text(path: str):
+    """A text handle on a temporary file beside ``path``, renamed into place on success."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -56,7 +59,8 @@ def _atomic_write_text(path: str, text: str):
 
 
 def _dump_json(path: str, payload):
-    _atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+    with _atomic_write_text(path) as fh:
+        fh.write(json.dumps(payload, indent=1) + "\n")
 
 
 def _load_json(path: str):
@@ -65,11 +69,8 @@ def _load_json(path: str):
 
 
 def _matrix_from_parts(re, im, dim: int, what: str) -> np.ndarray:
-    try:
-        re = np.asarray(re, dtype=float)
-        im = np.asarray(im, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"{what} re/im entries are not lists of numbers") from None
+    re = _numbers(re, f"{what} re/im entries")
+    im = _numbers(im, f"{what} re/im entries")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise DomainError(f"{what} has a non-finite or null re/im entry")
     if re.size != dim * dim or im.size != dim * dim:
@@ -127,6 +128,16 @@ def _number(value) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"JSON integer out of float range: {value}") from None
+
+
+def _numbers(entries, what: str) -> np.ndarray:
+    """A JSON list of numbers as a float array, null as NaN; DomainError for anything else."""
+    try:
+        if isinstance(entries, list):
+            return np.array([np.nan if x is None else _number(x) for x in entries], dtype=float)
+    except ValueError:
+        pass
+    raise DomainError(f"{what} are not lists of numbers")
 
 
 def _read_directions(records, what: str) -> list:
@@ -231,11 +242,8 @@ def load_prob(path: str, validate: bool = True) -> ProbFile:
         frames = _read_frames(raw["frames"], spin.dim, validate, "probability file frame")
     else:
         frames = _read_directions(raw["frames"], "probability file frames")
-    try:
-        weights = np.asarray(raw["weights"], dtype=float)
-        values = np.asarray(raw["values"], dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError("probability file weights/values are not lists of numbers") from None
+    weights = _numbers(raw["weights"], "probability file weights/values")
+    values = _numbers(raw["values"], "probability file weights/values")
     try:
         validate_weights(weights, len(frames))
         equal = validate_weights(None, len(frames))

@@ -14,11 +14,11 @@ The three closed-form residuals for an arbitrary feasible triad are the
 leading minors rho_11, det(rho), rho_22 of the candidate, which together are
 equivalent to positive semidefiniteness for 2x2 Hermitian matrices.
 Candidates of given points come from one GEMM per fixed-shape block of rows
-against a memoized matrix whose columns are the entries of the candidate's
-real and imaginary planes (Goto and van de Geijn, Anatomy of High-Performance
-Matrix Multiplication, ACM TOMS 34(3), 2008); every BLAS call has the same
-shape, so a row's candidate does not depend on its batch.  A slice scan
-never assembles its points: a slice point is affine in the free
+against the quantizer stack read as real numbers, each quantizer a row of its
+entries' real and imaginary parts (Goto and van de Geijn, Anatomy of
+High-Performance Matrix Multiplication, ACM TOMS 34(3), 2008); every BLAS
+call has the same shape, so a row's candidate does not depend on its batch.
+A slice scan never assembles its points: a slice point is affine in the free
 coordinates, so is its candidate, and each grid point's candidate is one
 partial sum per run of the fastest grid axis plus that axis' term.
 Every verdict takes a qubit candidate [[a, b], [conj(b), c]]'s smallest
@@ -40,12 +40,13 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .linalg import TRACE_TOL, _upper, is_integer, memo
+from .linalg import TRACE_TOL, is_integer
 from .portraits import ProbVector
 from .spin import Spin
 from .su2 import DirectionSet, dual_vectors, quantizer_stack
 
 DEFAULT_TOL = 1e-10
+_CSV_ROWS = 1 << 16  # rows per block of write_region_csv
 
 
 def _checked_tol(tol) -> float:
@@ -98,37 +99,19 @@ def _checked_rows(points, n: int) -> np.ndarray:
 _ROWS = 16  # rows per GEMM: every candidate product is (2 d^2, n) @ (n, _ROWS)
 
 
-@memo
 def _candidate_product(ds: DirectionSet) -> np.ndarray:
-    """The real (n, 2 d^2) matrix whose product with a row of points is the
-    row's candidate, its columns the entries of the (re/im, row, col) planes.
-
-    Every column comes from a quantizer's diagonal or upper triangle: each
-    upper real part is written twice, the imaginary parts with their signs,
-    and each imaginary diagonal entry is a zero column, so that the planes
-    need no gather.  Memoized per direction set, as its quantizer stack is;
-    a refused set raises the stack's FeasibilityError on every call.
-    """
-    stack = quantizer_stack(ds)
-    d = ds.spin.dim
-    rows, cols = _upper(d)
-    upper = stack[:, rows, cols]
-    product = np.zeros((len(stack), 2, d, d))
-    product[:, 0, range(d), range(d)] = stack[:, range(d), range(d)].real
-    product[:, 0, rows, cols] = product[:, 0, cols, rows] = upper.real
-    product[:, 1, rows, cols] = upper.imag
-    product[:, 1, cols, rows] = -upper.imag
-    return product.reshape(len(stack), 2 * d * d)
+    """The quantizer stack read as a real (n, 2 d^2) matrix, columns (row, col, re/im); a view, no copy."""
+    return quantizer_stack(ds).view(float).reshape(ds.n_dirs * ds.spin.dim, -1)
 
 
 def _candidate_planes(points: np.ndarray, ds: DirectionSet) -> np.ndarray:
     """Candidates sum_I p_I Q_I of checked rows as (re/im, d, d, m) planes.
 
     The rows go through one GEMM per block of ``_ROWS`` rows, the last block
-    padded with zero rows, and each GEMM writes its block's columns of the
-    planes in place.  Every BLAS call has the same shape, so a row's
-    candidate does not depend on its place in the block or on the other
-    rows, and the scalar and batched verdicts agree bit for bit.
+    padded with zero rows, and each GEMM writes its block's columns of fresh
+    (d, d, re/im, m) planes, returned as a transposed view.  Every BLAS call
+    has the same shape, so a row's candidate does not depend on its place in
+    the block or on the other rows: scalar and batched verdicts agree bitwise.
     """
     product = _candidate_product(ds)
     m, n = points.shape
@@ -146,7 +129,7 @@ def _candidate_planes(points: np.ndarray, ds: DirectionSet) -> np.ndarray:
         points.reshape(blocks, _ROWS, n).transpose(0, 2, 1),
         out=planes.transpose(1, 0, 2),
     )
-    return planes.reshape(2, d, d, blocks * _ROWS)[..., :m]
+    return planes.reshape(d, d, 2, blocks * _ROWS)[..., :m].transpose(2, 0, 1, 3)
 
 
 _EPS = np.finfo(float).eps
@@ -174,7 +157,7 @@ def _tridiagonal(h: np.ndarray):
     """Diagonal (d, m) and squared off-diagonal (d-1, m) of a Householder
     tridiagonalization of each Hermitian matrix in (re/im, d, d, m) planes.
 
-    The work runs on a copy of the planes, and every step is a real
+    The planes are reduced in place, and every step is a real
     elementwise operation across the batch or a :func:`_fixed_sum`, so a
     row's bits do not depend on its batch (numpy's complex products and its
     reductions may round differently with an element's position).  Step k
@@ -183,7 +166,6 @@ def _tridiagonal(h: np.ndarray):
     entries past the first square to less than the smallest normal number is
     taken as already reduced.
     """
-    h = np.array(h, order="C")
     _, d, _, m = h.shape
     off2 = np.empty((d - 1, m))
     for k in range(d - 2):
@@ -291,9 +273,9 @@ def _planar_min_eigenvalues(h: np.ndarray) -> np.ndarray:
     (a + c)/2 - hypot((a - c)/2, |b|), within 4 eps max(|a|, |c|, |b|) of the
     exact value (the trigonometric 3x3 form, by contrast, loses about
     sqrt(eps) when the two smallest eigenvalues coincide).  Larger matrices
-    are reduced to real tridiagonal form by Householder reflections and take
-    their smallest eigenvalue from Laguerre's iteration.  Every step acts on
-    each matrix alone, so its value is bitwise the same in any batch.
+    are reduced in place to real tridiagonal form by Householder reflections
+    and take their smallest eigenvalue from Laguerre's iteration.  Every step
+    acts on each matrix alone, so its value is bitwise the same in any batch.
     """
     if h.shape[1] == 2:
         a, c = h[0, 0, 0], h[0, 1, 1]
@@ -305,14 +287,14 @@ def _min_eigenvalues(candidates: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each exactly Hermitian matrix in a (m, d, d) stack.
 
     The stack goes through :func:`_planar_min_eigenvalues` in chunks of
-    ``_CHUNK // d`` matrices.
+    ``_CHUNK // d`` matrices, each copied, as the kernel reduces it in place.
     """
     m, d, _ = candidates.shape
     planes = np.ascontiguousarray(candidates).view(float).reshape(m, d, d, 2).transpose(3, 1, 2, 0)
     chunk = _CHUNK // d
     out = np.empty(m)
     for i in range(0, m, chunk):
-        out[i : i + chunk] = _planar_min_eigenvalues(planes[..., i : i + chunk])
+        out[i : i + chunk] = _planar_min_eigenvalues(planes[..., i : i + chunk].copy())
     return out
 
 
@@ -325,9 +307,9 @@ def _verdicts(chunks, tol: float, flags: np.ndarray, min_eigs: np.ndarray):
     ``inside`` (the chunk's simplex test, or True) holds.
     """
     for rows, h, inside in chunks:
+        trace = sum(h[0, j, j] for j in range(h.shape[1]))  # the kernel then overwrites h
         min_eig = _planar_min_eigenvalues(h)
         min_eigs[rows] = min_eig
-        trace = sum(h[0, j, j] for j in range(h.shape[1]))
         flags[rows] = trace_ok(trace, tol) & (min_eig >= -tol) & inside
 
 
@@ -522,7 +504,7 @@ def _slice_chunks(maps: np.ndarray, axes: np.ndarray, d: int, tol: float, out: n
 
     Row 0 of ``maps`` is the map's value at the origin and row k + 1 its
     slope along grid axis k; its first 2 d^2 columns are the candidate's
-    planes, the rest the coordinates the simplex test reads.
+    (row, col, re/im) entries, the rest the coordinates the simplex test reads.
     The grid is row-major over ``axes`` (f, r), so it is r^(f-1) runs of the
     fastest axis.  A chunk is whole runs, or a piece of one run when a run
     is longer than the kernel's chunk: the partial sum over the slower axes
@@ -559,7 +541,7 @@ def _slice_chunks(maps: np.ndarray, axes: np.ndarray, d: int, tol: float, out: n
                 coords[..., k] = axes[k, idx, None]
             coords[..., f - 1] = axes[f - 1, col : col + count]
             inside = block[n_planes:].min(axis=0, initial=np.inf) >= -tol
-            yield chunk, block[:n_planes].reshape(2, d, d, m), inside
+            yield chunk, block[:n_planes].reshape(d, d, 2, m).transpose(2, 0, 1, 3), inside
 
 
 def sample_region(
@@ -579,11 +561,11 @@ def sample_region(
     DomainError.
 
     The candidate of a slice point p0 + x @ e is H0 + sum_i x_i H_i, with
-    H = [p0; e] @ ``_candidate_product``: each chunk's candidates are built
-    from the grid's product structure, one add per entry, and only the
-    free and balance coordinates are tested against the simplex (the
-    constants once), so no row of the points is ever assembled.  Each
-    row's candidate depends on its grid point alone, not on the chunking.
+    H = [p0; e] @ the quantizer stack read as reals: each chunk's candidates
+    are built from the grid's product structure, one add per entry, and
+    reduced where they land; only the free and balance coordinates are tested
+    against the simplex (the constants once), so no row of the points is ever
+    assembled.  Each row's candidate depends on its grid point alone.
     The rows share :func:`is_quantum`'s kernel, trace check and verdict
     rule, but not its GEMM: ``min_eigenvalue`` agrees with ``is_quantum``
     on the assembled point to within 1e-12 (the tests' bound), not bitwise.
@@ -640,14 +622,15 @@ def write_region_csv(rows: np.ndarray, fh):
     """CSV dump of :func:`sample_region` rows with 17-digit floats.
 
     Columns coord1[,coord2[,coord3]],is_quantum,min_eig: every column but the
-    last two is a coordinate.  A grid axis holds few distinct values, so the
-    coordinate and flag columns format each distinct value once and index the
-    strings.
+    last two is a coordinate.  Blocks of ``_CSV_ROWS`` rows are formatted and
+    written in turn, and a grid axis holds few distinct values, so in a block
+    the coordinate and flag columns format each distinct value once.
     """
     n_free = rows.shape[1] - 2
     header = [f"coord{i + 1}" for i in range(n_free)] + ["is_quantum", "min_eig"]
     fh.write(",".join(header) + "\n")
-    columns = [_distinct_text(rows[:, i], repr) for i in range(n_free)]
-    columns.append(_distinct_text(rows[:, n_free].astype(np.int64), str))
-    columns.append([f"{e!r}\n" for e in rows[:, n_free + 1].tolist()])
-    fh.writelines(map(",".join, zip(*columns)))
+    for block in np.split(rows, range(_CSV_ROWS, len(rows), _CSV_ROWS)):
+        columns = [_distinct_text(block[:, i], repr) for i in range(n_free)]
+        columns.append(_distinct_text(block[:, n_free].astype(np.int64), str))
+        columns.append([f"{e!r}\n" for e in block[:, n_free + 1].tolist()])
+        fh.writelines(map(",".join, zip(*columns)))

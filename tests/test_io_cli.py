@@ -437,6 +437,23 @@ class TestRegionCommand:
         assert "tol must be finite and nonnegative" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    def test_failed_writer_leaves_no_file(self, tmp_path, monkeypatch):
+        # the CSV streams into a temporary file, renamed only once it is whole
+        def failing_writer(rows, fh):
+            fh.write("coord1,is_quantum,min_eig\n")
+            raise RuntimeError("writer failed midway")
+
+        monkeypatch.setattr(cli, "write_region_csv", failing_writer)
+        dirs = write_triad(tmp_path)
+        slice_path = tmp_path / "slice.json"
+        write_json(slice_path, {"entries": [{"kind": "free", "lo": 0.0, "hi": 1.0 / 3.0}, {"kind": "balance"}] * 3})
+        out_csv = tmp_path / "region.csv"
+        with pytest.raises(RuntimeError, match="writer failed midway"):
+            main(["region", "--two-j", "1", "--frames", dirs, "--slice", str(slice_path),
+                  "--resolution", "3", "--out", str(out_csv)])
+        assert not out_csv.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
 
 class TestKernelEval:
     def test_star_kernel_matches_library(self, tmp_path):
@@ -701,6 +718,9 @@ class TestMalformedInput:
             ([{"re": ["x", 0, 0, 1], "im": [0] * 4}], "frame 0 re/im entries are not lists of numbers"),
             ([{"re": [1, 0, 0, None], "im": [0] * 4}], "frame 0 has a non-finite or null re/im entry"),
             ({"re": [1, 0, 0, 1], "im": [0] * 4}, "frames must be a JSON list"),
+            # before: numeric strings and bools read as the identity, exit 0
+            ([{"re": ["1.0", 0, 0, "1.0"], "im": [0] * 4}], "frame 0 re/im entries are not lists of numbers"),
+            ([{"re": [True, 0, 0, True], "im": [0] * 4}], "frame 0 re/im entries are not lists of numbers"),
         ],
     )
     def test_bad_unitary_frame_record_is_2(self, tmp_path, capsys, frames, message):
@@ -730,6 +750,9 @@ class TestMalformedInput:
             (["x", 0.0, 0.0, 0.5], "state file re/im entries are not lists of numbers"),
             ([[0.5, 0.0], [0.0]], "state file re/im entries are not lists of numbers"),
             ([0.5, 0.0, 0.0, None], "state file has a non-finite or null re/im entry"),
+            # before: the maximally mixed state, and a trace of 1.5 (exit 3)
+            (["0.5", 0, 0, "0.5"], "state file re/im entries are not lists of numbers"),
+            ([0.5, 0.0, 0.0, True], "state file re/im entries are not lists of numbers"),
         ],
     )
     def test_bad_state_entries_are_2(self, tmp_path, capsys, re, message):
@@ -855,18 +878,25 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("key", ["values", "weights"])
     def test_non_numeric_prob_entries_are_2(self, tmp_path, capsys, key):
-        raw = {"two_j": 1, "scheme": "su2", "frames": TRIAD,
-               "weights": [1 / 3] * 3, "values": [1 / 6] * 6}
-        raw[key][1] = "x"
+        # before: a file of repr strings inverted with exit 0, and a true
+        # value read as 1.0 was refused only by the block sums, with exit 3
+        good = {"two_j": 1, "scheme": "su2", "frames": TRIAD,
+                "weights": [1 / 3] * 3, "values": [1 / 6] * 6}
+        spoilers = (
+            lambda entries: entries[:1] + ["x"] + entries[2:],
+            lambda entries: [repr(x) for x in entries],
+            lambda entries: entries[:1] + [True] + entries[2:],
+        )
         path = tmp_path / "prob.json"
-        write_json(path, raw)
-        with pytest.raises(DomainError, match="weights/values are not lists of numbers"):
-            fileio.load_prob(str(path))
         out = tmp_path / "o.json"
-        for extra in ([], ["--no-validate"]):
-            assert main(["invert", "--prob", str(path), "--out", str(out)] + extra) == 2
-            assert "weights/values are not lists of numbers" in capsys.readouterr().err
-            assert not out.exists()
+        for spoil in spoilers:
+            write_json(path, dict(good, **{key: spoil(good[key])}))
+            with pytest.raises(DomainError, match="weights/values are not lists of numbers"):
+                fileio.load_prob(str(path))
+            for extra in ([], ["--no-validate"]):
+                assert main(["invert", "--prob", str(path), "--out", str(out)] + extra) == 2
+                assert "weights/values are not lists of numbers" in capsys.readouterr().err
+                assert not out.exists()
 
     @pytest.mark.parametrize(
         "spoil",

@@ -130,6 +130,17 @@ def test_row_bits_do_not_depend_on_batch(d):
     assert _bits(again[chunk - 1]) == _bits(again[chunk]) == _bits(batch[0])
 
 
+@pytest.mark.parametrize("d", [3, 5])
+def test_stack_is_left_unchanged(d):
+    # the kernel reduces its planes in place, so it must work on a copy
+    rng = np.random.default_rng(d)
+    rows = rng.normal(size=(40, d, d)) + 1j * rng.normal(size=(40, d, d))
+    rows = (rows + rows.conj().transpose(0, 2, 1)) / 2.0
+    before = rows.copy()
+    _min_eigenvalues(rows)
+    np.testing.assert_array_equal(rows, before)
+
+
 def test_iteration_cap_raises(monkeypatch):
     rng = np.random.default_rng(0)
     h = _with_spectrum(rng.uniform(0.0, 1.0, 5), haar_unitary(5, rng))

@@ -358,7 +358,7 @@ class TestSampleRegion:
         assert first[3] in ("0", "1")
 
     @pytest.mark.parametrize("n_free", [1, 2, 3])
-    def test_csv_bytes_match_per_row_writer(self, orthogonal_triad, n_free):
+    def test_csv_bytes_match_per_row_writer(self, monkeypatch, orthogonal_triad, n_free):
         # the first axis starts at -1e-05, printed in exponent notation, and
         # the cube's corners have negative smallest eigenvalues
         entries = [SliceEntry.free(-1e-5, 1.0 / 3.0), SliceEntry.balance()]
@@ -375,6 +375,11 @@ class TestSampleRegion:
         assert buf.getvalue() == expected.getvalue()
         assert (rows[:, n_free + 1] < 0.0).any()
         assert "e-05," in buf.getvalue()
+        # blocks of 5 rows cut the grid's runs, and each block indexes its own strings
+        monkeypatch.setattr(region, "_CSV_ROWS", 5)
+        blocked = io.StringIO()
+        write_region_csv(rows, blocked)
+        assert blocked.getvalue() == expected.getvalue()
 
     def test_csv_keeps_negative_zero_apart(self, orthogonal_triad):
         # -0.0 == 0.0, so a writer that merged equal values would print one for both
@@ -656,6 +661,28 @@ class TestClassifyPoints:
         assert not seen["trace_beyond_floor"].any()
         # the simplex rule alone rejects these: their candidates are states
         assert all(v.is_quantum for v in verdicts["off_simplex"])
+
+    @pytest.mark.parametrize("two_j", [1, 4])
+    def test_candidates_read_the_quantizer_stack(self, request, two_j):
+        # the GEMM multiplies by the memoized stack read as reals, not a copy of it
+        ds = _region_set(request, two_j)
+        assert np.shares_memory(region._candidate_product(ds), quantizer_stack(ds))
+
+    def test_trace_is_read_before_the_reduction(self, request, monkeypatch):
+        # the kernel reduces the candidates in place, overwriting the diagonal
+        ds = _region_set(request, 4)
+        rows = _random_rows(ds, np.random.default_rng(4), 40)["simplex"]
+        traces, check = [], region.trace_ok
+
+        def recording(trace, tol):
+            traces.append(trace)
+            return check(trace, tol)
+
+        monkeypatch.setattr(region, "trace_ok", recording)
+        classify_points(rows, ds)
+        candidates = [candidate_operator(p, ds) for p in rows]
+        expected = [sum(h[j, j].real for j in range(len(h))) for h in candidates]
+        np.testing.assert_array_equal(np.concatenate(traces), expected)
 
     @pytest.mark.parametrize("two_j", [12, 16, 24])
     def test_candidate_bits_do_not_depend_on_block_position(self, two_j):
