@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -45,9 +45,13 @@ SCHEMES = ("su2", "sun", "aw")
 
 @contextmanager
 def _atomic_write_text(path: str):
-    """A text handle on a temporary file beside ``path``, renamed into place on success."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """A text handle on a temporary file beside ``path``, renamed into place on success.
+
+    The temporary file is created exclusively, under a random name, with mode
+    0o666 less the umask, as ``open(path, "w")`` would create ``path``.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh

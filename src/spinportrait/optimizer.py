@@ -103,7 +103,8 @@ class OptimizerConfig:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.restarts < 1:
             raise DomainError("restarts must be >= 1")
-        if not 0.0 < self.tolerance < math.inf:
+        real = isinstance(self.tolerance, (float, np.floating)) or is_integer(self.tolerance)
+        if not (real and 0.0 < self.tolerance < math.inf):
             raise DomainError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iters < 0:
             raise DomainError(f"max_iters must be >= 0, got {self.max_iters}")

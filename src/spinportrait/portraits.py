@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegeneratePriorError, DomainError, InvariantError
-from .linalg import INPUT_TOL, validate_weights
+from .linalg import INPUT_TOL, is_integer, validate_weights
 from .spin import Frame, Spin
 from .tomography import tomogram_columns
 
@@ -34,9 +34,11 @@ class Partition:
     blocks: tuple
 
     def __init__(self, blocks: Sequence[Sequence[int]]):
-        object.__setattr__(
-            self, "blocks", tuple(tuple(int(m) for m in b) for b in blocks)
-        )
+        blocks = tuple(tuple(b) for b in blocks)
+        bad = next((m for b in blocks for m in b if not is_integer(m)), None)
+        if bad is not None:
+            raise DomainError(f"partition entries must be integer doubled projections, got {bad!r}")
+        object.__setattr__(self, "blocks", tuple(tuple(int(m) for m in b) for b in blocks))
         if any(len(b) == 0 for b in self.blocks):
             raise DomainError("partition contains an empty block")
         flat = [m for b in self.blocks for m in b]

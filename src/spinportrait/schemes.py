@@ -34,7 +34,7 @@ from .linalg import AW_RTOL, memo, projector_coords, svd_inverse, vec_to_hermiti
 from .orthopoly import s_operator_coords
 from .spin import Direction, Directions, Spin, _CheckedFrames, frame_matrices
 from .su2 import DirectionSet, _block_inverses, reconstruct
-from .tomography import forward_matrix, tomogram_columns
+from .tomography import _state, _traces, forward_matrix, measured_kets
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,17 +162,17 @@ def aw_directions(grid: AWGrid) -> Directions:
 
 
 def aw_m_matrix(spin: Spin, dirs: Sequence[Direction]) -> np.ndarray:
-    """Highest-projection map matrix, row k = coords(U(j, n_k))."""
+    """Highest-projection map matrix, row k = coords(U(j, n_k)), from the kets aw_forward reads."""
     dirs = Directions(dirs)
     full = spin.dim * spin.dim
     if len(dirs) != full:
         raise DomainError(f"need {full} directions, got {len(dirs)}")
-    return projector_coords(frame_matrices(spin, dirs)[:, :, 0])
+    return projector_coords(measured_kets(spin, dirs)[:, :, 0])
 
 
 def aw_forward(spin: Spin, rho: np.ndarray, dirs: Sequence[Direction]) -> np.ndarray:
-    """Probabilities of the highest projection m = j along each direction."""
-    return tomogram_columns(spin, rho, Directions(dirs), highest_only=True)[:, 0]
+    """Probabilities of m = j along each direction, from column m = j of the grid's shared kets."""
+    return _traces(measured_kets(spin, Directions(dirs))[:, :, :1], _state(spin, rho)).real[:, 0]
 
 
 @memo

@@ -65,35 +65,30 @@ def tomogram_column(spin: Spin, rho: np.ndarray, frame: Frame) -> np.ndarray:
     return _traces(frame_matrix(spin, frame), _state(spin, rho)).real
 
 
-def tomogram_columns(
-    spin: Spin, rho: np.ndarray, frames: Sequence[Frame], highest_only: bool = False
-) -> np.ndarray:
-    """Probabilities of every frame, shape (N, 2j+1), or (N, 1) with only m = j."""
-    return _traces(measured_kets(spin, frames, highest_only), _state(spin, rho)).real
+def tomogram_columns(spin: Spin, rho: np.ndarray, frames: Sequence[Frame]) -> np.ndarray:
+    """Probabilities of every frame, shape (N, 2j+1), read from :func:`measured_kets`."""
+    return _traces(measured_kets(spin, frames), _state(spin, rho)).real
 
 
-def measured_kets(
-    spin: Spin, frames: Sequence[Frame], highest_only: bool = False
-) -> np.ndarray:
-    """Measured kets V_k |j m> as columns, shape (N, d, 2j+1) or (N, d, 1).
+def measured_kets(spin: Spin, frames: Sequence[Frame]) -> np.ndarray:
+    """Measured kets V_k |j m> as columns, shape (N, d, 2j+1), the one table every map reads.
 
     Sequences made only of directions are memoized by value (read-only
     result), since a state-by-state caller measures the same set repeatedly;
-    checked ``Directions`` and a ``UnitaryFrameSet``'s frames skip the checks
+    the aw grid's forward and inverse read column m = j of that entry.
+    Checked ``Directions`` and a ``UnitaryFrameSet``'s frames skip the checks
     their constructors made.
     """
     if not isinstance(frames, (Directions, _CheckedFrames)):
         frames = tuple(frames)
     if isinstance(frames, Directions) or all(isinstance(f, Direction) for f in frames):
-        return _direction_kets(spin, frames, highest_only)
-    kets = frame_matrices(spin, frames)
-    return kets[:, :, :1] if highest_only else kets
+        return _direction_kets(spin, frames)
+    return frame_matrices(spin, frames)
 
 
 @memo
-def _direction_kets(spin: Spin, dirs: tuple, highest_only: bool) -> np.ndarray:
-    kets = frame_matrices(spin, dirs)
-    return np.ascontiguousarray(kets[:, :, :1]) if highest_only else kets
+def _direction_kets(spin: Spin, dirs: tuple) -> np.ndarray:
+    return frame_matrices(spin, dirs)
 
 
 def forward_matrix(spin: Spin, frames: Sequence[Frame], weights=None) -> np.ndarray:
@@ -104,10 +99,8 @@ def forward_matrix(spin: Spin, frames: Sequence[Frame], weights=None) -> np.ndar
     the probability vector exactly.  Any number of frames is accepted (uniform
     priors by default), which the rank experiments rely on.
     """
-    if not isinstance(frames, _CheckedFrames):
-        frames = tuple(frames)
-    w = validate_weights(weights, len(frames))
     kets = frame_matrices(spin, frames)
+    w = validate_weights(weights, len(kets))
     rows = projector_coords(np.swapaxes(kets, 1, 2))
     return (w[:, None, None] * rows).reshape(-1, spin.dim * spin.dim)
 

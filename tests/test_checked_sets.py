@@ -101,7 +101,7 @@ def test_a_frame_set_used_with_another_spin_is_refused():
         lambda: prob_vector(spin, rho, ufs.frames),
         lambda: r_matrix(spin, ufs.frames),
         lambda: orthopoly.s_operator_coords(spin, ufs.frames),
-        lambda: tomography.measured_kets(spin, ufs.frames, highest_only=True),
+        lambda: tomography.measured_kets(spin, ufs.frames),
     ):
         with pytest.raises(DomainError, match=message):
             call()

@@ -176,7 +176,7 @@ class TestCaches:
             _assert_read_only(arr)
         _assert_read_only(tomography.measured_kets(spin, qutrit_set.dirs))
         grid = aw_directions(default_aw_grid(spin))
-        _assert_read_only(tomography.measured_kets(spin, grid, highest_only=True))
+        _assert_read_only(tomography.measured_kets(spin, grid))
         _assert_read_only(su2.quantizer_stack(qutrit_set))
         aw_reconstruct(spin, aw_normalized_forward(spin, rho, grid), grid, normalized=True)
         _assert_read_only(schemes._aw_solver(spin, tuple(grid))[1])
@@ -264,9 +264,24 @@ class TestCaches:
         ds = random_direction_set(spin, np.random.default_rng(15))
         copy = DirectionSet(spin, [Direction(n.theta, n.phi) for n in ds.dirs])
         assert tomography.measured_kets(spin, ds.dirs) is tomography.measured_kets(spin, list(copy.dirs))
-        assert tomography.measured_kets(spin, ds.dirs) is not tomography.measured_kets(
-            spin, ds.dirs, highest_only=True
-        )
+
+    def test_the_aw_forward_and_inverse_share_one_rotation(self, monkeypatch):
+        spin = Spin(4)
+        grid = aw_directions(default_aw_grid(spin))
+        rho = random_density_matrix(spin, np.random.default_rng(17))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rotations(*args)
+
+        monkeypatch.setattr(spin_module, "rotations", counted)
+        tomography._direction_kets.cache_clear()
+        schemes._aw_solver.cache_clear()
+        w = aw_normalized_forward(spin, rho, grid)
+        assert np.abs(aw_reconstruct(spin, w, grid, normalized=True) - rho).max() < 1e-12
+        aw_m_matrix(spin, grid)
+        assert len(calls) == 1
 
 
 def _message(fn):

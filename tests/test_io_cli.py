@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -85,6 +87,27 @@ class TestFileRoundTrips:
         assert loaded.frames == dirs
         assert np.array_equal(loaded.values, prob.values)
         assert np.array_equal(loaded.weights, prob.weights)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_written_files_take_the_umask(self, tmp_path, umask, mode):
+        # as open(path, "w") would make them, not the 0o600 of a private temporary file
+        spin = Spin(1)
+        dirs = [Direction(**rec) for rec in TRIAD]
+        prob = fileio.ProbFile(spin, "su2", dirs, np.full(3, 1 / 3), np.array([1 / 3, 0.0] + [1 / 6] * 4))
+        slice_path = tmp_path / "slice.json"
+        write_json(slice_path, {"entries": [{"kind": "free", "lo": 0.0, "hi": 1.0 / 3.0}, {"kind": "balance"}] * 3})
+        frames = write_triad(tmp_path)
+        previous = os.umask(umask)
+        try:
+            fileio.save_state(str(tmp_path / "state.json"), spin, np.eye(2) / 2)
+            fileio.save_prob(str(tmp_path / "prob.json"), prob)
+            assert main(["region", "--two-j", "1", "--frames", frames, "--slice", str(slice_path),
+                         "--resolution", "3", "--out", str(tmp_path / "region.csv")]) == 0
+        finally:
+            os.umask(previous)
+        for name in ("state.json", "prob.json", "region.csv"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode, name
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_unitary_frames_lossless(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -164,8 +164,7 @@ class TestOneRule:
             orthopoly.coeff_table(Spin(2)),
             orthopoly.shell_basis(Spin(2)),
             orthopoly._pbar_weights(3),
-            tomography._direction_kets(spin, dirs, False),
-            tomography._direction_kets(spin, dirs, True),
+            tomography._direction_kets(spin, dirs),
             tomography._quadrature(3, 4),
             tomography._polar_products(spin, 3),
             su2.quantizer_stack(orthogonal_triad),

@@ -155,6 +155,8 @@ class TestOptimize:
             {"tolerance": math.nan}, {"tolerance": math.inf}, {"max_iters": -3},
             # refused at construction, before optimize reaches default_rng or range
             {"restarts": 2.5}, {"max_iters": 3.5}, {"seed": 1.5}, {"seed": -1},
+            # a bool would be a tolerance of 1, a string a bare TypeError
+            {"tolerance": True}, {"tolerance": "1e-8"},
         ):
             with pytest.raises(DomainError):
                 OptimizerConfig(**bad)

@@ -32,6 +32,15 @@ class TestPartition:
         with pytest.raises(DomainError):
             Partition([(1,), ()])
 
+    @pytest.mark.parametrize("blocks", [[(1.7,), (-1.2,)], [(1.0,), (-1,)], [(True,), (-1,)]])
+    def test_entries_that_are_not_integers_are_refused(self, blocks):
+        # int() would truncate 1.7 to 1 and read True as 1, and the partition would pass
+        with pytest.raises(DomainError, match="integer doubled projections"):
+            Partition(blocks)
+
+    def test_numpy_integer_entries_are_taken(self):
+        assert Partition([(np.int64(1),), (np.int32(-1),)]).blocks == ((1,), (-1,))
+
     def test_cover_checked_against_spin(self):
         part = Partition([(1,)])
         with pytest.raises(DomainError):
