@@ -5,11 +5,12 @@ s(m, k) = (4j+1)^-1 Tr(A U(m, n_k)); for a density matrix it coincides with
 the equal-weight probability vector, and contracting a symbol with the
 quantizers D(m, k) gives its operator back.  Every derived operation is a
 round trip through the operator: the memoized quantizers
-(``su2.quantizer_stack``) make the operator, and the one trace evaluator of
-``tomography``, over the memoized measured kets, reads its symbol or tomogram:
+(``su2.quantizer_stack``) make the operator, and one product of the set's
+memoized forward rows (``tomography.forward_rows``) with the operator's
+coordinates (``linalg.operator_coords``) reads its symbol or tomogram:
 
-    p1 * p2 = symbol(A1 A2),   w(m, n) = Re Tr(A U(m, n)),
-    P = Re symbol(rho from the sphere inversion of w).
+    symbol(A) = (rows @ z).view(complex) / N,   w(m, n) = Re Tr(A U(m, n)),
+    p1 * p2 = symbol(A1 A2),   P = Re symbol(rho from the sphere inversion of w).
 
 So the star-product kernel K(m3,k3, m2,k2, m1,k1), whose
 ((2j+1)(4j+1))^3 entries are never materialized, is entry (m3, k3) of
@@ -23,16 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .linalg import operator_coords
 from .portraits import ProbVector, _layout_index
 from .spin import Direction, Spin
 from .su2 import DirectionSet, _check_spin, apply_quantizer, quantizer
-from .tomography import (
-    _traces,
-    measured_kets,
-    quantizer_continuous,
-    reconstruct_from_sphere,
-    tomogram,
-)
+from .tomography import forward_rows, quantizer_continuous, reconstruct_from_sphere, tomogram
 
 
 def symbol(spin: Spin, op: np.ndarray, ds: DirectionSet) -> np.ndarray:
@@ -45,7 +41,7 @@ def symbol(spin: Spin, op: np.ndarray, ds: DirectionSet) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if op.shape != (spin.dim, spin.dim):
         raise DomainError(f"operator shape {op.shape} != dim {spin.dim}")
-    return _traces(measured_kets(spin, ds.dirs), op).ravel() / ds.n_dirs
+    return (forward_rows(spin, ds.dirs) @ operator_coords(op)).view(complex).ravel() / ds.n_dirs
 
 
 def symbol_to_operator(p, ds: DirectionSet) -> np.ndarray:

@@ -87,10 +87,55 @@ def projector_coords(kets) -> np.ndarray:
     and the rows follow from here.
     """
     kets = np.ascontiguousarray(kets, dtype=complex)  # fast gathers below
-    rows, cols = _upper(kets.shape[-1])
+    d = kets.shape[-1]
+    rows, cols = _upper(d)
+    n_off = rows.size
+    out = np.empty(kets.shape[:-1] + (d * d,))
     upper = kets[..., rows] * kets[..., cols].conj()
-    diag = kets.real * kets.real + kets.imag * kets.imag
-    return np.concatenate([diag, SQRT2 * upper.real, SQRT2 * upper.imag], axis=-1)
+    np.add(kets.real * kets.real, kets.imag * kets.imag, out=out[..., :d])
+    np.multiply(SQRT2, upper.real, out=out[..., d : d + n_off])
+    np.multiply(SQRT2, upper.imag, out=out[..., d + n_off :])
+    return out
+
+
+def operator_coords(a) -> np.ndarray:
+    """Real coordinates z, shape (d*d, 2), of any complex (d, d) matrix ``a``.
+
+    Column 0 holds :func:`hermitian_to_vec` of the Hermitian part (a + a^dag)/2
+    and column 1 that of (a - a^dag)/2i, so for every Hermitian U with
+    coordinates u, Tr(a U) = u . (z[:, 0] + i z[:, 1]): forward rows times z
+    are the traces' real and imaginary parts, (rows @ z).view(complex) the
+    traces.  One gather from ``a.view(float)`` through the memoized maps of
+    :func:`_coord_gathers` reads every entry.
+    """
+    gather, weights = _coord_gathers(np.shape(a)[-1])
+    both = np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float).take(gather)
+    both *= weights
+    return both[0] + both[1]
+
+
+@memo
+def _coord_gathers(dim: int):
+    """Gather maps and weights of :func:`operator_coords`, each (2, d*d, 2) (read-only).
+
+    z = sum over t of weights[t] * f[gather[t]], f the flat (re, im) pairs of
+    the matrix.  The weights are 1/2 on the diagonal rows and sqrt(2)/2 on the
+    others, negated in the second term of the rows of imaginary parts, whose
+    entries are differences: (Im a_rc - Im a_cr, Re a_cr - Re a_rc).
+    """
+    rows, cols = _upper(dim)
+    n_off = rows.size
+    re, im = slice(dim, dim + n_off), slice(dim + n_off, None)
+    diag = 2 * np.arange(dim) * (dim + 1)
+    upper, lower = 2 * (rows * dim + cols), 2 * (cols * dim + rows)  # the real part of a_rc, a_cr
+    gather = np.empty((2, dim * dim, 2), dtype=np.intp)
+    gather[:, :dim] = diag[:, None] + (0, 1)
+    gather[0, re], gather[1, re] = upper[:, None] + (0, 1), lower[:, None] + (0, 1)
+    gather[0, im], gather[1, im] = np.stack([upper + 1, lower], -1), np.stack([lower + 1, upper], -1)
+    weights = np.full((2, dim * dim, 2), SQRT2 / 2.0)
+    weights[:, :dim] = 0.5
+    weights[1, im] *= -1.0
+    return gather, weights
 
 
 @memo

@@ -29,12 +29,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, FeasibilityError
-from .linalg import AW_RTOL, memo, projector_coords, svd_inverse, vec_to_hermitian
+from .errors import DomainError, FeasibilityError, InvariantError
+from .linalg import AW_RTOL, INPUT_TOL, memo, operator_coords, svd_inverse, vec_to_hermitian
 from .orthopoly import s_operator_coords
 from .spin import Direction, Directions, Spin, _CheckedFrames, frame_matrices
 from .su2 import DirectionSet, _block_inverses, reconstruct
-from .tomography import _state, _traces, forward_matrix, measured_kets
+from .tomography import _frame_rows, _state, forward_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,17 +162,17 @@ def aw_directions(grid: AWGrid) -> Directions:
 
 
 def aw_m_matrix(spin: Spin, dirs: Sequence[Direction]) -> np.ndarray:
-    """Highest-projection map matrix, row k = coords(U(j, n_k)), from the kets aw_forward reads."""
+    """Highest-projection map matrix, row k = coords(U(j, n_k)), the memoized table aw_forward reads (read-only)."""
     dirs = Directions(dirs)
     full = spin.dim * spin.dim
     if len(dirs) != full:
         raise DomainError(f"need {full} directions, got {len(dirs)}")
-    return projector_coords(measured_kets(spin, dirs)[:, :, 0])
+    return _frame_rows(spin, dirs, True)
 
 
 def aw_forward(spin: Spin, rho: np.ndarray, dirs: Sequence[Direction]) -> np.ndarray:
-    """Probabilities of m = j along each direction, from column m = j of the grid's shared kets."""
-    return _traces(measured_kets(spin, Directions(dirs))[:, :, :1], _state(spin, rho)).real[:, 0]
+    """Probabilities of m = j along each direction: the memoized m = j rows times the state's coordinates."""
+    return _frame_rows(spin, Directions(dirs), True) @ operator_coords(_state(spin, rho))[:, 0]
 
 
 @memo
@@ -216,9 +216,20 @@ def aw_reconstruct(
 def aw_normalized_forward(
     spin: Spin, rho: np.ndarray, dirs: Sequence[Direction]
 ) -> np.ndarray:
-    """Unit-sum variant of the highest-projection probabilities."""
+    """Unit-sum variant of the highest-projection probabilities.
+
+    A sum that is not finite and positive, and a normalized value below
+    -INPUT_TOL (NaN included), raise InvariantError, as the probability
+    vectors' checks do.
+    """
     w = aw_forward(spin, rho, dirs)
-    return w / w.sum()
+    total = w.sum()
+    if not 0.0 < total < np.inf:
+        raise InvariantError(f"highest-projection probabilities sum to {total}, not a positive number")
+    w /= total
+    if not w.min(initial=0.0) >= -INPUT_TOL:
+        raise InvariantError(f"negative or NaN normalized probability {w.min()}")
+    return w
 
 
 def newton_young_directions(spin: Spin, theta: float) -> DirectionSet:

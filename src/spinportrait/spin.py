@@ -139,6 +139,8 @@ class _CheckedFrames(tuple):
 
     The entries are views of the stack; :func:`frame_matrices` returns the
     stack itself when its dimension matches the spin, without a second check.
+    Compared and hashed by identity, so the forward-row memo keys on the set
+    of checked frames, not on array values.
     """
 
     def __new__(cls, stack: np.ndarray):
@@ -146,6 +148,14 @@ class _CheckedFrames(tuple):
         self = super().__new__(cls, stack)
         self.stack = stack
         return self
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other) -> bool:
+        return self is other
+
+    def __ne__(self, other) -> bool:
+        return self is not other
 
     def __reduce__(self):
         # copies rebuild from the stack, so their entries stay views of one read-only array
@@ -234,12 +244,12 @@ def frame_matrices(spin: Spin, frames: Sequence[Frame]) -> np.ndarray:
     arr = [k for k, f in enumerate(frames) if not isinstance(f, Direction)]
     if not rot:
         return _unitaries(spin.dim, frames)
+    rotated = rotations(spin, [frames[k].theta for k in rot], [frames[k].phi for k in rot])
+    if not arr:
+        return rotated
     out = np.empty((len(frames), spin.dim, spin.dim), dtype=complex)
-    out[rot] = rotations(
-        spin, [frames[k].theta for k in rot], [frames[k].phi for k in rot]
-    )
-    if arr:
-        out[arr] = _unitaries(spin.dim, [frames[k] for k in arr], arr)
+    out[rot] = rotated
+    out[arr] = _unitaries(spin.dim, [frames[k] for k in arr], arr)
     return out
 
 

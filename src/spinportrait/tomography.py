@@ -1,10 +1,15 @@
 """Continuous-frame tomography: dequantizer, quantizer, and sphere inversion.
 
 The dequantizer U(m, frame) = V |j m><j m| V^dag turns a state into the fair
-probability w(m, frame) = Tr(rho U), the real part of the one trace evaluator
-v^dag A v over the measured kets (``_traces``), which the symbol calculus of
-``kernels`` reads for any operator A.  The quantizer D(m, n), built from the
-orthogonal operator expansion, inverts the map through
+probability w(m, frame) = Tr(rho U).  The map is linear, P = Q coords(rho):
+every forward map is one product of the frame set's forward rows, the
+coordinates of its U(m, frame_k) (:func:`forward_rows`, memoized per
+direction sequence and per checked frame set), with the gathered real
+coordinates z of the operator (``linalg.operator_coords``), Tr(A U) =
+rows . (z[:, 0] + i z[:, 1]).  Probabilities read column 0, the Hermitian
+part, and the symbol calculus of ``kernels`` both columns, for any operator
+A.  The quantizer D(m, n), built from the orthogonal operator expansion,
+inverts the map through
 
     rho = sum_m (4 pi)^-1  integral  w(m, n) D(m, n) dOmega.
 
@@ -40,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .linalg import is_integer, memo, projector_coords, validate_weights
+from .linalg import is_integer, memo, operator_coords, projector_coords, validate_weights
 from .orthopoly import coeff_table
 from .spin import Direction, Directions, Frame, Spin, _CheckedFrames, frame_matrices, frame_matrix, rotations
 
@@ -61,34 +66,45 @@ def tomogram(spin: Spin, rho: np.ndarray, two_m: int, frame: Frame) -> float:
 
 
 def tomogram_column(spin: Spin, rho: np.ndarray, frame: Frame) -> np.ndarray:
-    """All 2j+1 probabilities of one frame, ordered by descending m."""
-    return _traces(frame_matrix(spin, frame), _state(spin, rho)).real
+    """All 2j+1 probabilities of one frame, ordered by descending m, from its rows built anew."""
+    return _projector_rows(frame_matrices(spin, [frame])) @ operator_coords(_state(spin, rho))[:, 0]
 
 
 def tomogram_columns(spin: Spin, rho: np.ndarray, frames: Sequence[Frame]) -> np.ndarray:
-    """Probabilities of every frame, shape (N, 2j+1), read from :func:`measured_kets`."""
-    return _traces(measured_kets(spin, frames), _state(spin, rho)).real
+    """Probabilities of every frame, shape (N, 2j+1): :func:`forward_rows` times the state's coordinates.
+
+    The rows multiply the coordinates of the Hermitian part of ``rho``, so
+    the result is Re Tr(rho U) for a ``rho`` that is not Hermitian.
+    """
+    return (forward_rows(spin, frames) @ operator_coords(_state(spin, rho))[:, 0]).reshape(-1, spin.dim)
 
 
-def measured_kets(spin: Spin, frames: Sequence[Frame]) -> np.ndarray:
-    """Measured kets V_k |j m> as columns, shape (N, d, 2j+1), the one table every map reads.
+def forward_rows(spin: Spin, frames: Sequence[Frame]) -> np.ndarray:
+    """Rows coords(U(m, frame_k)), shape (N d, d^2), row k d + (j - m): the table every forward map reads.
 
-    Sequences made only of directions are memoized by value (read-only
-    result), since a state-by-state caller measures the same set repeatedly;
-    the aw grid's forward and inverse read column m = j of that entry.
-    Checked ``Directions`` and a ``UnitaryFrameSet``'s frames skip the checks
-    their constructors made.
+    Sequences made only of directions are memoized by value and a
+    ``UnitaryFrameSet``'s checked frames by identity (read-only result), since
+    a state-by-state caller measures the same set repeatedly; the checks
+    their constructors made are not repeated.  Any other frame sequence is
+    checked and its rows built on every call.
     """
     if not isinstance(frames, (Directions, _CheckedFrames)):
         frames = tuple(frames)
-    if isinstance(frames, Directions) or all(isinstance(f, Direction) for f in frames):
-        return _direction_kets(spin, frames)
-    return frame_matrices(spin, frames)
+        if not all(isinstance(f, Direction) for f in frames):
+            return _projector_rows(frame_matrices(spin, frames))
+    return _frame_rows(spin, frames, False)
 
 
 @memo
-def _direction_kets(spin: Spin, dirs: tuple) -> np.ndarray:
-    return frame_matrices(spin, dirs)
+def _frame_rows(spin: Spin, frames: tuple, highest: bool) -> np.ndarray:
+    """Rows of every projection of the frames, or with ``highest`` of m = j alone, (N, d^2)."""
+    kets = frame_matrices(spin, frames)
+    return _projector_rows(kets[:, :, :1] if highest else kets)
+
+
+def _projector_rows(kets: np.ndarray) -> np.ndarray:
+    """Coordinates of |v><v| for the kets v stored as columns of a stack (N, d, m), shape (N m, d^2)."""
+    return projector_coords(np.swapaxes(kets, 1, 2)).reshape(-1, kets.shape[1] ** 2)
 
 
 def forward_matrix(spin: Spin, frames: Sequence[Frame], weights=None) -> np.ndarray:
@@ -97,12 +113,13 @@ def forward_matrix(spin: Spin, frames: Sequence[Frame], weights=None) -> np.ndar
     Hermitian operators are flattened with the isometric real coordinate map,
     so the matrix is real and applying it to the coordinates of rho reproduces
     the probability vector exactly.  Any number of frames is accepted (uniform
-    priors by default), which the rank experiments rely on.
+    priors by default), which the rank experiments rely on.  The rows are
+    those of :func:`forward_rows`, built anew and not memoized.
     """
     kets = frame_matrices(spin, frames)
-    w = validate_weights(weights, len(kets))
-    rows = projector_coords(np.swapaxes(kets, 1, 2))
-    return (w[:, None, None] * rows).reshape(-1, spin.dim * spin.dim)
+    rows = _projector_rows(kets)
+    rows *= np.repeat(validate_weights(weights, len(kets)), spin.dim)[:, None]
+    return rows
 
 
 def _state(spin: Spin, rho) -> np.ndarray:
@@ -110,11 +127,6 @@ def _state(spin: Spin, rho) -> np.ndarray:
     if rho.shape != (spin.dim, spin.dim):
         raise DomainError(f"state shape {rho.shape} does not match dim {spin.dim}")
     return rho
-
-
-def _traces(kets: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Tr(a |v><v|) = v^dag a v, complex, for the kets stored as columns of ``kets``."""
-    return np.sum(kets.conj() * (a @ kets), axis=-2)
 
 
 def _shell_sum(spin: Spin) -> np.ndarray:

@@ -101,7 +101,7 @@ def test_a_frame_set_used_with_another_spin_is_refused():
         lambda: prob_vector(spin, rho, ufs.frames),
         lambda: r_matrix(spin, ufs.frames),
         lambda: orthopoly.s_operator_coords(spin, ufs.frames),
-        lambda: tomography.measured_kets(spin, ufs.frames),
+        lambda: tomography.forward_rows(spin, ufs.frames),
     ):
         with pytest.raises(DomainError, match=message):
             call()
@@ -112,7 +112,7 @@ def test_the_stack_behind_a_frame_set_is_read_only():
     ufs = random_frame_set(spin, np.random.default_rng(5))
     stack = frame_matrices(spin, ufs.frames)
     assert stack is frame_matrices(spin, ufs.frames)
-    for arr in (stack, *ufs.frames, tomography.measured_kets(spin, ufs.frames)):
+    for arr in (stack, *ufs.frames, tomography.forward_rows(spin, ufs.frames)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
@@ -159,14 +159,14 @@ def test_checked_directions_compare_and_hash_as_the_plain_tuple():
     assert Directions(plain) == plain and Directions(list(plain)) == plain
 
 
-def test_a_direction_set_and_an_equal_list_share_one_kets_entry():
+def test_a_direction_set_and_an_equal_list_share_one_rows_entry():
     spin = Spin(4)
     ds = random_direction_set(spin, np.random.default_rng(9))
-    tomography._direction_kets.cache_clear()
-    kets = tomography.measured_kets(spin, ds.dirs)
+    tomography._frame_rows.cache_clear()
+    rows = tomography.forward_rows(spin, ds.dirs)
     for dirs in (list(ds.dirs), [Direction(n.theta, n.phi) for n in ds.dirs]):
-        assert tomography.measured_kets(spin, dirs) is kets
-    info = tomography._direction_kets.cache_info()
+        assert tomography.forward_rows(spin, dirs) is rows
+    info = tomography._frame_rows.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
 
 

@@ -174,9 +174,9 @@ class TestCaches:
             _assert_read_only(arr)
         for arr in linalg._upper(spin.dim):
             _assert_read_only(arr)
-        _assert_read_only(tomography.measured_kets(spin, qutrit_set.dirs))
+        _assert_read_only(tomography.forward_rows(spin, qutrit_set.dirs))
         grid = aw_directions(default_aw_grid(spin))
-        _assert_read_only(tomography.measured_kets(spin, grid))
+        _assert_read_only(aw_m_matrix(spin, grid))
         _assert_read_only(su2.quantizer_stack(qutrit_set))
         aw_reconstruct(spin, aw_normalized_forward(spin, rho, grid), grid, normalized=True)
         _assert_read_only(schemes._aw_solver(spin, tuple(grid))[1])
@@ -194,7 +194,7 @@ class TestCaches:
         _assert_read_only(orthopoly.coeff_table(spin))
 
     def test_bounds(self):
-        assert tomography._direction_kets.cache_info().maxsize == 16
+        assert tomography._frame_rows.cache_info().maxsize == 16
         assert schemes._aw_solver.cache_info().maxsize == 16
         assert su2.quantizer_stack.cache_info().maxsize == 16
         assert su2._solver.cache_info().maxsize == 16
@@ -259,11 +259,11 @@ class TestCaches:
         assert np.array_equal(reconstruct_pinv(p, ufs), first)
         assert np.abs(first - rho).max() < 1e-12
 
-    def test_equal_direction_sets_share_kets(self):
+    def test_equal_direction_sets_share_rows(self):
         spin = Spin(2)
         ds = random_direction_set(spin, np.random.default_rng(15))
         copy = DirectionSet(spin, [Direction(n.theta, n.phi) for n in ds.dirs])
-        assert tomography.measured_kets(spin, ds.dirs) is tomography.measured_kets(spin, list(copy.dirs))
+        assert tomography.forward_rows(spin, ds.dirs) is tomography.forward_rows(spin, list(copy.dirs))
 
     def test_the_aw_forward_and_inverse_share_one_rotation(self, monkeypatch):
         spin = Spin(4)
@@ -276,7 +276,7 @@ class TestCaches:
             return rotations(*args)
 
         monkeypatch.setattr(spin_module, "rotations", counted)
-        tomography._direction_kets.cache_clear()
+        tomography._frame_rows.cache_clear()
         schemes._aw_solver.cache_clear()
         w = aw_normalized_forward(spin, rho, grid)
         assert np.abs(aw_reconstruct(spin, w, grid, normalized=True) - rho).max() < 1e-12

@@ -139,11 +139,12 @@ class TestOneRule:
         assert {
             "spinportrait.linalg._upper",
             "spinportrait.linalg._hermitian_index",
+            "spinportrait.linalg._coord_gathers",
             "spinportrait.spin._jy_eigen",
             "spinportrait.orthopoly.coeff_table",
             "spinportrait.orthopoly.shell_basis",
             "spinportrait.orthopoly._pbar_weights",
-            "spinportrait.tomography._direction_kets",
+            "spinportrait.tomography._frame_rows",
             "spinportrait.tomography._quadrature",
             "spinportrait.tomography._polar_products",
             "spinportrait.su2.quantizer_stack",
@@ -160,11 +161,14 @@ class TestOneRule:
         results = [
             linalg._upper(3),
             linalg._hermitian_index(3),
+            linalg._coord_gathers(3),
             spin_module._jy_eigen(2),
             orthopoly.coeff_table(Spin(2)),
             orthopoly.shell_basis(Spin(2)),
             orthopoly._pbar_weights(3),
-            tomography._direction_kets(spin, dirs),
+            tomography._frame_rows(spin, dirs, False),
+            tomography._frame_rows(spin, dirs, True),
+            tomography._frame_rows(Spin(2), ufs.frames, False),
             tomography._quadrature(3, 4),
             tomography._polar_products(spin, 3),
             su2.quantizer_stack(orthogonal_triad),

@@ -323,6 +323,21 @@ class TestAWReconstruction:
         rec = aw_reconstruct(spin, w_prime, dirs, normalized=True)
         assert np.abs(rec - rho).max() < 1e-9
 
+    @pytest.mark.parametrize(
+        "rho,message",
+        [
+            (np.diag([1.0, -1.0]), "negative or NaN normalized probability"),
+            (np.zeros((2, 2)), "sum to 0.0, not a positive number"),
+            (np.full((2, 2), math.nan), "sum to nan, not a positive number"),
+            (np.diag([-1.0, 0.0]), r"sum to -[12]\.\d*, not a positive number"),
+        ],
+    )
+    def test_normalized_forward_refuses_what_is_no_probability(self, rho, message):
+        spin = Spin(1)
+        dirs = aw_directions(default_aw_grid(spin))
+        with pytest.raises(InvariantError, match=message):
+            aw_normalized_forward(spin, rho, dirs)
+
     def test_agreement_with_direction_scheme(self, orthogonal_triad):
         spin = Spin(1)
         rho = random_density_matrix(spin, np.random.default_rng(77))

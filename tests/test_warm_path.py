@@ -344,11 +344,16 @@ def _haar(rng, d, n):
 # inverse applied G_L in factored form, which changed its bits, the su2
 # and sun hashes once reconstruct shifted the diagonal to a trace of exactly 1,
 # and the su2 hash and both fingerprints once the least-squares inverse was
-# built from the per-spin operator basis and Y_L^+.
+# built from the per-spin operator basis and Y_L^+.  The last two entries were
+# added once every forward map became one product of memoized projector rows
+# with the state's coordinates, which moved the forward probabilities by up
+# to 2.2e-16 and so changed both fingerprints and all three hashes.
 # All on numpy 2.4.6, OpenBLAS, 2-core Xeon, with 1 and with 2 BLAS threads.
 PINNED = {
     "5638676481ced773": ("e98344d543de7ef7", "27b5cd417cfa2682", "b9bd32f9a63996f6"),
     "f1d51352a644b6ce": ("e98344d543de7ef7", "8f3fad3afee340a9", "b9bd32f9a63996f6"),
+    "0804232625d07f7f": ("996ee14057a80231", "7750ae944218c00d", "7d57266b220d3d12"),
+    "67f9f141a72866ca": ("996ee14057a80231", "1f8e8b94f993a8df", "7d57266b220d3d12"),
 }
 
 
