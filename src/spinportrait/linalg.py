@@ -1,9 +1,18 @@
-"""Small linear-algebra helpers shared by the reconstruction schemes."""
+"""Small linear-algebra helpers shared by the reconstruction schemes.
+
+Every map reads a (d, d) matrix in one isometric coordinate layout of d*d
+reals: the d diagonal entries, then sqrt(2) Re and sqrt(2) Im of the strict
+upper triangle (row-major).  For Hermitian A and B the dot product of their
+coordinates is Tr(A B), so stacked coordinate rows turn probabilities
+Tr(rho U) into a real matrix-vector product.  Only :func:`_coord_layout`,
+once per dimension, computes the layout's indices.
+"""
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache, wraps
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,26 +65,52 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+class _Layout(NamedTuple):
+    """One dimension's coordinate layout (module docstring), every array read-only."""
+
+    triangle: tuple  # row and column indices of the strict upper triangle, row-major
+    gather: np.ndarray  # (2, d*d, 2) maps and weights of operator_coords
+    weights: np.ndarray
+    index: np.ndarray  # (d*d,) position of entry (r, c) in vec_to_hermitian's packed row
+
+
 @memo
-def _upper(dim: int):
-    """Row and column indices of the strict upper triangle (read-only)."""
-    return np.triu_indices(dim, k=1)
+def _coord_layout(dim: int) -> _Layout:
+    """The layout of dimension ``dim``, built once.
+
+    :func:`operator_coords` reads z = sum over t of weights[t] * f[gather[t]],
+    f the flat (re, im) pairs of the matrix: weight 1/2 on the diagonal rows
+    and sqrt(2)/2 on the others, negated in the second term of the rows of
+    imaginary parts, whose entries are (Im a_rc - Im a_cr, Re a_cr - Re a_rc).
+    """
+    triangle = rows, cols = np.triu_indices(dim, k=1)
+    n_off = rows.size
+    re, im = slice(dim, dim + n_off), slice(dim + n_off, None)
+    diag = 2 * np.arange(dim) * (dim + 1)
+    upper, lower = 2 * (rows * dim + cols), 2 * (cols * dim + rows)  # the real part of a_rc, a_cr
+    gather = np.empty((2, dim * dim, 2), dtype=np.intp)
+    gather[:, :dim] = diag[:, None] + (0, 1)
+    gather[0, re], gather[1, re] = upper[:, None] + (0, 1), lower[:, None] + (0, 1)
+    gather[0, im], gather[1, im] = np.stack([upper + 1, lower], -1), np.stack([lower + 1, upper], -1)
+    weights = np.full((2, dim * dim, 2), SQRT2 / 2.0)
+    weights[:, :dim] = 0.5
+    weights[1, im] *= -1.0
+    index = np.empty((dim, dim), dtype=np.intp)
+    index[range(dim), range(dim)] = np.arange(dim)
+    index[rows, cols], index[cols, rows] = np.arange(dim, dim * dim).reshape(2, n_off)
+    return _Layout(triangle, gather, weights, index.ravel())
 
 
 def hermitian_to_vec(a: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of a Hermitian matrix.
+    """Coordinates (d*d,) of a square matrix's Hermitian part (a + a^dag)/2.
 
-    Layout: the d diagonal entries, then sqrt(2) * Re and sqrt(2) * Im of the
-    strict upper triangle (row-major).  The Euclidean inner product of two
-    coordinate vectors equals Tr(A B), so stacking these rows turns the
-    trace pairing probability = Tr(rho U) into an ordinary real matrix-vector
-    product.
+    Column 0 of :func:`operator_coords`, so a Hermitian matrix gives its own
+    coordinates.  A non-square or non-2-D input raises DomainError.
     """
-    a = np.asarray(a, dtype=complex)
-    iu = _upper(a.shape[0])
-    return np.concatenate(
-        [np.real(np.diagonal(a)), SQRT2 * np.real(a[iu]), SQRT2 * np.imag(a[iu])]
-    )
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    return np.ascontiguousarray(operator_coords(a)[:, 0])
 
 
 def projector_coords(kets) -> np.ndarray:
@@ -88,7 +123,7 @@ def projector_coords(kets) -> np.ndarray:
     """
     kets = np.ascontiguousarray(kets, dtype=complex)  # fast gathers below
     d = kets.shape[-1]
-    rows, cols = _upper(d)
+    rows, cols = _coord_layout(d).triangle
     n_off = rows.size
     out = np.empty(kets.shape[:-1] + (d * d,))
     upper = kets[..., rows] * kets[..., cols].conj()
@@ -101,54 +136,16 @@ def projector_coords(kets) -> np.ndarray:
 def operator_coords(a) -> np.ndarray:
     """Real coordinates z, shape (d*d, 2), of any complex (d, d) matrix ``a``.
 
-    Column 0 holds :func:`hermitian_to_vec` of the Hermitian part (a + a^dag)/2
-    and column 1 that of (a - a^dag)/2i, so for every Hermitian U with
+    Column 0 holds the coordinates of the Hermitian part (a + a^dag)/2 and
+    column 1 those of (a - a^dag)/2i, so for every Hermitian U with
     coordinates u, Tr(a U) = u . (z[:, 0] + i z[:, 1]): forward rows times z
     are the traces' real and imaginary parts, (rows @ z).view(complex) the
-    traces.  One gather from ``a.view(float)`` through the memoized maps of
-    :func:`_coord_gathers` reads every entry.
+    traces.  One gather from ``a.view(float)`` reads every entry.
     """
-    gather, weights = _coord_gathers(np.shape(a)[-1])
-    both = np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float).take(gather)
-    both *= weights
+    layout = _coord_layout(np.shape(a)[-1])
+    both = np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float).take(layout.gather)
+    both *= layout.weights
     return both[0] + both[1]
-
-
-@memo
-def _coord_gathers(dim: int):
-    """Gather maps and weights of :func:`operator_coords`, each (2, d*d, 2) (read-only).
-
-    z = sum over t of weights[t] * f[gather[t]], f the flat (re, im) pairs of
-    the matrix.  The weights are 1/2 on the diagonal rows and sqrt(2)/2 on the
-    others, negated in the second term of the rows of imaginary parts, whose
-    entries are differences: (Im a_rc - Im a_cr, Re a_cr - Re a_rc).
-    """
-    rows, cols = _upper(dim)
-    n_off = rows.size
-    re, im = slice(dim, dim + n_off), slice(dim + n_off, None)
-    diag = 2 * np.arange(dim) * (dim + 1)
-    upper, lower = 2 * (rows * dim + cols), 2 * (cols * dim + rows)  # the real part of a_rc, a_cr
-    gather = np.empty((2, dim * dim, 2), dtype=np.intp)
-    gather[:, :dim] = diag[:, None] + (0, 1)
-    gather[0, re], gather[1, re] = upper[:, None] + (0, 1), lower[:, None] + (0, 1)
-    gather[0, im], gather[1, im] = np.stack([upper + 1, lower], -1), np.stack([lower + 1, upper], -1)
-    weights = np.full((2, dim * dim, 2), SQRT2 / 2.0)
-    weights[:, :dim] = 0.5
-    weights[1, im] *= -1.0
-    return gather, weights
-
-
-@memo
-def _hermitian_index(dim: int) -> np.ndarray:
-    """Gather map of :func:`vec_to_hermitian` (read-only): item r * dim + c is the
-    position of matrix entry (r, c) in the packed row [diagonal, upper, conj(upper)]."""
-    rows, cols = _upper(dim)
-    n_off = rows.size
-    index = np.empty((dim, dim), dtype=np.intp)
-    index[range(dim), range(dim)] = np.arange(dim)
-    index[rows, cols] = dim + np.arange(n_off)
-    index[cols, rows] = dim + n_off + np.arange(n_off)
-    return index.ravel()
 
 
 def vec_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
@@ -156,8 +153,8 @@ def vec_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
 
     The diagonal, the upper triangle (a + ib) / sqrt(2) and its conjugate are
     written into one packed row, which one complex gather (``take``, so the
-    result is C-contiguous whatever the layout of ``v``) through the memoized
-    :func:`_hermitian_index` turns into the matrix.
+    result is C-contiguous whatever the layout of ``v``) through the layout's
+    index turns into the matrix.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (dim * dim,):
@@ -170,15 +167,17 @@ def vec_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
     np.add(v[..., dim : dim + n_off], upper, out=upper)
     np.divide(upper, SQRT2, out=upper)
     np.conjugate(upper, out=packed[..., dim + n_off :])
-    return packed.take(_hermitian_index(dim), axis=-1).reshape(v.shape[:-1] + (dim, dim))
+    return packed.take(_coord_layout(dim).index, axis=-1).reshape(v.shape[:-1] + (dim, dim))
 
 
 def validate_weights(weights, n: int) -> np.ndarray:
-    """Prior weights as a float array: n nonnegative entries summing to one.
+    """Prior weights as a float array: n >= 1 nonnegative entries summing to one.
 
     ``None`` stands for the equal priors 1/n.  Both tests are written to fail
-    on NaN, so NaN and infinite weights raise.
+    on NaN, so NaN and infinite weights raise; so does an empty frame sequence.
     """
+    if n < 1:
+        raise DomainError(f"expected at least one frame, got {n}")
     if weights is None:
         return np.full(n, 1.0 / n)
     w = np.asarray(weights, dtype=float)

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .linalg import SQRT2, _upper, memo, projector_coords, vec_to_hermitian
+from .linalg import SQRT2, _coord_layout, memo, projector_coords, vec_to_hermitian
 from .spin import Direction, Frame, Spin, frame_matrices
 
 # Largest two_j the test suite validates; the table itself is orthonormal to
@@ -116,7 +116,7 @@ def shell_basis(spin: Spin) -> np.ndarray:
     nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     coords = s_operator_coords(spin, [Direction(math.acos(x), 0.0) for x in nodes])
     pbar = _pbar(nodes, np.sqrt(1.0 - nodes * nodes), two_j)
-    rows, cols = _upper(d)
+    rows, cols = _coord_layout(d).triangle
     offset = np.concatenate([np.zeros(d, dtype=int), cols - rows])  # M of the diagonal, then the upper entries
     # (2L+1)/2 sum_i w_i Pbar_L^M(x_i) with the Gauss weights w_i = 2 vecs[0, i]^2; an upper
     # coordinate is sqrt(2) times its entry

@@ -269,7 +269,8 @@ def _smallest_tridiagonal(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
 def _planar_min_eigenvalues(h: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each Hermitian matrix given as (re/im, d, d, m) planes.
 
-    A 2x2 [[a, b], [conj(b), c]] takes the closed form
+    A 1x1 matrix is its own smallest eigenvalue.  A 2x2
+    [[a, b], [conj(b), c]] takes the closed form
     (a + c)/2 - hypot((a - c)/2, |b|), within 4 eps max(|a|, |c|, |b|) of the
     exact value (the trigonometric 3x3 form, by contrast, loses about
     sqrt(eps) when the two smallest eigenvalues coincide).  Larger matrices
@@ -277,6 +278,8 @@ def _planar_min_eigenvalues(h: np.ndarray) -> np.ndarray:
     and take their smallest eigenvalue from Laguerre's iteration.  Every step
     acts on each matrix alone, so its value is bitwise the same in any batch.
     """
+    if h.shape[1] == 1:
+        return h[0, 0, 0]
     if h.shape[1] == 2:
         a, c = h[0, 0, 0], h[0, 1, 1]
         return (a + c) / 2.0 - np.hypot((a - c) / 2.0, np.abs(h[0, 0, 1] + 1j * h[1, 0, 1]))

@@ -101,14 +101,18 @@ def gamma_prime(ufs: UnitaryFrameSet) -> float:
 
 
 def mu_bound(gamma: float) -> float:
-    """Condition-number bound (1 + sqrt(1 - Gamma')) / (1 - sqrt(1 - Gamma')), Gamma' clipped to [0, 1]."""
+    """Condition-number bound (1 + r) / (1 - r), r = sqrt(1 - Gamma'), Gamma' clipped to [0, 1].
+
+    Written as (1 + r)^2 / Gamma', the same value without the difference
+    1 - r, which rounds to zero below Gamma' ~ 1e-16 (Haar frame sets give
+    1e-19 and less from two_j = 6 on).  Gamma' = 0 gives inf.
+    """
     if not math.isfinite(gamma):
         raise DomainError(f"Gamma' must be finite, got {gamma}")
     gamma = min(max(gamma, 0.0), 1.0)
-    root = math.sqrt(1.0 - gamma)
-    if root >= 1.0:
+    if gamma == 0.0:
         return math.inf
-    return (1.0 + root) / (1.0 - root)
+    return (1.0 + math.sqrt(1.0 - gamma)) ** 2 / gamma
 
 
 reconstruct_pinv = reconstruct  # the least-squares inverse of an equal-weight vector

@@ -172,7 +172,8 @@ class TestCaches:
         rho = random_density_matrix(spin, rng)
         for arr in spin_module._jy_eigen(spin.two_j):
             _assert_read_only(arr)
-        for arr in linalg._upper(spin.dim):
+        layout = linalg._coord_layout(spin.dim)
+        for arr in (*layout.triangle, layout.gather, layout.weights, layout.index):
             _assert_read_only(arr)
         _assert_read_only(tomography.forward_rows(spin, qutrit_set.dirs))
         grid = aw_directions(default_aw_grid(spin))

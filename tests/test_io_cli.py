@@ -533,6 +533,31 @@ class TestKernelEval:
         assert "rotation index" in captured.err
 
 
+class TestEdgeSizes:
+    @pytest.mark.parametrize("scheme", ["su2", "sun", "aw"])
+    def test_forward_with_an_empty_frames_file_is_2(self, tmp_path, capsys, scheme):
+        state = write_state(tmp_path, Spin(1), np.eye(2, dtype=complex) / 2.0)
+        frames = tmp_path / "frames.json"
+        write_json(frames, [])
+        out = tmp_path / "prob.json"
+        args = ["forward", "--scheme", scheme, "--state", state, "--frames", str(frames), "--out", str(out)]
+        assert main(args) == 2
+        assert "at least one frame" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_region_at_two_j_zero_is_0(self, tmp_path, capsys):
+        frames = tmp_path / "dirs.json"
+        write_json(frames, [{"theta": 0.0, "phi": 0.0}])
+        slice_path = tmp_path / "slice.json"
+        write_json(slice_path, {"entries": [{"kind": "free", "lo": 0.0, "hi": 1.0}]})
+        out = tmp_path / "region.csv"
+        assert main(["region", "--two-j", "0", "--frames", str(frames), "--slice", str(slice_path),
+                     "--resolution", "3", "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert rows[:, 1].tolist() == [0.0, 0.0, 1.0]
+        assert np.array_equal(rows[:, 2], rows[:, 0])
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("phi", [math.nan, math.inf])
     def test_forward_with_non_finite_phi_is_2(self, tmp_path, capsys, phi):

@@ -137,9 +137,7 @@ class TestOneRule:
     def test_every_memo_holds_sixteen_entries(self):
         memos = _memoized_functions()
         assert {
-            "spinportrait.linalg._upper",
-            "spinportrait.linalg._hermitian_index",
-            "spinportrait.linalg._coord_gathers",
+            "spinportrait.linalg._coord_layout",
             "spinportrait.spin._jy_eigen",
             "spinportrait.orthopoly.coeff_table",
             "spinportrait.orthopoly.shell_basis",
@@ -159,9 +157,7 @@ class TestOneRule:
         dirs = tuple(orthogonal_triad.dirs)
         ufs = random_frame_set(Spin(2), np.random.default_rng(4))
         results = [
-            linalg._upper(3),
-            linalg._hermitian_index(3),
-            linalg._coord_gathers(3),
+            linalg._coord_layout(3),
             spin_module._jy_eigen(2),
             orthopoly.coeff_table(Spin(2)),
             orthopoly.shell_basis(Spin(2)),

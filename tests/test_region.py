@@ -114,6 +114,20 @@ class TestIsQuantum:
         verdict = is_quantum(point, orthogonal_triad)
         assert not verdict.is_quantum
 
+    def test_two_j_zero_candidate_is_its_own_eigenvalue(self):
+        # d = 1: one direction, one probability, and the candidate is that number
+        spin = Spin(0)
+        ds = DirectionSet(spin, [Direction(0.0, 0.0)])
+        coords = np.linspace(0.0, 1.0, 3)
+        verdicts = [is_quantum(np.array([x]), ds) for x in coords]
+        flags, min_eigs = classify_points(coords[:, None], ds)
+        rows = sample_region(spin, ds, SliceSpec([SliceEntry.free(0.0, 1.0)]), 3)
+        assert [v.is_quantum for v in verdicts] == flags.tolist() == [False, False, True]
+        assert rows[:, 1].tolist() == [0.0, 0.0, 1.0]
+        for got in ([v.min_eigenvalue for v in verdicts], min_eigs, rows[:, 2]):
+            assert np.array_equal(got, coords)
+        assert np.array_equal(rows[:, 0], coords)
+
     def test_sylvester_agrees_away_from_boundary(self, orthogonal_triad):
         rng = np.random.default_rng(8)
         for _ in range(200):

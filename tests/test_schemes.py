@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -219,6 +220,11 @@ class TestReconstructPinv:
         with pytest.raises(DomainError, match=message):
             q_matrix(spin, dirs, weights)
 
+    @pytest.mark.parametrize("matrix", [q_matrix, r_matrix])
+    def test_empty_frame_sequence_is_refused(self, matrix):
+        with pytest.raises(DomainError, match="at least one frame"):
+            matrix(Spin(1), [])
+
     @pytest.mark.parametrize("two_j", [1, 2])
     def test_mu_bound(self, two_j):
         for seed in range(20):
@@ -226,6 +232,34 @@ class TestReconstructPinv:
             gamma = gamma_prime(ufs)
             mu = condition_number(sun_gram(ufs))
             assert mu <= mu_bound(gamma) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("two_j", range(1, 17))
+    def test_mu_bound_is_finite_and_bounds_the_applied_condition_number(self, two_j):
+        # Haar sets give Gamma' of 1e-19 and below from two_j = 6 on, where
+        # 1 - sqrt(1 - Gamma') rounds to zero.  The bound is on the condition
+        # number of the L >= 1 Gram matrix, whose eigenvalues straddle 1; the
+        # forward map's squared singular values are those eigenvalues and N, the
+        # trace direction's, so its condition number is at most sqrt(N bound)
+        # (a Gamma' near 1 at two_j = 1 can put it above the bound itself)
+        for seed in range(3):
+            ufs = random_frame_set(Spin(two_j), np.random.default_rng((two_j, seed)))
+            s = su2.least_squares(ufs)[0]
+            bound = mu_bound(gamma_prime(ufs))
+            assert math.isfinite(bound)
+            assert condition_number(sun_gram(ufs)) <= bound * (1.0 + 1e-9)
+            assert s[0] / s[-1] <= math.sqrt(len(ufs.frames) * bound)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5, 1e-4, 1e-10, 1e-19, 1e-120])
+    def test_mu_bound_matches_exact_arithmetic(self, gamma):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 400  # 1 - Gamma' holds every digit of Gamma'
+            root = (1 - decimal.Decimal(gamma)).sqrt()
+            want = float((1 + root) / (1 - root))
+        assert abs(mu_bound(gamma) - want) <= 4 * np.finfo(float).eps * want
+
+    @pytest.mark.parametrize("gamma", [0.0, -1e-300])
+    def test_mu_bound_is_infinite_at_zero(self, gamma):
+        assert mu_bound(gamma) == math.inf
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_mu_bound_refuses_a_non_finite_gamma(self, gamma):
