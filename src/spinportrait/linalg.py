@@ -29,6 +29,7 @@ AW_RTOL = 1e-10  # the highest-projection grid matrix
 BLOCK_RTOL = 1e-12  # each nested shell Gram block M(L) behind the su2 quantizers
 # Absolute tolerances:
 INPUT_TOL = 1e-12  # input rounding: U^dag U - I, rho - rho^dag, theta, traces and sums
+SUM_TOL = 1e-11  # the unit total of a probability vector: ProbVector and every probability file
 PRIOR_TOL = 1e-8  # block sums of a probability vector against its priors
 TRACE_TOL = 1e-9  # unit trace of the region's assembled candidates
 EIG_TOL = 1e-8  # the most negative eigenvalue of a state: CLI invert's output and every state file

@@ -20,11 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegeneratePriorError, DomainError, InvariantError
-from .linalg import INPUT_TOL, is_integer, validate_weights
+from .linalg import INPUT_TOL, SUM_TOL, is_integer, validate_weights
 from .spin import Frame, Spin
 from .tomography import tomogram_columns
-
-SUM_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -135,6 +133,8 @@ def portrait(w_column: Sequence[float], partition: Partition) -> np.ndarray:
     second.
     """
     w = np.asarray(w_column, dtype=float)
+    if w.ndim != 1:
+        raise DomainError(f"a probability column is 1-D, got shape {w.shape}")
     spin = Spin(len(w) - 1)
     partition.validate_for(spin)
     return np.array(

@@ -13,14 +13,12 @@ the boundary.  (q equals (|r|/12)^2 for a state with orientation vector r.)
 The three closed-form residuals for an arbitrary feasible triad are the
 leading minors rho_11, det(rho), rho_22 of the candidate, which together are
 equivalent to positive semidefiniteness for 2x2 Hermitian matrices.
-Candidates of given points come from one GEMM per fixed-shape block of rows
-against the quantizer stack read as real numbers, each quantizer a row of its
-entries' real and imaginary parts (Goto and van de Geijn, Anatomy of
-High-Performance Matrix Multiplication, ACM TOMS 34(3), 2008); every BLAS
-call has the same shape, so a row's candidate does not depend on its batch.
-A slice scan never assembles its points: a slice point is affine in the free
-coordinates, so is its candidate, and each grid point's candidate is one
-partial sum per run of the fastest grid axis plus that axis' term.
+Candidates of given points come from one GEMM of the rows against the
+quantizer stack read as real numbers, each quantizer a row of its entries'
+real and imaginary parts.  A slice scan never assembles its points: a slice
+point is affine in the free coordinates, so is its candidate, and each grid
+point's candidate is one partial sum per run of the fastest grid axis plus
+that axis' term.
 Every verdict takes a qubit candidate [[a, b], [conj(b), c]]'s smallest
 eigenvalue from the closed form (a + c)/2 - hypot((a - c)/2, |b|).  Larger
 candidates go through one numpy kernel that runs across the batch: a
@@ -28,8 +26,15 @@ Householder reduction to real tridiagonal form, then Laguerre's iteration,
 which rises monotonically to the smallest root of a polynomial whose roots
 are all real, from the Gershgorin lower bound (Parlett, The Symmetric
 Eigenvalue Problem, SIAM 1998).  Every operation of the kernel acts on each
-candidate alone, in chunks of a fixed size, so a point's smallest eigenvalue
-is bitwise the same alone or in any batch.
+candidate alone, in chunks of a fixed size, so a candidate's smallest
+eigenvalue is bitwise the same alone or in any batch.
+
+One contract holds for :func:`is_quantum`, :func:`classify_points` and
+:func:`sample_region`: a point's smallest eigenvalue agrees across entry
+points and batches to 1e-12 of max(1, |min_eig|), and its flag is the same
+wherever |min_eig + tol| > 1e-12.  The candidates are not bitwise the same:
+a BLAS may round a product differently with its shape and thread count.
+Only :func:`sample_region`'s rows are bitwise independent of its chunking.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .spin import Spin
 from .su2 import DirectionSet, dual_vectors, quantizer_stack
 
 DEFAULT_TOL = 1e-10
-_CSV_ROWS = 1 << 16  # rows per block of write_region_csv
+_CSV_BLOCK = 1 << 16  # rows per block of write_region_csv
 
 
 def _checked_tol(tol) -> float:
@@ -96,40 +101,15 @@ def _checked_rows(points, n: int) -> np.ndarray:
     return points
 
 
-_ROWS = 16  # rows per GEMM: every candidate product is (2 d^2, n) @ (n, _ROWS)
-
-
 def _candidate_product(ds: DirectionSet) -> np.ndarray:
     """The quantizer stack read as a real (n, 2 d^2) matrix, columns (row, col, re/im); a view, no copy."""
     return quantizer_stack(ds).view(float).reshape(ds.n_dirs * ds.spin.dim, -1)
 
 
 def _candidate_planes(points: np.ndarray, ds: DirectionSet) -> np.ndarray:
-    """Candidates sum_I p_I Q_I of checked rows as (re/im, d, d, m) planes.
-
-    The rows go through one GEMM per block of ``_ROWS`` rows, the last block
-    padded with zero rows, and each GEMM writes its block's columns of fresh
-    (d, d, re/im, m) planes, returned as a transposed view.  Every BLAS call
-    has the same shape, so a row's candidate does not depend on its place in
-    the block or on the other rows: scalar and batched verdicts agree bitwise.
-    """
-    product = _candidate_product(ds)
-    m, n = points.shape
-    blocks = -(-m // _ROWS)
-    if m % _ROWS:
-        padded = np.zeros((blocks * _ROWS, n))
-        padded[:m] = points
-        points = padded
+    """Candidates sum_I p_I Q_I of checked rows as (re/im, d, d, m) planes, from one GEMM."""
     d = ds.spin.dim
-    planes = np.empty((2 * d * d, blocks, _ROWS))
-    # the rows are the right factor's columns: as the left factor's rows,
-    # OpenBLAS gave rows 12-15 of a block other bits from two_j = 12 up
-    np.matmul(
-        product.T,
-        points.reshape(blocks, _ROWS, n).transpose(0, 2, 1),
-        out=planes.transpose(1, 0, 2),
-    )
-    return planes.reshape(d, d, 2, blocks * _ROWS)[..., :m].transpose(2, 0, 1, 3)
+    return (_candidate_product(ds).T @ points.T).reshape(d, d, 2, -1).transpose(2, 0, 1, 3)
 
 
 _EPS = np.finfo(float).eps
@@ -319,15 +299,14 @@ def _verdicts(chunks, tol: float, flags: np.ndarray, min_eigs: np.ndarray):
 def _point_verdicts(points, ds: DirectionSet, tol: float, simplex: bool):
     """Flags and smallest eigenvalues of a batch of layout-ordered rows.
 
-    The rows go through in the kernel's chunks, a whole number of GEMM
-    blocks each, so only one chunk's candidates are held at a time and only
-    the last chunk pads a block.  With ``simplex`` a row with a coordinate
+    The rows go through in the kernel's chunks, so only one chunk's
+    candidates are held at a time.  With ``simplex`` a row with a coordinate
     below -tol is not flagged.
     """
     tol = _checked_tol(tol)
     points = _checked_rows(points, ds.n_dirs * ds.spin.dim)
     m = len(points)
-    chunk = _CHUNK // ds.spin.dim // _ROWS * _ROWS
+    chunk = _CHUNK // ds.spin.dim
     chunks = (
         (
             slice(i, i + chunk),
@@ -356,10 +335,12 @@ def is_quantum(p, ds: DirectionSet, tol: float = DEFAULT_TOL) -> RegionVerdict:
     """Eigenvalue test of the candidate operator.
 
     The verdict is quantum iff the smallest eigenvalue is >= -tol and the
-    candidate has unit trace (within a matching tolerance).  It is bitwise
-    the verdict :func:`classify_points` gives the same point, before the
-    simplex test; a non-finite coordinate raises DomainError, and a ``tol``
-    that is NaN, infinite, negative, a bool or not a real number ConfigError.
+    candidate has unit trace (within a matching tolerance).  It is the
+    verdict :func:`classify_points` gives the same point, before the simplex
+    test, under the module's contract: the smallest eigenvalues agree to
+    1e-12 of max(1, |min_eig|), the flags wherever |min_eig + tol| > 1e-12.
+    A non-finite coordinate raises DomainError, and a ``tol`` that is NaN,
+    infinite, negative, a bool or not a real number ConfigError.
     """
     flags, min_eigs = _point_verdicts(_values(p)[None], ds, tol, simplex=False)
     min_eig = float(min_eigs[0])
@@ -570,8 +551,10 @@ def sample_region(
     against the simplex (the constants once), so no row of the points is ever
     assembled.  Each row's candidate depends on its grid point alone.
     The rows share :func:`is_quantum`'s kernel, trace check and verdict
-    rule, but not its GEMM: ``min_eigenvalue`` agrees with ``is_quantum``
-    on the assembled point to within 1e-12 (the tests' bound), not bitwise.
+    rule under the module's contract: ``min_eigenvalue`` agrees with
+    ``is_quantum`` on the assembled point to 1e-12 of max(1, |min_eig|), and
+    the flag wherever |min_eig + tol| > 1e-12.  The rows are bitwise the same
+    whatever the kernel's chunk size.
     """
     if not is_integer(resolution):
         raise ConfigError(f"resolution must be an integer, got {resolution!r}")
@@ -604,11 +587,12 @@ def classify_points(points: np.ndarray, ds: DirectionSet, tol: float = DEFAULT_T
     """Vectorized verdicts for a batch of layout-ordered simplex points.
 
     Returns (is_quantum bool array, min eigenvalue array); points leaving the
-    simplex or breaking the candidate trace are never quantum, and on every
-    row the rest of the verdict and the eigenvalue are bitwise those of the
-    scalar :func:`is_quantum`.  A non-finite coordinate raises DomainError,
-    and a ``tol`` that is NaN, infinite, negative, a bool or not a real
-    number ConfigError.
+    simplex or breaking the candidate trace are never quantum.  On every row
+    the eigenvalue agrees with the scalar :func:`is_quantum`'s, in this or
+    any other batch, to 1e-12 of max(1, |min_eig|), and the rest of the
+    verdict is the same wherever |min_eig + tol| > 1e-12.  A non-finite
+    coordinate raises DomainError, and a ``tol`` that is NaN, infinite,
+    negative, a bool or not a real number ConfigError.
     """
     return _point_verdicts(points, ds, tol, simplex=True)
 
@@ -625,14 +609,14 @@ def write_region_csv(rows: np.ndarray, fh):
     """CSV dump of :func:`sample_region` rows with 17-digit floats.
 
     Columns coord1[,coord2[,coord3]],is_quantum,min_eig: every column but the
-    last two is a coordinate.  Blocks of ``_CSV_ROWS`` rows are formatted and
+    last two is a coordinate.  Blocks of ``_CSV_BLOCK`` rows are formatted and
     written in turn, and a grid axis holds few distinct values, so in a block
     the coordinate and flag columns format each distinct value once.
     """
     n_free = rows.shape[1] - 2
     header = [f"coord{i + 1}" for i in range(n_free)] + ["is_quantum", "min_eig"]
     fh.write(",".join(header) + "\n")
-    for block in np.split(rows, range(_CSV_ROWS, len(rows), _CSV_ROWS)):
+    for block in np.split(rows, range(_CSV_BLOCK, len(rows), _CSV_BLOCK)):
         columns = [_distinct_text(block[:, i], repr) for i in range(n_free)]
         columns.append(_distinct_text(block[:, n_free].astype(np.int64), str))
         columns.append([f"{e!r}\n" for e in block[:, n_free + 1].tolist()])

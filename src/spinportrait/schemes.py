@@ -6,9 +6,12 @@ Two routes besides the 4j+1-direction scheme:
   the forward map injective (each frame block adds 2j new independent rows
   plus the shared sum rule), and the state is recovered through a
   pseudo-inverse.  Feasibility and conditioning are controlled by the Gram
-  matrix of the frame operators S_L(u_k), whose determinant Gamma' lies in
-  [0, 1] and bounds the condition number by
-  (1 + sqrt(1 - Gamma')) / (1 - sqrt(1 - Gamma')).
+  matrix of the L >= 1 frame operators S_L(u_k) (:func:`sun_gram`), whose
+  determinant Gamma' lies in [0, 1] and bounds that Gram matrix's condition
+  number by (1 + sqrt(1 - Gamma')) / (1 - sqrt(1 - Gamma')).  The forward map
+  the least-squares inverse applies to N frames adds the trace direction,
+  squared singular value N, so its condition number is at most
+  sqrt(N times that bound).
 
 * Direction grids measuring only the highest projection m = j along (2j+1)^2
   directions arranged on nested cones,
@@ -103,6 +106,10 @@ def gamma_prime(ufs: UnitaryFrameSet) -> float:
 def mu_bound(gamma: float) -> float:
     """Condition-number bound (1 + r) / (1 - r), r = sqrt(1 - Gamma'), Gamma' clipped to [0, 1].
 
+    It bounds the condition number of the L >= 1 Gram matrix
+    (:func:`sun_gram`); the condition number of the forward map the
+    least-squares inverse applies to N frames is at most sqrt(N mu_bound).
+
     Written as (1 + r)^2 / Gamma', the same value without the difference
     1 - r, which rounds to zero below Gamma' ~ 1e-16 (Haar frame sets give
     1e-19 and less from two_j = 6 on).  Gamma' = 0 gives inf.
@@ -195,9 +202,10 @@ def aw_reconstruct(
 
     With ``normalized=True`` the input is taken as the unit-sum variant of the
     probability vector and the overall scale is restored by dividing out the
-    trace of the solution.  ``w`` must hold one finite value per direction
-    (DomainError otherwise).  The grid's rank verdict and inverse are memoized
-    per (spin, directions).
+    trace of the solution, which a state's data makes positive: a trace not
+    above 1e-14 raises FeasibilityError.  ``w`` must hold one finite value
+    per direction (DomainError otherwise).  The grid's rank verdict and
+    inverse are memoized per (spin, directions).
     """
     dirs = Directions(dirs)
     w = np.asarray(w, dtype=float)
@@ -211,8 +219,8 @@ def aw_reconstruct(
     rho = vec_to_hermitian(inverse @ w, spin.dim)
     if normalized:
         trace = float(np.trace(rho).real)
-        if abs(trace) < 1e-14:
-            raise FeasibilityError("normalized inversion has zero trace")
+        if not trace > 1e-14:
+            raise FeasibilityError(f"normalized inversion has trace {trace:.3e}, not a positive number")
         rho = rho / trace
     return rho
 

@@ -53,6 +53,11 @@ class TestPortrait:
         out = portrait(w, singleton_partition(Spin(3)))
         assert np.array_equal(out, w)
 
+    @pytest.mark.parametrize("w", [np.full((3, 1), 1.0 / 3.0), np.full((1, 3), 1.0 / 3.0), np.float64(1.0)])
+    def test_column_that_is_not_1d_rejected(self, w):
+        with pytest.raises(DomainError, match="1-D"):
+            portrait(w, singleton_partition(Spin(2)))
+
     def test_two_block_arithmetic(self):
         out = portrait([0.5, 0.3, 0.2], Partition([(2,), (0, -2)]))
         assert np.allclose(out, [0.5, 0.5])

@@ -33,7 +33,6 @@ from spinportrait import (
 from spinportrait.region import (
     DEFAULT_TOL,
     _CHUNK,
-    _ROWS,
     _candidate_planes,
     _min_eigenvalues,
     _slice_parametrization,
@@ -390,7 +389,7 @@ class TestSampleRegion:
         assert (rows[:, n_free + 1] < 0.0).any()
         assert "e-05," in buf.getvalue()
         # blocks of 5 rows cut the grid's runs, and each block indexes its own strings
-        monkeypatch.setattr(region, "_CSV_ROWS", 5)
+        monkeypatch.setattr(region, "_CSV_BLOCK", 5)
         blocked = io.StringIO()
         write_region_csv(rows, blocked)
         assert blocked.getvalue() == expected.getvalue()
@@ -583,9 +582,13 @@ class TestSliceAssembly:
                     sample_region(ds.spin, ds, spec, 3)
 
 
+# a two_j = 8 slice, where the Householder loop runs 7 steps
+CHUNK_CASES = SLICE_CASES + [(8, ["fcbcccccc", "cfccccccb", "bcccccccf"] + ["ccccccccc"] * 14, 7)]
+
+
 class TestSliceChunks:
     @pytest.mark.parametrize("rows_per_chunk", [3, 16, 40])
-    @pytest.mark.parametrize("two_j, blocks, resolution", SLICE_CASES)
+    @pytest.mark.parametrize("two_j, blocks, resolution", CHUNK_CASES)
     def test_rows_do_not_depend_on_chunking(self, request, monkeypatch, two_j, blocks, resolution, rows_per_chunk):
         # 3 rows cut every run into pieces, 16 and 40 take whole runs (two
         # 7-point runs of a 7^3 grid, five 7-point runs of a 7^2 grid, ...) and
@@ -641,10 +644,20 @@ def _random_rows(ds: DirectionSet, rng, n: int) -> dict:
 
 
 def _batch_length(two_j: int, length: str) -> int:
-    """Rows per batch around a GEMM block (``_ROWS``) or past a chunk of candidates."""
+    """Rows per batch: 15, 16 or 17, or 3 past a chunk of candidates."""
     if length == "chunk":
-        return _CHUNK // (two_j + 1) // _ROWS * _ROWS + 3
-    return _ROWS + {"block-1": -1, "block": 0, "block+1": 1}[length]
+        return _CHUNK // (two_j + 1) + 3
+    return 16 + {"block-1": -1, "block": 0, "block+1": 1}[length]
+
+
+def assert_same_verdicts(flags, min_eigs, ref_flags, ref_min_eigs):
+    """The region contract at DEFAULT_TOL: smallest eigenvalues within 1e-12
+    of max(1, |min_eig|), flags equal wherever |min_eig + tol| > 1e-12."""
+    ref_min_eigs = np.asarray(ref_min_eigs)
+    scale = np.maximum(1.0, np.abs(ref_min_eigs))
+    assert (np.abs(np.asarray(min_eigs) - ref_min_eigs) <= 1e-12 * scale).all()
+    decided = np.abs(ref_min_eigs + DEFAULT_TOL) > 1e-12
+    np.testing.assert_array_equal(np.asarray(flags)[decided], np.asarray(ref_flags)[decided])
 
 
 class TestClassifyPoints:
@@ -662,11 +675,14 @@ class TestClassifyPoints:
             verdicts[kind] = [is_quantum(row, ds) for row in rows]
             points = np.resize(rows, (n, rows.shape[1]))
             flags, min_eigs = classify_points(points, ds)
-            for i, (point, flag, min_eig) in enumerate(zip(points, flags, min_eigs)):
-                verdict = verdicts[kind][i % len(rows)]
-                assert min_eig == verdict.min_eigenvalue
-                on_simplex = point.min() >= -DEFAULT_TOL
-                assert flag == (verdict.is_quantum and on_simplex)
+            scalar = [verdicts[kind][i % len(rows)] for i in range(n)]
+            on_simplex = points.min(axis=1) >= -DEFAULT_TOL
+            assert_same_verdicts(
+                flags,
+                min_eigs,
+                np.array([v.is_quantum for v in scalar]) & on_simplex,
+                [v.min_eigenvalue for v in scalar],
+            )
             seen[kind] = flags
         assert seen["simplex"].any() and not seen["simplex"].all()
         assert not seen["off_simplex"].any()
@@ -692,25 +708,26 @@ class TestClassifyPoints:
             traces.append(trace)
             return check(trace, tol)
 
+        planes = _candidate_planes(rows, ds)
+        expected = sum(planes[0, j, j] for j in range(planes.shape[1]))
         monkeypatch.setattr(region, "trace_ok", recording)
         classify_points(rows, ds)
-        candidates = [candidate_operator(p, ds) for p in rows]
-        expected = [sum(h[j, j].real for j in range(len(h))) for h in candidates]
         np.testing.assert_array_equal(np.concatenate(traces), expected)
 
     @pytest.mark.parametrize("two_j", [12, 16, 24])
-    def test_candidate_bits_do_not_depend_on_block_position(self, two_j):
-        # a wide product is where a BLAS may switch kernels across a block:
-        # with rows as the GEMM's columns, OpenBLAS gave rows 12-15 of each
-        # 16-row block other bits than the same row alone from two_j = 12 up
+    def test_scalar_and_batched_verdicts_agree_at_high_spin(self, two_j):
+        # a wide product is where a BLAS may round a row differently with the
+        # batch around it or the thread count: the contract still holds
         ds = random_direction_set(Spin(two_j), np.random.default_rng(0))
         n_u, d = ds.n_dirs, ds.spin.dim
         rng = np.random.default_rng(two_j)
-        m = 2 * _ROWS + 3
+        m = 35
         rows = rng.dirichlet(np.ones(d), size=(m, n_u)).reshape(m, n_u * d) / n_u
-        batch = _candidate_planes(rows, ds)
-        for i in range(m):
-            np.testing.assert_array_equal(_candidate_planes(rows[i : i + 1], ds)[..., 0], batch[..., i])
+        flags, min_eigs = classify_points(rows, ds)
+        scalar = [is_quantum(row, ds) for row in rows]
+        assert_same_verdicts(
+            flags, min_eigs, [v.is_quantum for v in scalar], [v.min_eigenvalue for v in scalar]
+        )
 
     @pytest.mark.parametrize(
         "points", [np.full(6, 1.0 / 6.0), np.full((4, 5), 0.2), np.zeros((2, 6, 1))]
@@ -738,8 +755,9 @@ class TestClassifyPoints:
                 sample_region(ds.spin, ds, spec, 3)
 
     def test_boundary_row_keeps_its_verdict(self, orthogonal_triad):
-        # rows whose candidate's smallest eigenvalue is -tol to 1e-15: the
-        # batched and scalar verdicts read the same eigenvalue, so neither flips
+        # rows whose candidate's smallest eigenvalue is -tol to 1e-15: each
+        # entry point's flag is its own eigenvalue's verdict, and the two
+        # eigenvalues agree to the contract's 1e-12
         rng = np.random.default_rng(12)
         u = rng.normal(size=(200, 3))
         u /= np.linalg.norm(u, axis=1)[:, None]
@@ -749,10 +767,11 @@ class TestClassifyPoints:
         flags, min_eigs = classify_points(rows, orthogonal_triad)
         assert np.abs(min_eigs + DEFAULT_TOL).max() < 1e-15
         assert flags.any() and not flags.all()
-        for row, flag, min_eig in zip(rows, flags, min_eigs):
+        np.testing.assert_array_equal(flags, min_eigs >= -DEFAULT_TOL)
+        for row, min_eig in zip(rows, min_eigs):
             verdict = is_quantum(row, orthogonal_triad)
-            assert verdict.min_eigenvalue == min_eig
-            assert verdict.is_quantum == flag
+            assert verdict.is_quantum == (verdict.min_eigenvalue >= -DEFAULT_TOL)
+            assert abs(verdict.min_eigenvalue - min_eig) <= 1e-12
 
 
 class TestTolerance:

@@ -372,6 +372,19 @@ class TestAWReconstruction:
         with pytest.raises(InvariantError, match=message):
             aw_normalized_forward(spin, rho, dirs)
 
+    @pytest.mark.parametrize("data", ["negated state", "negative constant"])
+    def test_normalized_inversion_refuses_a_trace_that_is_not_positive(self, data):
+        # dividing by the trace -1/2 would hand back diag(0.9, 0.1) for the
+        # negated data of that state, and I/2 for w = -1/4 everywhere
+        spin = Spin(1)
+        dirs = aw_directions(default_aw_grid(spin))
+        if data == "negated state":
+            w = -aw_normalized_forward(spin, np.diag([0.9, 0.1]), dirs)
+        else:
+            w = np.full(len(dirs), -0.25)
+        with pytest.raises(FeasibilityError, match=r"trace -5\.000e-01, not a positive number"):
+            aw_reconstruct(spin, w, dirs, normalized=True)
+
     def test_agreement_with_direction_scheme(self, orthogonal_triad):
         spin = Spin(1)
         rho = random_density_matrix(spin, np.random.default_rng(77))
