@@ -6,6 +6,19 @@ upper triangle (row-major).  For Hermitian A and B the dot product of their
 coordinates is Tr(A B), so stacked coordinate rows turn probabilities
 Tr(rho U) into a real matrix-vector product.  Only :func:`_coord_layout`,
 once per dimension, computes the layout's indices.
+
+Each direction is one gather.  The pack reads the (re, im) floats of the
+matrix: :func:`operator_coords` both columns, :func:`hermitian_to_vec` the
+Hermitian column alone, with the same products and sums, so its bits are
+column 0's.  The unpack, :func:`vec_to_hermitian`, reads into each float of
+the (d, d) result its coordinate and gives the bits of the diagonal written
+as is and the upper triangle (a + ib) / sqrt(2) with its conjugate below:
+
+* a diagonal entry is (coordinate, +0), a -0 coordinate staying -0;
+* an off-diagonal imaginary part of a +-0 coordinate is +0 above the
+  diagonal and -0 below it;
+* an off-diagonal real part is -0 only for a -0 coordinate whose paired
+  imaginary coordinate is strictly negative.
 """
 
 from __future__ import annotations
@@ -72,7 +85,11 @@ class _Layout(NamedTuple):
     triangle: tuple  # row and column indices of the strict upper triangle, row-major
     gather: np.ndarray  # (2, d*d, 2) maps and weights of operator_coords
     weights: np.ndarray
-    index: np.ndarray  # (d*d,) position of entry (r, c) in vec_to_hermitian's packed row
+    half_gather: np.ndarray  # (2, d*d) their column 0, contiguous: the gather of hermitian_to_vec
+    half_weights: np.ndarray
+    unpack: np.ndarray  # (2 d*d,) the coordinate each float of vec_to_hermitian's result reads
+    shift: np.ndarray  # (2 d*d,) added to it before the division by sqrt(2),
+    sign: np.ndarray  # (2 d*d,) multiplied after it
 
 
 @memo
@@ -83,6 +100,12 @@ def _coord_layout(dim: int) -> _Layout:
     f the flat (re, im) pairs of the matrix: weight 1/2 on the diagonal rows
     and sqrt(2)/2 on the others, negated in the second term of the rows of
     imaginary parts, whose entries are (Im a_rc - Im a_cr, Re a_cr - Re a_rc).
+
+    :func:`vec_to_hermitian` reads entries a_rc and a_cr (r < c) from the
+    coordinates (a, b) of pair rc, adds +0 to b (-0 to a, which changes
+    nothing), divides by sqrt(2) + 0j, the complex division whose real part
+    (a + b * 0) / sqrt(2) carries the signed-zero rule, and negates b in
+    a_cr.  A diagonal entry reads its coordinate twice and is overwritten.
     """
     triangle = rows, cols = np.triu_indices(dim, k=1)
     n_off = rows.size
@@ -96,22 +119,31 @@ def _coord_layout(dim: int) -> _Layout:
     weights = np.full((2, dim * dim, 2), SQRT2 / 2.0)
     weights[:, :dim] = 0.5
     weights[1, im] *= -1.0
-    index = np.empty((dim, dim), dtype=np.intp)
-    index[range(dim), range(dim)] = np.arange(dim)
-    index[rows, cols], index[cols, rows] = np.arange(dim, dim * dim).reshape(2, n_off)
-    return _Layout(triangle, gather, weights, index.ravel())
+    unpack = np.empty((dim, dim, 2), dtype=np.intp)
+    unpack[range(dim), range(dim)] = np.arange(dim)[:, None]
+    unpack[rows, cols] = unpack[cols, rows] = np.arange(dim, dim * dim).reshape(2, n_off).T
+    sign = np.ones((dim, dim, 2))
+    sign[cols, rows, 1] = -1.0
+    return _Layout(
+        triangle, gather, weights, gather[..., 0].copy(), weights[..., 0].copy(),
+        unpack.ravel(), np.tile((-0.0, 0.0), dim * dim), sign.ravel(),
+    )
 
 
 def hermitian_to_vec(a: np.ndarray) -> np.ndarray:
     """Coordinates (d*d,) of a square matrix's Hermitian part (a + a^dag)/2.
 
-    Column 0 of :func:`operator_coords`, so a Hermitian matrix gives its own
-    coordinates.  A non-square or non-2-D input raises DomainError.
+    Column 0 of :func:`operator_coords`, bit for bit, from one gather of that
+    column alone, so a Hermitian matrix gives its own coordinates.  A
+    non-square or non-2-D input raises DomainError.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    return np.ascontiguousarray(operator_coords(a)[:, 0])
+    layout = _coord_layout(a.shape[0])
+    half = np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float).take(layout.half_gather)
+    half *= layout.half_weights
+    return half[0] + half[1]
 
 
 def projector_coords(kets) -> np.ndarray:
@@ -152,23 +184,27 @@ def operator_coords(a) -> np.ndarray:
 def vec_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`hermitian_to_vec`, over the last axis of a stack (..., d*d).
 
-    The diagonal, the upper triangle (a + ib) / sqrt(2) and its conjugate are
-    written into one packed row, which one complex gather (``take``, so the
-    result is C-contiguous whatever the layout of ``v``) through the layout's
-    index turns into the matrix.
+    One gather (``take``, so the result is C-contiguous whatever the layout of
+    ``v``) reads each float of the (d, d) result from its coordinate, an
+    in-place sum, division by sqrt(2) and product make the off-diagonal
+    entries, and the diagonal is written last (bits in the module docstring;
+    an infinite coordinate gives numpy's invalid-value warning).  A ``dim``
+    that is not a nonnegative integer, or a last axis other than dim*dim,
+    raises DomainError.
     """
+    if not (is_integer(dim) and dim >= 0):
+        raise DomainError(f"dimension {dim!r} is not a nonnegative integer")
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (dim * dim,):
-        raise ValueError(f"coordinate vector shape {v.shape} does not end in {dim * dim}")
-    n_off = dim * (dim - 1) // 2
-    packed = np.empty(v.shape, dtype=complex)
-    packed[..., :dim] = v[..., :dim]
-    upper = packed[..., dim : dim + n_off]
-    np.multiply(1j, v[..., dim + n_off :], out=upper)
-    np.add(v[..., dim : dim + n_off], upper, out=upper)
-    np.divide(upper, SQRT2, out=upper)
-    np.conjugate(upper, out=packed[..., dim + n_off :])
-    return packed.take(_coord_layout(dim).index, axis=-1).reshape(v.shape[:-1] + (dim, dim))
+        raise DomainError(f"coordinate vector shape {v.shape} does not end in {dim * dim}")
+    layout = _coord_layout(dim)
+    parts = v.take(layout.unpack, axis=-1)
+    parts += layout.shift
+    out = parts.view(complex)
+    out /= SQRT2
+    parts *= layout.sign
+    out[..., :: dim + 1] = v[..., :dim]
+    return out.reshape(v.shape[:-1] + (dim, dim))
 
 
 def validate_weights(weights, n: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, FeasibilityError, InvariantError
-from .linalg import AW_RTOL, INPUT_TOL, memo, operator_coords, svd_inverse, vec_to_hermitian
+from .linalg import AW_RTOL, INPUT_TOL, hermitian_to_vec, memo, svd_inverse, vec_to_hermitian
 from .orthopoly import s_operator_coords
 from .spin import Direction, Directions, Spin, _CheckedFrames, frame_matrices
 from .su2 import DirectionSet, _block_inverses, reconstruct
@@ -183,7 +183,7 @@ def aw_m_matrix(spin: Spin, dirs: Sequence[Direction]) -> np.ndarray:
 
 def aw_forward(spin: Spin, rho: np.ndarray, dirs: Sequence[Direction]) -> np.ndarray:
     """Probabilities of m = j along each direction: the memoized m = j rows times the state's coordinates."""
-    return _frame_rows(spin, Directions(dirs), True) @ operator_coords(_state(spin, rho))[:, 0]
+    return _frame_rows(spin, Directions(dirs), True) @ hermitian_to_vec(_state(spin, rho))
 
 
 @memo

@@ -7,9 +7,10 @@ coordinates of its U(m, frame_k) (:func:`forward_rows`, memoized per
 direction sequence and per checked frame set), with the gathered real
 coordinates z of the operator (``linalg.operator_coords``), Tr(A U) =
 rows . (z[:, 0] + i z[:, 1]).  Probabilities read column 0, the Hermitian
-part, and the symbol calculus of ``kernels`` both columns, for any operator
-A.  The quantizer D(m, n), built from the orthogonal operator expansion,
-inverts the map through
+part, gathered alone (``linalg.hermitian_to_vec``), and the symbol calculus
+of ``kernels`` both columns, for any operator A; a single frame's column
+reads its kets instead (:func:`tomogram_column`).  The quantizer D(m, n),
+built from the orthogonal operator expansion, inverts the map through
 
     rho = sum_m (4 pi)^-1  integral  w(m, n) D(m, n) dOmega.
 
@@ -45,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .linalg import is_integer, memo, operator_coords, projector_coords, validate_weights
+from .linalg import hermitian_to_vec, is_integer, memo, projector_coords, validate_weights
 from .orthopoly import coeff_table
 from .spin import Direction, Directions, Frame, Spin, _CheckedFrames, frame_matrices, frame_matrix, rotations
 
@@ -66,8 +67,9 @@ def tomogram(spin: Spin, rho: np.ndarray, two_m: int, frame: Frame) -> float:
 
 
 def tomogram_column(spin: Spin, rho: np.ndarray, frame: Frame) -> np.ndarray:
-    """All 2j+1 probabilities of one frame, ordered by descending m, from its rows built anew."""
-    return _projector_rows(frame_matrices(spin, [frame])) @ operator_coords(_state(spin, rho))[:, 0]
+    """All 2j+1 probabilities of one frame, ordered by descending m: Re diag(V^dag rho V) from its kets."""
+    v = frame_matrices(spin, [frame])[0]
+    return (v.conj() * (_state(spin, rho) @ v)).sum(axis=0).real
 
 
 def tomogram_columns(spin: Spin, rho: np.ndarray, frames: Sequence[Frame]) -> np.ndarray:
@@ -76,7 +78,7 @@ def tomogram_columns(spin: Spin, rho: np.ndarray, frames: Sequence[Frame]) -> np
     The rows multiply the coordinates of the Hermitian part of ``rho``, so
     the result is Re Tr(rho U) for a ``rho`` that is not Hermitian.
     """
-    return (forward_rows(spin, frames) @ operator_coords(_state(spin, rho))[:, 0]).reshape(-1, spin.dim)
+    return (forward_rows(spin, frames) @ hermitian_to_vec(_state(spin, rho))).reshape(-1, spin.dim)
 
 
 def forward_rows(spin: Spin, frames: Sequence[Frame]) -> np.ndarray:

@@ -71,6 +71,20 @@ def test_both_columns_of_operator_coords_rebuild_the_matrix(d):
         assert np.abs(back - a).max() <= 4 * EPS * np.abs(a).max()
 
 
+@pytest.mark.parametrize("d", DIMS)
+def test_the_hermitian_gather_is_column_0_bit_for_bit(d):
+    rng = np.random.default_rng(300 + d)
+    for _ in range(5):
+        a = random_matrix(rng, d)
+        parts = a.view(float).reshape(-1)
+        parts[::5] = 0.0
+        parts[2::7] = -0.0
+        for m in (a, a.T, a.real):  # any complex matrix, a strided one, a real one
+            got = hermitian_to_vec(m)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == operator_coords(m)[:, 0].tobytes()
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2), ()])
 def test_non_square_or_non_2d_input_is_refused(shape):
     with pytest.raises(DomainError, match="square matrix"):
@@ -83,8 +97,13 @@ def test_the_table_is_memoized_and_read_only(d):
     assert layout is _coord_layout(d)
     rows, cols = layout.triangle
     assert np.array_equal(rows, np.triu_indices(d, k=1)[0]) and np.array_equal(cols, np.triu_indices(d, k=1)[1])
-    assert sorted(layout.index) == list(range(d * d))  # a permutation of the packed row
-    for arr in (rows, cols, layout.gather, layout.weights, layout.index):
+    assert sorted(set(layout.unpack)) == list(range(d * d))  # the unpack reads every coordinate
+    assert layout.unpack.shape == layout.shift.shape == layout.sign.shape == (2 * d * d,)
+    assert np.array_equal(layout.half_gather, layout.gather[..., 0]) and layout.half_gather.flags.c_contiguous
+    assert np.array_equal(layout.half_weights, layout.weights[..., 0]) and layout.half_weights.flags.c_contiguous
+    arrays = (rows, cols, layout.gather, layout.weights, layout.half_gather, layout.half_weights,
+              layout.unpack, layout.shift, layout.sign)
+    for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 0

@@ -173,7 +173,7 @@ class TestCaches:
         for arr in spin_module._jy_eigen(spin.two_j):
             _assert_read_only(arr)
         layout = linalg._coord_layout(spin.dim)
-        for arr in (*layout.triangle, layout.gather, layout.weights, layout.index):
+        for arr in (*layout.triangle, *layout[1:]):
             _assert_read_only(arr)
         _assert_read_only(tomography.forward_rows(spin, qutrit_set.dirs))
         grid = aw_directions(default_aw_grid(spin))

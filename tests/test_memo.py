@@ -134,6 +134,12 @@ class TestOneRule:
         names = [p.name for p in PACKAGE.glob("*.py") if "lru_cache" in p.read_text()]
         assert names == ["linalg.py"]
 
+    def test_the_package_has_eleven_memos(self):
+        # the coordinate layout's tables live inside its one memo, not beside it
+        assert len(_memoized_functions()) == 11
+        uses = sum(p.read_text().count("\n@memo\n") for p in PACKAGE.glob("*.py"))
+        assert uses == 11
+
     def test_every_memo_holds_sixteen_entries(self):
         memos = _memoized_functions()
         assert {

@@ -6,6 +6,7 @@ loops.
 """
 
 import hashlib
+import itertools
 import math
 import re
 import zlib
@@ -39,6 +40,7 @@ from spinportrait import (
 )
 from spinportrait import linalg, schemes, su2
 from spinportrait.linalg import SQRT2
+from spinportrait.orthopoly import MAX_TWO_J
 from spinportrait.spin import frame_matrices
 from spinportrait.tomography import tomogram_columns
 
@@ -264,14 +266,58 @@ class TestVecToHermitian:
         assert stack_.flags.c_contiguous and not stack_.flags.writeable
 
     def test_index_map_is_memoized_and_read_only(self):
-        index = linalg._coord_layout(4).index
-        assert index is linalg._coord_layout(4).index
-        assert not index.flags.writeable
-        assert sorted(index) == list(range(16))  # a permutation of the packed row
+        layout = linalg._coord_layout(4)
+        assert layout.unpack is linalg._coord_layout(4).unpack
+        for arr in (layout.unpack, layout.shift, layout.sign):
+            assert not arr.flags.writeable
+        assert sorted(set(layout.unpack)) == list(range(16))  # every coordinate is read
 
     def test_wrong_length_is_refused(self):
         with pytest.raises(ValueError):
             vec_to_hermitian(np.zeros(5), 2)
+
+    @pytest.mark.parametrize("dim", range(1, MAX_TWO_J + 2))
+    def test_bitwise_the_loop_at_every_dimension(self, dim):
+        rng = np.random.default_rng(300 + dim)
+        for shape, transposed in [((dim * dim,), False), ((3, dim * dim), False), ((dim * dim, 2 * dim), True)]:
+            base = rng.normal(size=shape)
+            base.reshape(-1)[::5] = 0.0
+            base.reshape(-1)[2::7] = -0.0
+            v = base.T if transposed else base
+            got = vec_to_hermitian(v, dim)
+            assert got.tobytes() == loop_vec_to_hermitian(v, dim).tobytes()
+            assert got.flags.c_contiguous and got.shape == v.shape[:-1] + (dim, dim)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_every_sign_of_a_coordinate_pair(self, dim):
+        """(a, b) over +-0 and +-x, on the diagonal (entries 0 and 1) and on the pair of entry (0, 1)."""
+        n_off = dim * (dim - 1) // 2
+        values = [0.0, -0.0, 0.75, -0.75]
+        for a, b in itertools.product(values, repeat=2):
+            v = np.random.default_rng(7).normal(size=dim * dim)
+            v[0], v[1], v[dim], v[dim + n_off] = a, b, a, b
+            got = vec_to_hermitian(v, dim)
+            assert got.tobytes() == loop_vec_to_hermitian(v, dim).tobytes()
+            for k, x in enumerate([a, b]):
+                assert got[k, k].real == x and np.signbit(got[k, k].real) == np.signbit(x)
+                assert got[k, k].imag == 0.0 and not np.signbit(got[k, k].imag)
+            upper, lower = got[0, 1], got[1, 0]
+            assert upper.real == lower.real == a / SQRT2 and upper.imag == -lower.imag == b / SQRT2
+            assert np.signbit(upper.real) == np.signbit(lower.real) == (np.signbit(a) and (a != 0.0 or b < 0.0))
+            if b == 0.0:
+                assert not np.signbit(upper.imag) and np.signbit(lower.imag)
+
+    @pytest.mark.parametrize("dim, length", [(2.0, 4), (-1, 1), (True, 1), (None, 4), ("2", 4)])
+    def test_a_dimension_that_is_not_a_nonnegative_integer_is_refused(self, dim, length):
+        with pytest.raises(DomainError, match="not a nonnegative integer"):
+            vec_to_hermitian(np.zeros(length), dim)
+
+    def test_wrong_length_is_a_domain_error(self):
+        for v, dim in [(np.zeros(5), 2), (np.zeros((3, 4)), 3), (np.float64(1.0), 1), (np.zeros(1), 0)]:
+            with pytest.raises(DomainError, match="does not end in"):
+                vec_to_hermitian(v, dim)
+        assert vec_to_hermitian(np.zeros(0), 0).shape == (0, 0)
+        assert vec_to_hermitian(np.zeros(4), np.int64(2)).tobytes() == loop_vec_to_hermitian(np.zeros(4), 2).tobytes()
 
 
 class TestReconstructChecks:
