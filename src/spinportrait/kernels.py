@@ -110,7 +110,9 @@ def w_to_p(
 
     The symbol of the state that the exact sphere quadrature recovers; for
     tomograms of valid states it is the equal-weight probability vector.
+    A spin other than the set's is refused before the callback is called.
     """
+    _check_spin(spin, ds)
     rho = reconstruct_from_sphere(spin, tomogram_fn, n_theta, n_phi)
     return np.real(symbol(spin, rho, ds))
 

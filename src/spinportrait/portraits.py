@@ -88,6 +88,8 @@ class ProbVector:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if not is_integer(self.n_rotations):
+            raise DomainError(f"n_rotations must be an integer, got {self.n_rotations!r}")
         object.__setattr__(self, "values", np.array(self.values, dtype=float))
         self._freeze()
 

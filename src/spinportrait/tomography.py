@@ -33,7 +33,9 @@ phases, so with d(theta) = e^{-i theta Jy} (real)
 
 a Gauss-Legendre polar product followed by a discrete Fourier sum in phi (the
 separation of variables of fast spherical transforms, Driscoll and Healy
-1994).  The quadrature and G are memoized (G is 1.3 MB at two_j=16), and one
+1994).  Each quadrature's nodes, weights, K, G and phases are built together
+as one memo entry per (spin, n_theta, n_phi), for two_j up to
+``orthopoly.MAX_TWO_J`` (G is 1.3 MB at two_j=16 and 6.25 MB at 24), and one
 call with default nodes peaks at 0.27 MB traced at two_j=8 and 1.7 MB at
 two_j=16, where rotating every node into a (d, N d) ket matrix took 3.9 and
 45 MB.
@@ -149,12 +151,15 @@ def sphere_quadrature(spin: Spin, n_theta: int | None = None, n_phi: int | None 
 
     Returns theta-major (directions, weights), node k at polar node
     k // n_phi and azimuth k % n_phi, with weights summing to one.  Both are
-    memoized per (n_theta, n_phi): the directions come as one shared tuple
-    and the weights as a read-only array.  Node counts that are not integers
-    (bool included) or lie below the exactness thresholds (2j+1 polar, 4j+2
-    azimuthal) raise ConfigError.
+    memoized per (spin, n_theta, n_phi): the directions come as one shared
+    tuple and the weights as a read-only array.  The entry also holds the
+    tables :func:`reconstruct_from_sphere` reads with the same counts, built
+    with the nodes (G is 6.25 MB at two_j=24), so a spin above
+    ``orthopoly.MAX_TWO_J`` raises DomainError.  Node counts that are not
+    integers (bool included) or lie below the exactness thresholds (2j+1
+    polar, 4j+2 azimuthal) raise ConfigError.
     """
-    return _quadrature(*_node_counts(spin, n_theta, n_phi))
+    return _sphere(spin, *_node_counts(spin, n_theta, n_phi))[0]
 
 
 def _node_counts(spin: Spin, n_theta, n_phi) -> tuple[int, int]:
@@ -175,37 +180,25 @@ def _node_count(name: str, n, minimum: int) -> int:
     return int(n)
 
 
-def _azimuths(n_phi: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(n_phi) / n_phi
-
-
-def _polar_nodes(n_theta: int):
-    """Gauss-Legendre polar angles arccos(x_t) and weights."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
-    return np.arccos(nodes), weights
-
-
 @memo
-def _quadrature(n_theta: int, n_phi: int):
-    thetas, gl_weights = _polar_nodes(n_theta)
-    phis = _azimuths(n_phi)
+def _sphere(spin: Spin, n_theta: int, n_phi: int):
+    """((directions, weights), K, G, phase) of one quadrature (module docstring), read-only.
+
+    K comes first, so a spin above ``orthopoly.MAX_TWO_J`` is refused before
+    G is built; G keeps the real part of ``rotations``, d(theta) being real.
+    """
+    shell = _shell_sum(spin)
+    nodes, gl_weights = np.polynomial.legendre.leggauss(n_theta)
+    thetas = np.arccos(nodes)
+    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     dirs = tuple(
         Direction(float(theta), float(phi))
         for theta, phi in zip(np.repeat(thetas, n_phi), np.tile(phis, n_theta))
     )
-    return dirs, np.repeat(gl_weights / (2.0 * n_phi), n_phi)
-
-
-@memo
-def _polar_products(spin: Spin, n_theta: int) -> np.ndarray:
-    """G[(t, k), (a, b)] = d_ak(theta_t) d_bk(theta_t), shape (n_theta d, d^2), read-only.
-
-    d(theta) = exp(-i theta Jy) is real, so only the real part of the polar
-    factor of ``rotations`` is kept.
-    """
-    thetas, _ = _polar_nodes(n_theta)
-    polar = rotations(spin, thetas, np.zeros(n_theta)).real
-    return np.einsum("tak,tbk->tkab", polar, polar, order="C").reshape(n_theta * spin.dim, -1)
+    polar = rotations(spin, thetas, 0).real
+    products = np.einsum("tak,tbk->tkab", polar, polar, order="C").reshape(n_theta * spin.dim, -1)
+    phase = np.exp(-1j * phis[:, None] * spin.m_values())
+    return (dirs, np.repeat(gl_weights / (2.0 * n_phi), n_phi)), shell, products, phase
 
 
 def reconstruct_from_sphere(
@@ -225,14 +218,13 @@ def reconstruct_from_sphere(
     fixed in order, so results are reproducible bit for bit.
     """
     n_theta, n_phi = _node_counts(spin, n_theta, n_phi)
-    dirs, weights = _quadrature(n_theta, n_phi)
+    (dirs, weights), shell, products, phase = _sphere(spin, n_theta, n_phi)
     two_ms = spin.two_m_values()
     w = _tomogram_table(
         [tomogram_fn(two_m, n) for n in dirs for two_m in two_ms], dirs, two_ms
     )
-    c = (weights[:, None] * (w @ _shell_sum(spin))).reshape(n_theta, n_phi, spin.dim)
-    h = np.swapaxes(c, 0, 1).reshape(n_phi, -1) @ _polar_products(spin, n_theta)
-    phase = np.exp(-1j * _azimuths(n_phi)[:, None] * spin.m_values())
+    c = (weights[:, None] * (w @ shell)).reshape(n_theta, n_phi, spin.dim)
+    h = np.swapaxes(c, 0, 1).reshape(n_phi, -1) @ products
     return np.einsum("pa,pab,pb->ab", phase, h.reshape(n_phi, spin.dim, spin.dim), phase.conj())
 
 

@@ -550,3 +550,14 @@ class TestSpinMismatch:
     @pytest.mark.parametrize("entry", sorted(SPIN_ENTRY_POINTS))
     def test_matching_spin_is_accepted(self, entry, orthogonal_triad):
         SPIN_ENTRY_POINTS[entry](Spin(1), orthogonal_triad)
+
+    def test_w_to_p_refuses_before_the_callback(self, orthogonal_triad):
+        calls = []
+
+        def fn(two_m, n):
+            calls.append((two_m, n))
+            return 0.5
+
+        with pytest.raises(DomainError, match="does not match the direction set"):
+            w_to_p(Spin(2), orthogonal_triad, fn)
+        assert calls == []

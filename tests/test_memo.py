@@ -134,11 +134,12 @@ class TestOneRule:
         names = [p.name for p in PACKAGE.glob("*.py") if "lru_cache" in p.read_text()]
         assert names == ["linalg.py"]
 
-    def test_the_package_has_eleven_memos(self):
-        # the coordinate layout's tables live inside its one memo, not beside it
-        assert len(_memoized_functions()) == 11
+    def test_the_package_has_ten_memos(self):
+        # the coordinate layout's tables live inside its one memo, not beside
+        # it, and so do a sphere quadrature's
+        assert len(_memoized_functions()) == 10
         uses = sum(p.read_text().count("\n@memo\n") for p in PACKAGE.glob("*.py"))
-        assert uses == 11
+        assert uses == 10
 
     def test_every_memo_holds_sixteen_entries(self):
         memos = _memoized_functions()
@@ -149,8 +150,7 @@ class TestOneRule:
             "spinportrait.orthopoly.shell_basis",
             "spinportrait.orthopoly._pbar_weights",
             "spinportrait.tomography._frame_rows",
-            "spinportrait.tomography._quadrature",
-            "spinportrait.tomography._polar_products",
+            "spinportrait.tomography._sphere",
             "spinportrait.su2.quantizer_stack",
             "spinportrait.su2._solver",
             "spinportrait.schemes._aw_solver",
@@ -171,8 +171,7 @@ class TestOneRule:
             tomography._frame_rows(spin, dirs, False),
             tomography._frame_rows(spin, dirs, True),
             tomography._frame_rows(Spin(2), ufs.frames, False),
-            tomography._quadrature(3, 4),
-            tomography._polar_products(spin, 3),
+            tomography._sphere(spin, 3, 4),
             su2.quantizer_stack(orthogonal_triad),
             su2._solver(orthogonal_triad),
             su2._solver(ufs),

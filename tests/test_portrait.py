@@ -145,6 +145,15 @@ class TestProbVector:
         with pytest.raises(InvariantError):
             ProbVector(Spin(1), 1, np.array([1.1, -0.1]))
 
+    @pytest.mark.parametrize("n_rotations,values", [(3.0, np.full(6, 1 / 6)), (True, [0.5, 0.5])])
+    def test_non_integer_rotation_count_refused(self, n_rotations, values):
+        with pytest.raises(DomainError, match="n_rotations must be an integer"):
+            ProbVector(Spin(1), n_rotations, values)
+
+    def test_numpy_integer_rotation_count_accepted(self):
+        p = ProbVector(Spin(1), np.int64(3), np.full(6, 1 / 6))
+        assert np.allclose(p.block_sums(), 1 / 3)
+
     def test_values_frozen(self):
         p = ProbVector(Spin(1), 1, np.array([0.5, 0.5]))
         with pytest.raises(ValueError):

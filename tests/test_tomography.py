@@ -21,9 +21,11 @@ from spinportrait import (
     tomogram_column,
     w_to_p,
 )
-from spinportrait.orthopoly import s_operator_stack
+from spinportrait import tomography
+from spinportrait.orthopoly import MAX_TWO_J, s_operator_stack
+from spinportrait.spin import rotations
 from spinportrait.tomography import tomogram_columns
-from conftest import assert_relative, shell_sum_quantizer
+from conftest import assert_relative, random_direction_set, shell_sum_quantizer
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -61,6 +63,30 @@ def reconstruct_by_nodes(spin, tomogram_fn, n_theta=None, n_phi=None):
         )
         rho += weight * np.tensordot(weighted_table @ w_col, stack, axes=1)
     return rho
+
+
+def reconstruct_by_formula(spin, tomogram_fn, n_theta=None, n_phi=None):
+    """The separated sphere sum with every table built on the call: nodes, K, G and phases."""
+    dirs, weights = sphere_nodes_by_loop(spin, n_theta, n_phi)
+    n_theta = 2 * (spin.two_j + 1) if n_theta is None else n_theta
+    n_phi = len(dirs) // n_theta
+    table = coeff_table(spin)
+    shell = table.T @ ((2 * np.arange(spin.dim) + 1)[:, None] * table)
+    thetas = np.arccos(np.polynomial.legendre.leggauss(n_theta)[0])
+    polar = rotations(spin, thetas, np.zeros(n_theta)).real
+    g = np.einsum("tak,tbk->tkab", polar, polar, order="C").reshape(n_theta * spin.dim, -1)
+    w = np.array([[tomogram_fn(two_m, n) for two_m in spin.two_m_values()] for n in dirs])
+    c = (weights[:, None] * (w @ shell)).reshape(n_theta, n_phi, spin.dim)
+    h = np.swapaxes(c, 0, 1).reshape(n_phi, -1) @ g
+    phase = np.exp(-1j * (2.0 * np.pi * np.arange(n_phi) / n_phi)[:, None] * spin.m_values())
+    return np.einsum("pa,pab,pb->ab", phase, h.reshape(n_phi, spin.dim, spin.dim), phase.conj())
+
+
+def random_table_callback(spin, rng, n_theta=None, n_phi=None):
+    """w(m, n) read from a table of uniform values on the quadrature nodes."""
+    dirs, _ = sphere_nodes_by_loop(spin, n_theta, n_phi)
+    table = {(n.theta, n.phi): row for n, row in zip(dirs, rng.uniform(size=(len(dirs), spin.dim)))}
+    return lambda two_m, n: float(table[(n.theta, n.phi)][spin.m_index(two_m)])
 
 
 # (n_theta, n_phi) per spin: the defaults, the exactness thresholds, and more
@@ -326,7 +352,7 @@ class TestReconstructFromSphere:
         )
 
     def test_traced_peak_at_two_j_16(self):
-        # the memoized quadrature and polar products are not transient
+        # the memoized quadrature tables are not transient
         spin = Spin(16)
         fn = table_callback(spin, random_density_matrix(spin, np.random.default_rng(16)))
         reconstruct_from_sphere(spin, fn)
@@ -365,3 +391,47 @@ class TestReconstructFromSphere:
         assert np.abs(reconstruct_from_sphere(Spin(0), lambda m, n: 1) - 1.0).max() < 1e-14
         rec = reconstruct_from_sphere(Spin(1), lambda m, n: np.float32(0.5))
         assert np.abs(rec - np.eye(2) / 2.0).max() < 1e-14
+
+
+class TestOneSphereMemo:
+    @pytest.mark.parametrize("size", sorted(QUADRATURES))
+    @pytest.mark.parametrize("two_j", [*range(9), 12, 16, 24])
+    def test_bitwise_the_formula_built_per_call(self, two_j, size):
+        spin = Spin(two_j)
+        n_theta, n_phi = QUADRATURES[size](two_j)
+        fn = random_table_callback(spin, np.random.default_rng(two_j), n_theta, n_phi)
+        rec = reconstruct_from_sphere(spin, fn, n_theta, n_phi)
+        ref = reconstruct_by_formula(spin, fn, n_theta, n_phi)
+        assert rec.dtype == ref.dtype and np.array_equal(rec, ref)
+
+    @pytest.mark.parametrize("two_j", range(5))
+    def test_w_to_p_bitwise_the_formula_built_per_call(self, two_j):
+        from spinportrait.kernels import symbol
+
+        spin = Spin(two_j)
+        rng = np.random.default_rng(50 + two_j)
+        ds = random_direction_set(spin, rng)
+        fn = random_table_callback(spin, rng)
+        ref = np.real(symbol(spin, reconstruct_by_formula(spin, fn), ds))
+        assert np.array_equal(w_to_p(spin, ds, fn), ref)
+
+    def test_one_miss_per_quadrature(self):
+        spin = Spin(3)
+        tomography._sphere.cache_clear()
+        dirs, _ = sphere_quadrature(spin, 5, 11)
+        rho = random_density_matrix(spin, np.random.default_rng(3))
+        table = dict(zip(dirs, tomogram_columns(spin, rho, dirs)))
+        rec = reconstruct_from_sphere(spin, lambda two_m, n: table[n][spin.m_index(two_m)], 5, 11)
+        assert np.abs(rec - rho).max() < 1e-10
+        info = tomography._sphere.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_spin_above_the_range_refused_before_the_polar_products(self, monkeypatch):
+        def no_rotations(*args):
+            raise AssertionError("the polar products were built")
+
+        monkeypatch.setattr(tomography, "rotations", no_rotations)
+        with pytest.raises(DomainError, match="above"):
+            sphere_quadrature(Spin(MAX_TWO_J + 1))
+        with pytest.raises(DomainError, match="above"):
+            reconstruct_from_sphere(Spin(MAX_TWO_J + 1), lambda two_m, n: 0.0)
